@@ -3,7 +3,9 @@
 Run:  python3 benchmarks/bench_kernels.py [--sizes 500,2000,4000] [--repeats 5]
 
 The numba path must be enabled (HGCT_NUMBA unset or != 0) for the comparison;
-otherwise only the numpy column is reported.
+otherwise only the numpy column is reported. The `kabsch_batch` rows time the
+stacked rigid solver on n fits of 6 points each (numpy only; it has no numba
+path).
 """
 
 import argparse
@@ -12,7 +14,7 @@ import time
 import numpy as np
 
 from hgct import kernels
-from hgct.geom import random_rotation
+from hgct.geom import kabsch_batch, random_rotation
 
 
 def _time(fn, *args, repeats=5):
@@ -55,6 +57,13 @@ def bench(sizes, repeats):
             if len(times) == 2:
                 row += f"{times[0] / times[1]:>9.1f}x"
             print(row)
+
+    for m in (100, 1600):
+        src = rng.uniform(-1, 1, (m, 6, 3))
+        tgt = src @ random_rotation(rng).T + rng.normal(0.0, 0.01, (m, 6, 3))
+        t = _time(kabsch_batch, src, tgt, repeats=repeats)
+        print(f"{'kabsch_batch':<14}{m:>7}{t * 1e3:>14.2f}"
+              + "".join(f"{'-':>14}" for _ in names[1:]))
 
 
 def main():

@@ -79,7 +79,8 @@ class RigidTransform:
 class CorrSet:
     """A correspondence set stored as flat arrays.
 
-    src, tgt: (N, 3) float64. feat: optional (N, D). gt: optional ground-truth
+    src, tgt: (N, 3) float64, all finite (ValueError names the first
+    non-finite row). feat: optional (N, D). gt: optional ground-truth
     RigidTransform. labels: optional boolean inlier flags.
     """
 
@@ -89,6 +90,9 @@ class CorrSet:
         self.tgt = np.ascontiguousarray(tgt, dtype=np.float64)
         if self.src.shape != self.tgt.shape or self.src.ndim != 2 or self.src.shape[1] != 3:
             raise ValueError("src/tgt must both be (N, 3)")
+        bad = ~(np.isfinite(self.src).all(axis=1) & np.isfinite(self.tgt).all(axis=1))
+        if bad.any():
+            raise ValueError(f"non-finite src/tgt coordinate in row {int(np.argmax(bad))}")
         self.feat = None if feat is None else np.ascontiguousarray(feat, dtype=np.float64)
         if self.feat is not None and len(self.feat) != len(self.src):
             raise ValueError("feat length mismatch")
@@ -123,8 +127,7 @@ def _as_points(pts) -> np.ndarray:
 def kabsch_svd(src, tgt, weights=None) -> RigidTransform:
     """Weighted least-squares rigid fit mapping src points onto tgt points.
 
-    Centroid subtraction, 3x3 cross-covariance, SVD; if det(U V^T) < 0 the
-    last singular column is negated (reflection fix).
+    The single-fit form of `kabsch_batch` (same arithmetic, bit for bit).
 
     Input:
         - src, tgt: (K, 3) paired points, K >= 3
@@ -139,30 +142,58 @@ def kabsch_svd(src, tgt, weights=None) -> RigidTransform:
     k = len(src)
     if k < 3:
         raise DegenerateInput(f"need >= 3 point pairs, got {k}")
-    if weights is None:
-        w = np.full(k, 1.0 / k)
-    else:
+    w = None
+    if weights is not None:
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != (k,) or np.any(w < 0):
             raise ValueError("weights must be a nonnegative (K,) vector")
         if np.count_nonzero(w > 0) < 3:
             raise DegenerateInput("need >= 3 strictly positive weights")
-        w = w / np.sum(w)
+        w = (w / np.sum(w))[None]
+    rots, trans, ok = kabsch_batch(src[None], tgt[None], w)
+    if not ok[0]:
+        raise DegenerateInput("cross-covariance rank < 2 (collinear or coincident points)")
+    return RigidTransform(rots[0], trans[0])
 
-    c_src = w @ src
-    c_tgt = w @ tgt
+
+def kabsch_batch(src, tgt, weights=None):
+    """Rigid fits of a stack of paired point sets, one SVD call for all.
+
+    Per fit: weighted centroids, 3x3 cross-covariance, SVD; if
+    det(U V^T) < 0 the last singular column is negated (reflection fix).
+
+    Input:
+        - src, tgt: (M, K, 3) paired point sets, K >= 3
+        - weights: optional (M, K), each row summing to 1; uniform 1/K if None
+    Returns:
+        (R (M, 3, 3), t (M, 3), ok (M,) bool). ok is False where the
+        centered cross-covariance has rank < 2 (collinear or coincident
+        points); R and t are meaningless there.
+    """
+    src = np.asarray(src, dtype=np.float64)
+    tgt = np.asarray(tgt, dtype=np.float64)
+    if src.shape != tgt.shape or src.ndim != 3 or src.shape[2] != 3:
+        raise ValueError("src/tgt must both be (M, K, 3)")
+    m, k = src.shape[:2]
+    if k < 3:
+        raise DegenerateInput(f"need >= 3 point pairs, got {k}")
+    if m == 0:
+        return np.empty((0, 3, 3)), np.empty((0, 3)), np.empty(0, dtype=bool)
+    w = np.full((m, k), 1.0 / k) if weights is None else np.asarray(weights, np.float64)
+
+    c_src = np.matmul(w[:, None, :], src)  # (M, 1, 3)
+    c_tgt = np.matmul(w[:, None, :], tgt)
     ps = src - c_src
     pt = tgt - c_tgt
-    cov = (pt * w[:, None]).T @ ps  # maps source deviations to target side
+    # maps source deviations to target side
+    cov = np.matmul((pt * w[:, :, None]).transpose(0, 2, 1), ps)
     u, s, vt = np.linalg.svd(cov)
-    if s[0] <= 0.0 or s[1] < RANK_EPS * s[0]:
-        raise DegenerateInput("cross-covariance rank < 2 (collinear or coincident points)")
-    if np.linalg.det(u @ vt) < 0.0:
-        u = u.copy()
-        u[:, -1] = -u[:, -1]
-    rot = u @ vt
-    t = c_tgt - rot @ c_src
-    return RigidTransform(rot, t)
+    ok = ~((s[:, 0] <= 0.0) | (s[:, 1] < RANK_EPS * s[:, 0]))
+    flip = np.linalg.det(np.matmul(u, vt)) < 0.0
+    u[flip, :, -1] = -u[flip, :, -1]
+    rots = np.matmul(u, vt)
+    trans = c_tgt[:, 0] - np.matmul(rots, c_src.transpose(0, 2, 1))[:, :, 0]
+    return rots, trans, ok
 
 
 def residual(transform: RigidTransform, c: Correspondence) -> float:

@@ -239,19 +239,20 @@ def _topk_retention(scores: np.ndarray, support: np.ndarray, k2: int) -> np.ndar
     """Per-row mask keeping the k2 highest-score entries within `support`.
 
     Rows with at most k2 supported entries keep them all. Ties break toward
-    the lower column index.
+    the lower column index: a longer row keeps every supported entry above
+    its k2-th largest supported score, then fills the remaining slots with
+    the entries equal to that score, in column order. Scores are finite.
     """
-    n = scores.shape[0]
-    mask = np.zeros_like(support)
-    for i in range(n):
-        cand = np.flatnonzero(support[i] > 0)
-        if cand.size == 0:
-            continue
-        if cand.size <= k2:
-            mask[i, cand] = 1.0
-            continue
-        order = np.lexsort((cand, -scores[i, cand]))
-        mask[i, cand[order[:k2]]] = 1.0
+    supp = support > 0
+    mask = supp.astype(support.dtype)
+    rows = np.flatnonzero(np.count_nonzero(supp, axis=1) > k2)
+    if rows.size:
+        s = np.where(supp[rows], scores[rows], -np.inf)
+        kth = np.partition(s, -k2, axis=1)[:, [-k2]]
+        above = s > kth
+        tie = s == kth
+        room = k2 - np.count_nonzero(above, axis=1)
+        mask[rows] = above | (tie & (np.cumsum(tie, axis=1, dtype=np.int32) <= room[:, None]))
     return mask
 
 

@@ -40,35 +40,47 @@ def gamma_matrix_numpy(src, tgt, sigma_d):
     return g
 
 
+MAE_CHUNK = 16  # transforms scored per (chunk, N, 3) broadcast
+
+
 def mae_scores_numpy(rots, trans, src, tgt, theta):
     """Truncated-residual fitness for a batch of rigid transforms.
 
     rots: (M, 3, 3), trans: (M, 3). Score_m = sum_i max(0, 1 - r_mi/theta)
     with r_mi the Euclidean residual of correspondence i under transform m.
-    Returns (M,) float64.
+    Returns (M,) float64. Transforms are scored MAE_CHUNK at a time; each
+    score is bit-identical to scoring its transform alone.
     """
     out = np.empty(len(rots), dtype=np.float64)
-    for m in range(len(rots)):
-        r = np.sqrt(np.sum((src @ rots[m].T + trans[m] - tgt) ** 2, axis=1))
-        out[m] = np.sum(np.maximum(0.0, 1.0 - r / theta))
+    for lo in range(0, len(rots), MAE_CHUNK):
+        hi = lo + MAE_CHUNK
+        d = src @ rots[lo:hi].transpose(0, 2, 1) + trans[lo:hi, None, :] - tgt
+        r = np.sqrt(np.sum(d ** 2, axis=2))
+        out[lo:hi] = np.sum(np.maximum(0.0, 1.0 - r / theta), axis=1)
     return out
 
 
-def nms_select_numpy(points, order, radius):
+def nms_select_numpy(points, order, radius, max_keep=-1):
     """Greedy non-maximum suppression over 3D points.
 
     order: candidate indices, highest priority first. A candidate is kept if
-    no previously kept point lies within `radius`. Returns a boolean mask over
-    the full point set (True = kept local maximum).
+    no previously kept point lies within `radius`. The scan stops once
+    max_keep points are kept (no cap if negative); the kept points are the
+    first max_keep of the uncapped scan. Returns a boolean mask over the full
+    point set (True = kept local maximum).
     """
     n = len(points)
     keep = np.zeros(n, dtype=np.bool_)
     suppressed = np.zeros(n, dtype=np.bool_)
     r2 = radius * radius
+    kept = 0
     for idx in order:
+        if kept == max_keep:
+            break
         if suppressed[idx]:
             continue
         keep[idx] = True
+        kept += 1
         d = points - points[idx]
         close = d[:, 0] ** 2 + d[:, 1] ** 2 + d[:, 2] ** 2 <= r2
         suppressed |= close
@@ -134,16 +146,20 @@ if _HAVE_NUMBA:
         return out
 
     @njit(cache=True)
-    def nms_select_numba(points, order, radius):
+    def nms_select_numba(points, order, radius, max_keep=-1):
         n = points.shape[0]
         keep = np.zeros(n, dtype=np.bool_)
         suppressed = np.zeros(n, dtype=np.bool_)
         r2 = radius * radius
+        kept = 0
         for k in range(order.shape[0]):
+            if kept == max_keep:
+                break
             idx = order[k]
             if suppressed[idx]:
                 continue
             keep[idx] = True
+            kept += 1
             for j in range(n):
                 dx = points[j, 0] - points[idx, 0]
                 dy = points[j, 1] - points[idx, 1]
@@ -183,10 +199,11 @@ def mae_scores(rots, trans, src, tgt, theta):
     return _mae(rots, trans, src, tgt, float(theta))
 
 
-def nms_select(points, order, radius):
+def nms_select(points, order, radius, max_keep=None):
+    """Greedy NMS mask; with max_keep, the scan stops after that many picks."""
     points = np.ascontiguousarray(points, dtype=np.float64)
     order = np.ascontiguousarray(order, dtype=np.int64)
-    return _nms(points, order, float(radius))
+    return _nms(points, order, float(radius), -1 if max_keep is None else int(max_keep))
 
 
 def implementations():

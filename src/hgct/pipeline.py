@@ -19,8 +19,9 @@ import numpy as np
 from . import autodiff as av
 from . import kernels
 from .compat import CompatConfig, build_compat_graph, round_half_up
-from .errors import DegenerateInput, NoHypothesis
-from .geom import CorrSet, RigidTransform, kabsch_svd, pose_errors, residuals
+from .errors import NoHypothesis
+from .geom import CorrSet, RigidTransform, kabsch_batch, pose_errors, residuals
+from .geom import kabsch_svd  # noqa: F401  (perfbench/layers.py wraps pipeline.kabsch_svd)
 from .hgnn import HgnnParams, forward
 from .hypergraph import Hypergraph, hyperedge_precision, init_hypergraph
 
@@ -70,11 +71,14 @@ def evaluate_hypothesis(transform: RigidTransform, corrs: CorrSet,
                                     corrs.src, corrs.tgt, theta_inlier)[0])
 
 
-def _score_batch(transforms: Sequence[RigidTransform], corrs: CorrSet,
-                 theta_inlier: float) -> np.ndarray:
-    rots = np.stack([t.R for t in transforms])
-    trs = np.stack([t.t for t in transforms])
-    return kernels.mae_scores(rots, trs, corrs.src, corrs.tgt, theta_inlier)
+def _fit_and_score(corrs: CorrSet, subsets: np.ndarray, theta_inlier: float):
+    """Fit every index row of `subsets` in one stack, then score the fits that
+    are not rank-deficient. Returns (R, t, scores) of those fits, in row
+    order, and the (rows,) mask that selects them."""
+    rots, trans, ok = kabsch_batch(corrs.src[subsets], corrs.tgt[subsets])
+    rots, trans = rots[ok], trans[ok]
+    scores = kernels.mae_scores(rots, trans, corrs.src, corrs.tgt, theta_inlier)
+    return rots, trans, scores, ok
 
 
 def gf_adjacency(hg: Hypergraph) -> np.ndarray:
@@ -104,12 +108,12 @@ def gf_score(adj: np.ndarray) -> np.ndarray:
 def nms_local_maxima(s_hat: np.ndarray, points: np.ndarray, radius: float,
                      max_picks: int) -> List[int]:
     """Greedy spatial NMS: highest score first (ties to the lower index),
-    suppressing everything within `radius` of a pick. Returns up to max_picks."""
+    suppressing everything within `radius` of a pick. Returns up to max_picks,
+    in pick order; the scan stops at the max_picks-th pick."""
     n = len(s_hat)
     order = np.lexsort((np.arange(n), -np.asarray(s_hat, dtype=np.float64)))
-    keep = kernels.nms_select(points, order, radius)
-    picked = [int(i) for i in order if keep[i]]
-    return picked[:max_picks]
+    keep = kernels.nms_select(points, order, radius, max_picks)
+    return [int(i) for i in order[keep[order]]]
 
 
 def standard_nms_seeds(s_hat: np.ndarray, points: np.ndarray, radius: float,
@@ -158,39 +162,33 @@ def initial_hypotheses(corrs: CorrSet, seeds: Sequence[int], x_final: np.ndarray
                        cfg: PipelineConfig,
                        diagnostics: Optional[Dict] = None) -> List[Hypothesis]:
     """One candidate per seed from its feature-space KNN subset; the
-    best-scoring N_init are kept. Degenerate subsets are skipped."""
+    best-scoring N_init are kept. Degenerate subsets are skipped.
+
+    The subset is the k nearest rows in feature distance, ties to the lower
+    index, in (distance, index) order; all subsets are fitted in one stack.
+    """
     n = len(corrs)
     k = min(max(cfg.knn_k, cfg.minimal_size), n)
     x = np.asarray(x_final, dtype=np.float64)
+    seeds = np.asarray(seeds, dtype=np.intp)
 
-    candidates: List[Hypothesis] = []
-    skipped = 0
-    for seed in seeds:
+    subsets = np.empty((len(seeds), k), dtype=np.intp)
+    for j, seed in enumerate(seeds):
         d = x - x[seed]
         dist = np.sum(d * d, axis=1)
-        order = np.lexsort((np.arange(n), dist))
-        subset = order[:k]
-        try:
-            transform = kabsch_svd(corrs.src[subset], corrs.tgt[subset])
-        except DegenerateInput:
-            skipped += 1
-            continue
-        candidates.append(Hypothesis(transform=transform, score=0.0,
-                                     origin=HypothesisOrigin.INITIAL,
-                                     seed_index=int(seed)))
+        near = np.flatnonzero(dist <= dist[np.argpartition(dist, k - 1)[k - 1]])
+        subsets[j] = near[np.lexsort((near, dist[near]))][:k]
+    rots, trans, scores, ok = _fit_and_score(corrs, subsets, cfg.theta_inlier)
+    seeds = seeds[ok]
     if diagnostics is not None:
-        diagnostics["n_seed_candidates"] = len(candidates)
-        diagnostics["n_degenerate_seeds"] = skipped
-    if not candidates:
-        return []
-
-    scores = _score_batch([h.transform for h in candidates], corrs, cfg.theta_inlier)
-    scored = [Hypothesis(h.transform, float(s), h.origin, h.seed_index)
-              for h, s in zip(candidates, scores)]
+        diagnostics["n_seed_candidates"] = len(seeds)
+        diagnostics["n_degenerate_seeds"] = int(np.count_nonzero(~ok))
     n_s = max(cfg.minimal_size, round_half_up(cfg.ns_frac * n))
     n_init = max(1, round_half_up(cfg.ninit_frac * n_s))
-    order = np.lexsort((np.arange(len(scored)), -scores))
-    return [scored[i] for i in order[:n_init]]
+    order = np.lexsort((np.arange(len(scores)), -scores))
+    return [Hypothesis(RigidTransform(rots[i], trans[i]), float(scores[i]),
+                       HypothesisOrigin.INITIAL, int(seeds[i]))
+            for i in order[:n_init]]
 
 
 def refine_hypotheses(corrs: CorrSet, hg: Hypergraph,
@@ -199,41 +197,34 @@ def refine_hypotheses(corrs: CorrSet, hg: Hypergraph,
     """Slide minimal sets along each seed hyperedge's residual-sorted members.
 
     Window k covers sorted offsets [step*k, step*k + minimal_size) while the
-    window fits and k <= max_iters. Returns the initial hypotheses plus every
-    non-degenerate window solution.
+    window fits and k <= max_iters. The windows of all hypotheses are fitted
+    in one stack. Returns the initial hypotheses plus every non-degenerate
+    window solution, in hypothesis then window order.
     """
     if not initial:
         raise ValueError("refine_hypotheses needs at least one initial hypothesis")
-    out: List[Hypothesis] = list(initial)
-    refined: List[Hypothesis] = []
-    skipped = 0
+    windows = [np.empty((0, cfg.minimal_size), dtype=np.intp)]
+    owners = [np.empty(0, dtype=np.intp)]
     for hyp in initial:
-        seed = hyp.seed_index
-        members = np.flatnonzero(hg.h[:, seed] > 0)
+        members = np.flatnonzero(hg.h[:, hyp.seed_index] > 0)
         if members.size < cfg.minimal_size:
             continue
         r = residuals(hyp.transform, corrs.src[members], corrs.tgt[members])
         members = members[np.lexsort((members, r))]
-        k = 0
-        while (cfg.step * k + cfg.minimal_size <= members.size
-               and k <= cfg.max_iters):
-            window = members[cfg.step * k: cfg.step * k + cfg.minimal_size]
-            try:
-                transform = kabsch_svd(corrs.src[window], corrs.tgt[window])
-                refined.append(Hypothesis(transform=transform, score=0.0,
-                                          origin=HypothesisOrigin.REFINED,
-                                          seed_index=seed))
-            except DegenerateInput:
-                skipped += 1
-            k += 1
-    if refined:
-        scores = _score_batch([h.transform for h in refined], corrs, cfg.theta_inlier)
-        refined = [Hypothesis(h.transform, float(s), h.origin, h.seed_index)
-                   for h, s in zip(refined, scores)]
+        n_win = max(0, min(cfg.max_iters, (members.size - cfg.minimal_size) // cfg.step) + 1)
+        starts = cfg.step * np.arange(n_win)
+        windows.append(members[starts[:, None] + np.arange(cfg.minimal_size)])
+        owners.append(np.full(n_win, hyp.seed_index, dtype=np.intp))
+    rots, trans, scores, ok = _fit_and_score(corrs, np.concatenate(windows),
+                                             cfg.theta_inlier)
+    owners = np.concatenate(owners)[ok]
+    refined = [Hypothesis(RigidTransform(rots[i], trans[i]), float(scores[i]),
+                          HypothesisOrigin.REFINED, int(owners[i]))
+               for i in range(len(scores))]
     if diagnostics is not None:
         diagnostics["n_refined"] = len(refined)
-        diagnostics["n_degenerate_windows"] = skipped
-    return out + refined
+        diagnostics["n_degenerate_windows"] = int(np.count_nonzero(~ok))
+    return list(initial) + refined
 
 
 def register(corrs: CorrSet, params: HgnnParams, cc: CompatConfig,
@@ -303,18 +294,13 @@ def ransac_baseline(corrs: CorrSet, budget: int, theta_inlier: float,
     if n < 3:
         raise ValueError("need at least 3 correspondences")
     rng = np.random.default_rng(seed)
-    transforms = []
-    for _ in range(budget):
-        idx = rng.choice(n, size=3, replace=False)
-        try:
-            transforms.append(kabsch_svd(corrs.src[idx], corrs.tgt[idx]))
-        except DegenerateInput:
-            continue
-    if not transforms:
+    idx = np.array([rng.choice(n, size=3, replace=False) for _ in range(budget)],
+                   dtype=np.intp).reshape(-1, 3)
+    rots, trans, scores, ok = _fit_and_score(corrs, idx, theta_inlier)
+    if not ok.any():
         raise NoHypothesis("all sampled subsets were degenerate")
-    scores = _score_batch(transforms, corrs, theta_inlier)
     best = int(np.lexsort((np.arange(len(scores)), -scores))[0])
-    return transforms[best]
+    return RigidTransform(rots[best], trans[best])
 
 
 def hypothesis_correctness(hypos: Sequence[Hypothesis], gt: RigidTransform,

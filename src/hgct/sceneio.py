@@ -98,6 +98,10 @@ def scene_from_text(text: str, origin: str = "<string>") -> CorrSet:
             col += 1
         if feat_dim:
             feat[i] = [float(v) for v in parts[col:]]
+    bad = np.flatnonzero(~(np.isfinite(src).all(axis=1) & np.isfinite(tgt).all(axis=1)))
+    if bad.size:
+        raise ValueError(f"{origin}: line {row + bad[0] + 1}: row {bad[0]} has a non-finite "
+                         f"coordinate")
     return CorrSet(src, tgt, feat=feat, gt=gt, labels=labels)
 
 

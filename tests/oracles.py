@@ -187,3 +187,51 @@ def update_block_loop(x_next, y, h, params, t_update, k2, channels):
             h_new[i, j] = 1.0
             w_new[i, j] = scores[i, j]
     return h_new, w_new
+
+
+def topk_retention_loop(scores, support, k2):
+    """Per row, the k2 supported entries first in (-score, column) order, as 0/1."""
+    n, m = scores.shape
+    mask = np.zeros((n, m))
+    for i in range(n):
+        cand = [j for j in range(m) if support[i, j] > 0]
+        cand.sort(key=lambda j: (-scores[i, j], j))
+        for j in cand[:k2]:
+            mask[i, j] = 1.0
+    return mask
+
+
+def kabsch_fit_loop(src, tgt):
+    """One unweighted rigid fit, step by step: (R, t), or None when the centered
+    cross-covariance has rank < 2 (relative cutoff 1e-12)."""
+    w = np.full(len(src), 1.0 / len(src))
+    c_src = w @ src
+    c_tgt = w @ tgt
+    ps = src - c_src
+    pt = tgt - c_tgt
+    cov = (pt * w[:, None]).T @ ps
+    u, s, vt = np.linalg.svd(cov)
+    if s[0] <= 0.0 or s[1] < 1e-12 * s[0]:
+        return None
+    if np.linalg.det(u @ vt) < 0.0:
+        u = u.copy()
+        u[:, -1] = -u[:, -1]
+    rot = u @ vt
+    return rot, c_tgt - rot @ c_src
+
+
+def mae_scores_loop(rots, trans, src, tgt, theta):
+    """Truncated-residual fitness, one transform at a time."""
+    out = np.empty(len(rots))
+    for m in range(len(rots)):
+        r = np.sqrt(np.sum((src @ rots[m].T + trans[m] - tgt) ** 2, axis=1))
+        out[m] = np.sum(np.maximum(0.0, 1.0 - r / theta))
+    return out
+
+
+def knn_subset_loop(x, seed, k):
+    """The k rows of x nearest to row `seed` in squared distance, ties to the
+    lower index, nearest first (one full sort)."""
+    d = x - x[seed]
+    dist = np.sum(d * d, axis=1)
+    return np.lexsort((np.arange(len(x)), dist))[:k]

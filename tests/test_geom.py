@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from hgct.errors import DegenerateInput
 from hgct.geom import (Correspondence, CorrSet, Point3, RigidTransform,
-                       kabsch_svd, random_rotation, residual, residuals,
+                       kabsch_batch, kabsch_svd, random_rotation, residual, residuals,
                        rotation_about_axis, rotation_error_deg,
                        translation_error)
 
@@ -103,6 +104,84 @@ class TestKabsch:
             tgt = rng.uniform(-1, 1, (6, 3))
             est = kabsch_svd(src, tgt)
             assert est.is_valid(tol=1e-8)
+
+
+class TestKabschBatch:
+    """The stacked solver against one step-by-step fit per matrix, bit for bit."""
+
+    def _check_against_loop(self, src, tgt):
+        rots, trans, ok = kabsch_batch(src, tgt)
+        for i in range(len(src)):
+            ref = oracles.kabsch_fit_loop(src[i], tgt[i])
+            assert ok[i] == (ref is not None)
+            if ref is not None:
+                assert np.array_equal(rots[i], ref[0])
+                assert np.array_equal(trans[i], ref[1])
+        return ok
+
+    def test_matches_per_matrix_fits(self, rng):
+        for k in (3, 6, 20):
+            rot = np.stack([random_rotation(rng) for _ in range(30)])
+            src = rng.uniform(-1, 1, (30, k, 3))
+            tgt = (np.einsum("mij,mkj->mki", rot, src) + rng.normal(size=(30, 1, 3))
+                   + rng.normal(0.0, 0.05, (30, k, 3)))
+            assert self._check_against_loop(src, tgt).all()
+
+    def test_reflection_case(self, rng):
+        # mirrored targets: the plain U V^T is a reflection and must be fixed
+        src = rng.uniform(-1, 1, (10, 6, 3))
+        tgt = src * np.array([1.0, 1.0, -1.0])
+        cov_dets = [np.linalg.det((t - t.mean(0)).T @ (s - s.mean(0)))
+                    for s, t in zip(src, tgt)]
+        assert all(d < 0 for d in cov_dets)
+        assert self._check_against_loop(src, tgt).all()
+        rots, _, _ = kabsch_batch(src, tgt)
+        assert np.allclose(np.linalg.det(rots), 1.0, atol=1e-12)
+
+    def test_mixed_stack_masks_rank_deficient(self, rng):
+        good = rng.uniform(-1, 1, (6, 3))
+        duplicate = np.repeat(good[:1], 6, axis=0)
+        collinear = np.linspace(0.0, 1.0, 6)[:, None] * np.array([1.0, -2.0, 0.5])
+        one_off = np.vstack([np.repeat(good[:1], 5, axis=0), good[1:2]])
+        src = np.stack([good, duplicate, good * 2.0, collinear, one_off, good + 1.0])
+        rot = random_rotation(rng)
+        tgt = src @ rot.T + rng.normal(size=3)
+        ok = self._check_against_loop(src, tgt)
+        assert ok.tolist() == [True, False, True, False, False, True]
+        assert np.count_nonzero(~ok) == 3
+
+    def test_empty_stack(self):
+        rots, trans, ok = kabsch_batch(np.zeros((0, 6, 3)), np.zeros((0, 6, 3)))
+        assert rots.shape == (0, 3, 3) and trans.shape == (0, 3) and ok.shape == (0,)
+
+    def test_too_few_points_raises(self):
+        with pytest.raises(DegenerateInput):
+            kabsch_batch(np.zeros((4, 2, 3)), np.zeros((4, 2, 3)))
+
+    def test_single_fit_is_batch_of_one(self, rng):
+        src = rng.uniform(-1, 1, (8, 3))
+        tgt = rng.uniform(-1, 1, (8, 3))
+        ref = oracles.kabsch_fit_loop(src, tgt)
+        est = kabsch_svd(src, tgt)
+        assert np.array_equal(est.R, ref[0]) and np.array_equal(est.t, ref[1])
+
+
+class TestCorrSetFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_src_row_rejected_by_index(self, rng, bad):
+        src = rng.uniform(-1, 1, (100, 3))
+        tgt = rng.uniform(-1, 1, (100, 3))
+        src[5, 0] = bad
+        with pytest.raises(ValueError, match=r"row 5\b"):
+            CorrSet(src, tgt)
+
+    def test_first_bad_row_named(self, rng):
+        src = rng.uniform(-1, 1, (100, 3))
+        tgt = rng.uniform(-1, 1, (100, 3))
+        tgt[62, 2] = np.inf
+        src[37, 1] = np.nan
+        with pytest.raises(ValueError, match=r"row 37\b"):
+            CorrSet(src, tgt)
 
 
 class TestResidual:

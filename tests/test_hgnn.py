@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from hgct import autodiff as av
 from hgct.errors import NonFinite
 from hgct.geom import CorrSet
-from hgct.hgnn import (LossGrads, backward, forward, init_params,
+from hgct.hgnn import (LossGrads, _topk_retention, backward, forward, init_params,
                        k2_schedule, load_checkpoint, nonlocal_apply,
                        param_specs, save_checkpoint)
 from hgct.hypergraph import Hypergraph, init_hypergraph
@@ -64,6 +66,27 @@ class TestShapes:
         assert k2_schedule(10) == [4, 3, 2, 1]
         assert k2_schedule(8) == [3, 2, 2, 1]
         assert min(k2_schedule(3)) >= 1
+
+
+class TestTopkRetention:
+    """The array top-K against a per-row (-score, column) sort."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 14), k2=st.integers(1, 17), density=st.floats(0.0, 1.0),
+           decimals=st.sampled_from([None, 2, 1, 0]), seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=5, k2=9, density=1.0, decimals=None, seed=0)   # K2 >= N
+    @example(n=9, k2=3, density=1.0, decimals=0, seed=1)      # every score tied
+    @example(n=9, k2=4, density=0.2, decimals=1, seed=2)      # short rows, ties
+    def test_matches_sort_reference(self, n, k2, density, decimals, seed):
+        rng = np.random.default_rng(seed)
+        scores = rng.uniform(size=(n, n))
+        if decimals is not None:
+            scores = np.round(scores, decimals)  # forces ties
+        support = (rng.uniform(size=(n, n)) < density).astype(np.float64)
+        support[rng.integers(n)] = 0.0  # at least one empty row
+        got = _topk_retention(scores, support, k2)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, oracles.topk_retention_loop(scores, support, k2))
 
 
 class TestConventions:

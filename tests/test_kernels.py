@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from hgct import kernels
 from hgct.geom import random_rotation
 
@@ -39,6 +40,10 @@ class TestCrossImplementation:
         a = self.impls["numpy"]["nms_select"](pts, order, 0.3)
         b = self.impls["numba"]["nms_select"](pts, order.astype(np.int64), 0.3)
         assert np.array_equal(a, b)
+        for cap in range(int(a.sum()) + 2):
+            a = self.impls["numpy"]["nms_select"](pts, order, 0.3, cap)
+            b = self.impls["numba"]["nms_select"](pts, order.astype(np.int64), 0.3, cap)
+            assert np.array_equal(a, b)
 
 
 class TestContracts:
@@ -71,3 +76,22 @@ class TestContracts:
         for a in range(len(kept)):
             for b in range(a + 1, len(kept)):
                 assert np.linalg.norm(pts[kept[a]] - pts[kept[b]]) > 0.4
+
+    def test_nms_cap_is_uncapped_prefix(self, rng):
+        pts = rng.uniform(-1, 1, (80, 3))
+        order = rng.permutation(80)
+        full = kernels.nms_select(pts, order, 0.3)
+        picks = [i for i in order if full[i]]
+        for cap in range(len(picks) + 2):
+            keep = kernels.nms_select(pts, order, 0.3, max_keep=cap)
+            assert [i for i in order if keep[i]] == picks[:cap]
+
+    def test_mae_scores_numpy_matches_per_transform_loop(self, rng):
+        src = rng.uniform(-1, 1, (150, 3))
+        tgt = src + rng.normal(0.0, 0.05, (150, 3))
+        for m in (1, kernels.MAE_CHUNK - 1, kernels.MAE_CHUNK, kernels.MAE_CHUNK + 1, 50):
+            rots = np.stack([random_rotation(rng, 10.0) for _ in range(m)])
+            trans = rng.normal(0.0, 0.05, (m, 3))
+            got = kernels.mae_scores_numpy(rots, trans, src, tgt, 0.1)
+            ref = oracles.mae_scores_loop(rots, trans, src, tgt, 0.1)
+            assert np.array_equal(got, ref)

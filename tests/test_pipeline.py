@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import oracles
+from hgct import kernels
 from hgct.compat import CompatConfig
 from hgct.geom import (CorrSet, RigidTransform, pose_errors, random_rotation,
                        residuals)
@@ -93,6 +95,15 @@ class TestNms:
         seeds = standard_nms_seeds(s, pts, radius=0.1, n_seeds=3)
         assert seeds[0] == 1 and seeds[1] == 3  # maxima first
         assert seeds[2] == 0  # fill by ascending index
+
+    def test_capped_scan_is_uncapped_prefix(self, rng):
+        pts = rng.uniform(-1, 1, (120, 3))
+        s = np.round(rng.uniform(size=120), 1)  # tied scores go to the lower index
+        order = np.lexsort((np.arange(120), -s))
+        full = kernels.nms_select(pts, order, 0.2)
+        picks = [int(i) for i in order if full[i]]
+        for cap in range(len(picks) + 2):
+            assert nms_local_maxima(s, pts, 0.2, cap) == picks[:cap]
 
 
 class TestGfNms:
@@ -193,6 +204,40 @@ class TestInitialHypotheses:
         assert len(hypos) == 2
         assert all(h.origin is HypothesisOrigin.INITIAL for h in hypos)
 
+    def test_knn_subsets_match_full_sort_with_duplicate_features(self, rng):
+        # duplicated feature rows tie the KNN distances; duplicated
+        # correspondences make some subsets rank-deficient
+        sc = gen_scene(SynthConfig(n_corrs=60, inlier_ratio=0.5,
+                                   noise_sigma=0.01, seed=14))
+        src, tgt = sc.src.copy(), sc.tgt.copy()
+        src[40:], tgt[40:] = src[40], tgt[40]
+        sc = CorrSet(src, tgt)
+        x = np.round(rng.normal(size=(12, 4)), 1)[rng.integers(0, 12, 60)]
+        x[40:] = 7.0
+        cfg = PipelineConfig(knn_k=8, ns_frac=1.0, ninit_frac=1.0)
+        seeds = list(range(0, 60, 3))
+        diag = {}
+        got = initial_hypotheses(sc, seeds, x, cfg, diagnostics=diag)
+
+        ref = []
+        for seed in seeds:
+            subset = oracles.knn_subset_loop(x, seed, cfg.knn_k)
+            fit = oracles.kabsch_fit_loop(sc.src[subset], sc.tgt[subset])
+            if fit is not None:
+                ref.append((seed,) + fit)
+        assert diag["n_degenerate_seeds"] == len(seeds) - len(ref) > 0
+        assert diag["n_seed_candidates"] == len(ref)
+        scores = oracles.mae_scores_loop(np.stack([r[1] for r in ref]),
+                                         np.stack([r[2] for r in ref]),
+                                         sc.src, sc.tgt, cfg.theta_inlier)
+        order = sorted(range(len(ref)), key=lambda i: (-scores[i], i))
+        assert len(got) == len(ref)
+        for h, i in zip(got, order):
+            assert h.seed_index == ref[i][0]
+            assert np.array_equal(h.transform.R, ref[i][1])
+            assert np.array_equal(h.transform.t, ref[i][2])
+            assert h.score == scores[i]
+
 
 class TestRefine:
     def _initial_for(self, sc, seed_idx):
@@ -242,6 +287,50 @@ class TestRefine:
         out = refine_hypotheses(sc, _hg(h), initial, PipelineConfig())
         assert len(out) >= len(initial)
 
+    def test_windows_match_per_window_fits(self, rng):
+        # duplicated correspondences make some windows rank-deficient: they
+        # are left out and counted
+        sc = gen_scene(SynthConfig(n_corrs=80, inlier_ratio=0.4,
+                                   noise_sigma=0.01, seed=15))
+        src, tgt = sc.src.copy(), sc.tgt.copy()
+        src[50:], tgt[50:] = src[50], tgt[50]
+        sc = CorrSet(src, tgt, gt=sc.gt)
+        h = (rng.uniform(size=(80, 80)) < 0.7).astype(float)
+        h[:, 3] = 1.0
+        initial = [Hypothesis(sc.gt, 0.0, HypothesisOrigin.INITIAL, seed)
+                   for seed in (3, 11, 50)]
+        cfg = PipelineConfig()
+        diag = {}
+        out = refine_hypotheses(sc, _hg(h), initial, cfg, diagnostics=diag)
+
+        ref, degenerate = [], 0
+        for hyp in initial:
+            members = np.flatnonzero(h[:, hyp.seed_index] > 0)
+            r = residuals(hyp.transform, sc.src[members], sc.tgt[members])
+            members = members[np.lexsort((members, r))]
+            k = 0
+            while (cfg.step * k + cfg.minimal_size <= members.size
+                   and k <= cfg.max_iters):
+                window = members[cfg.step * k: cfg.step * k + cfg.minimal_size]
+                fit = oracles.kabsch_fit_loop(sc.src[window], sc.tgt[window])
+                if fit is None:
+                    degenerate += 1
+                else:
+                    ref.append((hyp.seed_index,) + fit)
+                k += 1
+        assert diag["n_degenerate_windows"] == degenerate > 0
+        assert diag["n_refined"] == len(ref)
+        scores = oracles.mae_scores_loop(np.stack([r[1] for r in ref]),
+                                         np.stack([r[2] for r in ref]),
+                                         sc.src, sc.tgt, cfg.theta_inlier)
+        refined = out[len(initial):]
+        assert out[:len(initial)] == initial and len(refined) == len(ref)
+        for hyp, (seed, rot, tr), score in zip(refined, ref, scores):
+            assert hyp.origin is HypothesisOrigin.REFINED and hyp.seed_index == seed
+            assert np.array_equal(hyp.transform.R, rot)
+            assert np.array_equal(hyp.transform.t, tr)
+            assert hyp.score == score
+
 
 class TestRansac:
     def test_budget_one_perfect_data(self):
@@ -275,6 +364,23 @@ class TestRansac:
         band = 4.0 * np.sqrt(trials * p_theory) + 1.0
         assert abs(hits - expected) <= band
         assert hits / trials < 0.02  # direction: success probability is low
+
+    def test_matches_per_sample_fits(self):
+        sc = gen_scene(SynthConfig(n_corrs=40, inlier_ratio=0.3, seed=16))
+        src, tgt = sc.src.copy(), sc.tgt.copy()
+        src[20:], tgt[20:] = src[20], tgt[20]  # degenerate samples
+        sc = CorrSet(src, tgt)
+        rng = np.random.default_rng(9)
+        fits = [oracles.kabsch_fit_loop(sc.src[idx], sc.tgt[idx])
+                for idx in (rng.choice(40, size=3, replace=False) for _ in range(60))]
+        fits = [f for f in fits if f is not None]
+        assert len(fits) < 60
+        scores = oracles.mae_scores_loop(np.stack([f[0] for f in fits]),
+                                         np.stack([f[1] for f in fits]),
+                                         sc.src, sc.tgt, 0.1)
+        best = fits[int(np.argmax(scores))]
+        got = ransac_baseline(sc, budget=60, theta_inlier=0.1, seed=9)
+        assert np.array_equal(got.R, best[0]) and np.array_equal(got.t, best[1])
 
 
 class TestCorrectness:

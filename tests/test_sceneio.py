@@ -60,6 +60,20 @@ class TestErrors:
             scene_from_text(text)
 
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_nonfinite_row_rejected_by_index(self, tmp_path, bad):
+        sc = gen_scene(SynthConfig(n_corrs=100, inlier_ratio=0.3, seed=1))
+        path = tmp_path / "scene.txt"
+        write_scene(sc, path)
+        lines = path.read_text().splitlines()
+        row = lines[2 + 5].split()  # header and gt line come first
+        row[0] = bad
+        lines[2 + 5] = " ".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"row 5 has a non-finite"):
+            read_scene(path)
+
+
 class TestDataset:
     def test_write_read_manifest(self, tmp_path):
         out = tmp_path / "data"
