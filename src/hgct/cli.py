@@ -14,14 +14,13 @@ import csv
 import json
 import os
 import sys
-import time
 
 from .config import RunConfig, default_config_text, load_config
 from .errors import HgctError
 from .hgnn import init_params, load_checkpoint, save_checkpoint
-from .metrics import aggregate, evaluate_pair
+from .metrics import aggregate, evaluate_scene
 from .pipeline import register
-from .sceneio import read_dataset, read_scene, write_dataset
+from .sceneio import dataset_files, read_dataset, read_scene, write_dataset
 from .train import train
 
 
@@ -51,8 +50,6 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
     scenes = read_dataset(args.dataset)
-    if not scenes:
-        raise HgctError("no scenes found")
     out = args.out or "model.ckpt"
     log_path = args.log or out + ".train.csv"
     params = train(scenes, cfg.train_config(),
@@ -82,23 +79,16 @@ def cmd_register(args) -> int:
     return 0
 
 
-def _bench_one(task):
-    scene_path, cfg_kwargs, checkpoint = task
-    # worker-side rebuild keeps the task picklable
-    cfg = RunConfig(**cfg_kwargs)
-    corrs = read_scene(scene_path)
-    params = _params_for(cfg, checkpoint)
-    t0 = time.perf_counter()
-    try:
-        transform, diag = register(corrs, params, cfg.compat_config(),
-                                   cfg.pipeline_config())
-    except HgctError as err:
-        return {"scene": os.path.basename(scene_path), "error": str(err)}
-    elapsed = time.perf_counter() - t0
-    pr = evaluate_pair(transform, corrs, cfg.thresholds(), runtime_s=elapsed,
-                       hp_before=diag.get("hyperedge_precision_before"),
-                       hp_after=diag.get("hyperedge_precision_after"))
-    return {"scene": os.path.basename(scene_path), "result": pr.__dict__}
+_worker_args = None  # evaluate_scene's arguments after the scene, per pool worker
+
+
+def _init_worker(*stage_args) -> None:
+    global _worker_args
+    _worker_args = stage_args
+
+
+def _bench_in_worker(scene_path):
+    return evaluate_scene(read_scene(scene_path), *_worker_args)
 
 
 def _worker_count(cfg: RunConfig) -> int:
@@ -113,37 +103,24 @@ def _worker_count(cfg: RunConfig) -> int:
 
 
 def cmd_bench(args) -> int:
-    from .metrics import PairResult
-
     cfg = _load_run_config(args)
-    if not os.path.isdir(args.dataset):
-        raise HgctError("no scenes found")
-    scene_paths = [os.path.join(args.dataset, n)
-                   for n in sorted(os.listdir(args.dataset))
-                   if n.startswith("scene_") and n.endswith(".txt")]
-    if not scene_paths:
-        raise HgctError("no scenes found")
-
-    cfg_kwargs = cfg.__dict__.copy()
-    tasks = [(p, cfg_kwargs, args.checkpoint or cfg.checkpoint)
-             for p in scene_paths]
+    scene_paths = dataset_files(args.dataset)
+    # params and stage configs are built once and handed to each worker once
+    stage_args = (_params_for(cfg, args.checkpoint), cfg.compat_config(),
+                  cfg.pipeline_config(), cfg.thresholds())
     workers = _worker_count(cfg)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_bench_one, tasks))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=stage_args) as pool:
+            results = list(pool.map(_bench_in_worker, scene_paths))
     else:
-        rows = [_bench_one(t) for t in tasks]
+        results = [evaluate_scene(read_scene(p), *stage_args) for p in scene_paths]
 
-    results, failures = [], []
-    for row in rows:
-        if "error" in row:
-            failures.append(row)
-        else:
-            results.append(PairResult(**row["result"]))
-    if not results:
-        raise HgctError("every pair failed: " + failures[0]["error"])
+    failures = [r.error for r in results if r.error is not None]
+    if len(failures) == len(results):
+        raise HgctError("every pair failed: " + failures[0])
     summary = aggregate(results, cfg.thresholds())
     summary["n_failures"] = len(failures)
 
@@ -154,15 +131,14 @@ def cmd_bench(args) -> int:
         writer = csv.writer(f)
         writer.writerow(["scene", "re_deg", "te_m", "success", "ip", "ir", "f1",
                          "runtime_s"])
-        for row in rows:
-            if "error" in row:
-                writer.writerow([row["scene"], "", "", "error", "", "", "", ""])
+        for path, r in zip(scene_paths, results):
+            scene = os.path.basename(path)
+            if r.error is not None:
+                writer.writerow([scene, "", "", "error", "", "", "", ""])
             else:
-                r = row["result"]
-                writer.writerow([row["scene"], f"{r['re_deg']:.6f}",
-                                 f"{r['te_m']:.6f}", int(r["success"]),
-                                 f"{r['ip']:.4f}", f"{r['ir']:.4f}",
-                                 f"{r['f1']:.4f}", f"{r['runtime_s']:.4f}"])
+                writer.writerow([scene, f"{r.re_deg:.6f}", f"{r.te_m:.6f}",
+                                 int(r.success), f"{r.ip:.4f}", f"{r.ir:.4f}",
+                                 f"{r.f1:.4f}", f"{r.runtime_s:.4f}"])
     json_path = os.path.join(out, "summary.json")
     with open(json_path, "w") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
@@ -267,10 +243,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except HgctError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
+    except (HgctError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

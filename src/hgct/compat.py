@@ -17,7 +17,7 @@ from .errors import EmptyGraph
 from .geom import Correspondence, CorrSet
 
 
-class GraphOrder(Enum):
+class GraphOrder(str, Enum):
     FOG = "fog"  # first order: gamma weights used directly
     SOG = "sog"  # second order: gamma reinforced through shared neighbors
 

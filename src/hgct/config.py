@@ -2,111 +2,93 @@
 
 Lines are `key = value`; `#` starts a comment. Unknown keys are rejected with
 the offending line number. The single flat namespace feeds every stage
-(graph construction, pipeline, training, synthesis, metrics, I/O).
+(graph construction, pipeline, training, synthesis, metrics, I/O); its stage
+keys, types and defaults are the fields of the stage config classes.
 """
 
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import field, fields, make_dataclass
+from enum import Enum
 from typing import Optional
 
-from .compat import CompatConfig, GraphOrder
+from .compat import CompatConfig
 from .errors import ConfigError
 from .metrics import MetricThresholds
 from .pipeline import PipelineConfig
 from .train import SynthConfig, TrainConfig
 
+# flat keys that differ from the name of the stage field they set
+_RENAMES = {"order": "graph_order", "theta_override": "theta_cmp_override",
+            "re_deg": "re_thresh_deg", "te_m": "te_thresh"}
 
-@dataclass
-class RunConfig:
-    # general
-    seed: int = 0
-    channels: int = 32
-    threads: int = 1
-    checkpoint: Optional[str] = None
-    # compatibility graph
-    sigma_d: float = 0.1
-    k1_frac: float = 0.1
-    graph_order: str = "sog"
-    theta_cmp_override: Optional[float] = None
-    # pipeline
-    ns_frac: float = 0.2
-    ninit_frac: float = 0.1
-    knn_k: int = 20
-    minimal_size: int = 6
-    max_iters: int = 30
-    step: int = 3
-    theta_inlier: float = 0.1
-    nms_radius: Optional[float] = None  # defaults to sigma_d when unset
-    n1_frac: float = 0.1
-    # training
-    epochs: int = 50
-    lr: float = 0.0001
-    lr_decay: float = 0.99
-    batch: int = 6
-    # synthetic scenes
-    n_scenes: int = 16
-    n_corrs: int = 200
-    inlier_ratio: float = 0.3
-    noise_sigma: float = 0.01
-    scene_extent: float = 1.0
-    rot_max_deg: float = 180.0
-    trans_max: float = 1.0
-    # metric thresholds
-    re_thresh_deg: float = 5.0
-    te_thresh: float = 0.05
-    # gradient check
-    gradcheck_n: int = 8
-    gradcheck_channels: int = 8
-    gradcheck_step: float = 1e-5
-    gradcheck_tol: float = 1e-3
+# nms_radius unset means sigma_d (see pipeline_config)
+_OVERRIDES = {"nms_radius": (Optional[float], None)}
 
-    def compat_config(self) -> CompatConfig:
-        return CompatConfig(sigma_d=self.sigma_d, k1_frac=self.k1_frac,
-                            order=GraphOrder(self.graph_order),
-                            theta_override=self.theta_cmp_override)
-
-    def pipeline_config(self) -> PipelineConfig:
-        radius = self.sigma_d if self.nms_radius is None else self.nms_radius
-        return PipelineConfig(ns_frac=self.ns_frac, ninit_frac=self.ninit_frac,
-                              knn_k=self.knn_k, minimal_size=self.minimal_size,
-                              max_iters=self.max_iters, step=self.step,
-                              theta_inlier=self.theta_inlier,
-                              nms_radius=radius, n1_frac=self.n1_frac)
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(epochs=self.epochs, lr=self.lr, lr_decay=self.lr_decay,
-                           batch=self.batch, theta_inlier=self.theta_inlier,
-                           sigma_d=self.sigma_d, seed=self.seed)
-
-    def synth_config(self) -> SynthConfig:
-        return SynthConfig(n_corrs=self.n_corrs, inlier_ratio=self.inlier_ratio,
-                           noise_sigma=self.noise_sigma,
-                           scene_extent=self.scene_extent,
-                           rot_max_deg=self.rot_max_deg,
-                           trans_max=self.trans_max, seed=self.seed)
-
-    def thresholds(self) -> MetricThresholds:
-        return MetricThresholds(re_deg=self.re_thresh_deg, te_m=self.te_thresh,
-                                theta_inlier=self.theta_inlier)
+# the file's key order: (key, type, default) for keys no stage declares, and
+# the stage config classes; a field several stages declare is one key
+_LAYOUT = (
+    ("seed", int, 0), ("channels", int, 32), ("threads", int, 1),
+    ("checkpoint", Optional[str], None),
+    CompatConfig, PipelineConfig, TrainConfig,
+    ("n_scenes", int, 16),
+    SynthConfig, MetricThresholds,
+    ("gradcheck_n", int, 8), ("gradcheck_channels", int, 8),
+    ("gradcheck_step", float, 1e-5), ("gradcheck_tol", float, 1e-3),
+)
 
 
-_OPTIONAL_FLOAT_KEYS = {"theta_cmp_override", "nms_radius"}
-_OPTIONAL_STR_KEYS = {"checkpoint"}
+def _flat_fields():
+    keys = {}
+    for item in _LAYOUT:
+        if isinstance(item, tuple):
+            keys[item[0]] = item[1:]
+            continue
+        hints = typing.get_type_hints(item)
+        for f in fields(item):
+            keys.setdefault(_RENAMES.get(f.name, f.name),
+                            _OVERRIDES.get(f.name, (hints[f.name], f.default)))
+    return [(key, tp, field(default=default)) for key, (tp, default) in keys.items()]
+
+
+def _stage_kwargs(cfg, cls) -> dict:
+    return {f.name: getattr(cfg, _RENAMES.get(f.name, f.name)) for f in fields(cls)}
+
+
+def _converter(cls):
+    def convert(self):
+        return cls(**_stage_kwargs(self, cls))
+    return convert
+
+
+def _pipeline_config(self) -> PipelineConfig:
+    """The PipelineConfig these keys describe; nms_radius defaults to sigma_d."""
+    kwargs = _stage_kwargs(self, PipelineConfig)
+    if kwargs["nms_radius"] is None:
+        kwargs["nms_radius"] = self.sigma_d
+    return PipelineConfig(**kwargs)
+
+
+RunConfig = make_dataclass("RunConfig", _flat_fields(), namespace={
+    "compat_config": _converter(CompatConfig),
+    "pipeline_config": _pipeline_config,
+    "train_config": _converter(TrainConfig),
+    "synth_config": _converter(SynthConfig),
+    "thresholds": _converter(MetricThresholds),
+})
+RunConfig.__module__ = __name__  # so pickle finds the class
+
+_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _parse_value(key: str, raw: str, line_no: int):
-    target = {f.name: f for f in fields(RunConfig)}[key]
-    if key in _OPTIONAL_STR_KEYS:
-        return None if raw.lower() == "none" else raw
-    if key in _OPTIONAL_FLOAT_KEYS:
+    """Parse by the key's type: `none` sets an Optional key to None, and an
+    Enum key accepts only its members' values."""
+    target_type = _TYPES[key]
+    args = typing.get_args(target_type)
+    if type(None) in args:
         if raw.lower() == "none":
             return None
-        target_type = float
-    elif target.default.__class__ is int:
-        target_type = int
-    elif target.default.__class__ is float:
-        target_type = float
-    else:
-        return raw
+        target_type = args[0]
     try:
         return target_type(raw)
     except ValueError as err:
@@ -115,7 +97,6 @@ def _parse_value(key: str, raw: str, line_no: int):
 
 def parse_config(text: str) -> RunConfig:
     """Parse `key = value` lines into a RunConfig; unknown keys are errors."""
-    known = {f.name for f in fields(RunConfig)}
     cfg = RunConfig()
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -124,7 +105,7 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {line!r}")
         key, raw = (s.strip() for s in stripped.split("=", 1))
-        if key not in known:
+        if key not in _TYPES:
             raise ConfigError(f"line {line_no}: unknown key '{key}'")
         setattr(cfg, key, _parse_value(key, raw, line_no))
     return cfg
@@ -139,7 +120,6 @@ def default_config_text() -> str:
     """The full key set with defaults, suitable as a documented template."""
     lines = ["# hgct run configuration (key = value, '#' for comments)"]
     for f in fields(RunConfig):
-        default = getattr(RunConfig(), f.name)
-        value = "none" if default is None else default
-        lines.append(f"{f.name} = {value}")
+        value = f.default.value if isinstance(f.default, Enum) else f.default
+        lines.append(f"{f.name} = {'none' if value is None else value}")
     return "\n".join(lines) + "\n"

@@ -104,11 +104,6 @@ class CorrSet:
     def __len__(self) -> int:
         return len(self.src)
 
-    def correspondence(self, i: int) -> Correspondence:
-        feat = None if self.feat is None else self.feat[i]
-        return Correspondence(Point3.from_array(self.src[i]),
-                              Point3.from_array(self.tgt[i]), feat)
-
     def permuted(self, perm) -> "CorrSet":
         perm = np.asarray(perm)
         return CorrSet(self.src[perm], self.tgt[perm],

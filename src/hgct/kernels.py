@@ -97,7 +97,7 @@ if _numba_requested():
         from numba import njit
 
         _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
+    except ImportError:  # pragma: no cover - numba is an optional extra
         _HAVE_NUMBA = False
 
 if _HAVE_NUMBA:

@@ -1,5 +1,6 @@
 """Registration and outlier-removal metrics, aggregation, and threshold sweeps."""
 
+import time
 from dataclasses import dataclass, replace as dc_replace
 from typing import Dict, List, Optional, Sequence
 
@@ -34,6 +35,7 @@ class PairResult:
     runtime_s: float
     hyperedge_precision_before: Optional[float] = None
     hyperedge_precision_after: Optional[float] = None
+    error: Optional[str] = None  # why the pipeline failed; None when it ran
 
 
 def inlier_metrics(t_est: RigidTransform, corrs: CorrSet, gt: RigidTransform,
@@ -96,28 +98,27 @@ def aggregate(results: Sequence[PairResult], th: MetricThresholds) -> Dict:
     return summary
 
 
+def evaluate_scene(corrs: CorrSet, params: HgnnParams, cc: CompatConfig,
+                   pc: PipelineConfig, th: MetricThresholds) -> PairResult:
+    """Register one pair and score it. A failed pipeline is a failed pair with
+    inf errors, zero IP/IR/F1 and the error message."""
+    t0 = time.perf_counter()
+    try:
+        t_est, diag = register(corrs, params, cc, pc)
+    except HgctError as err:
+        return PairResult(re_deg=float("inf"), te_m=float("inf"), success=False,
+                          ip=0.0, ir=0.0, f1=0.0,
+                          runtime_s=time.perf_counter() - t0, error=str(err))
+    return evaluate_pair(t_est, corrs, th, runtime_s=time.perf_counter() - t0,
+                         hp_before=diag.get("hyperedge_precision_before"),
+                         hp_after=diag.get("hyperedge_precision_after"))
+
+
 def run_suite(corrs_set: Sequence[CorrSet], params: HgnnParams,
               cc: CompatConfig, pc: PipelineConfig,
               th: MetricThresholds) -> List[PairResult]:
-    """Register every pair; failed pipelines count as failures with inf errors."""
-    import time
-
-    results = []
-    for corrs in corrs_set:
-        t0 = time.perf_counter()
-        try:
-            t_est, diag = register(corrs, params, cc, pc)
-        except HgctError:
-            results.append(PairResult(re_deg=float("inf"), te_m=float("inf"),
-                                      success=False, ip=0.0, ir=0.0, f1=0.0,
-                                      runtime_s=time.perf_counter() - t0))
-            continue
-        elapsed = time.perf_counter() - t0
-        results.append(evaluate_pair(
-            t_est, corrs, th, runtime_s=elapsed,
-            hp_before=diag.get("hyperedge_precision_before"),
-            hp_after=diag.get("hyperedge_precision_after")))
-    return results
+    """Register and score every pair; failed pipelines count as failed pairs."""
+    return [evaluate_scene(corrs, params, cc, pc, th) for corrs in corrs_set]
 
 
 def sweep_theta(corrs_set: Sequence[CorrSet], params: HgnnParams,

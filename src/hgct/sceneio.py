@@ -141,14 +141,22 @@ def write_dataset(out_dir, synth: SynthConfig, n_scenes: int, seed: int) -> List
     return names
 
 
-def read_dataset(dir_path) -> List[CorrSet]:
-    """Load every scene listed in the manifest (or scene_*.txt when absent)."""
+def dataset_files(dir_path) -> List[str]:
+    """Paths of a dataset's scenes: the manifest's `files` when it exists,
+    else the sorted scene_*.txt files. ConfigError when there are none."""
     manifest_path = os.path.join(dir_path, MANIFEST_NAME)
+    names = []
     if os.path.exists(manifest_path):
         with open(manifest_path) as f:
-            manifest = json.load(f)
-        names = manifest.get("files", [])
-    else:
+            names = json.load(f).get("files", [])
+    elif os.path.isdir(dir_path):
         names = sorted(name for name in os.listdir(dir_path)
                        if name.startswith("scene_") and name.endswith(".txt"))
-    return [read_scene(os.path.join(dir_path, name)) for name in names]
+    if not names:
+        raise ConfigError("no scenes found")
+    return [os.path.join(dir_path, name) for name in names]
+
+
+def read_dataset(dir_path) -> List[CorrSet]:
+    """Load every scene of a dataset directory (see dataset_files)."""
+    return [read_scene(path) for path in dataset_files(dir_path)]

@@ -1,10 +1,19 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
+import hgct.cli
 from hgct.cli import main
+from hgct.config import parse_config
+from hgct.geom import CorrSet, RigidTransform
 from hgct.hgnn import init_params, save_checkpoint
+from hgct.metrics import aggregate, run_suite
+from hgct.sceneio import read_scene, write_scene
+from hgct.train import SynthConfig, gen_scene
+
+DEMO_SCENE = os.path.join(os.path.dirname(__file__), "..", "data", "demo_scene.txt")
 
 
 def _write_config(tmp_path, text):
@@ -55,9 +64,7 @@ class TestRegister:
         assert any(line.startswith("RE_deg=") for line in lines)
 
     def test_shipped_demo_fixture(self, capsys):
-        demo = os.path.join(os.path.dirname(__file__), "..", "data",
-                            "demo_scene.txt")
-        assert main(["register", demo]) == 0
+        assert main(["register", DEMO_SCENE]) == 0
         out = capsys.readouterr().out
         re_line = [l for l in out.splitlines() if l.startswith("RE_deg=")][0]
         re_deg = float(re_line.split()[0].split("=")[1])
@@ -75,6 +82,37 @@ class TestRegister:
         assert main(["register", "/nonexistent/scene.txt"]) == 2
 
 
+class TestErrors:
+    """Bad input ends in one `error: ...` line and exit status 2."""
+
+    def _expect_error(self, argv, capsys, fragment):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert fragment in err
+
+    def test_invalid_config_value(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, "sigma_d = -1\n")
+        self._expect_error(["register", "--config", cfg, DEMO_SCENE], capsys,
+                           "sigma_d must be positive")
+
+    def test_checkpoint_bad_magic(self, tmp_path, capsys):
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(b"NOT-A-CHECKPOINT" + bytes(64))
+        self._expect_error(["register", DEMO_SCENE, "--checkpoint", str(ckpt)],
+                           capsys, "bad magic")
+
+    def test_scene_row_with_nan(self, small_dataset, tmp_path, capsys):
+        with open(os.path.join(small_dataset, "scene_0000.txt")) as f:
+            lines = f.read().splitlines()
+        row = lines[2 + 5].split()  # header and gt line come first
+        row[0] = "nan"
+        lines[2 + 5] = " ".join(row)
+        scene = tmp_path / "nan_scene.txt"
+        scene.write_text("\n".join(lines) + "\n")
+        self._expect_error(["register", str(scene)], capsys, "row 5 has a non-finite")
+
+
 class TestBench:
     def test_bench_writes_csv_and_json(self, small_dataset, tmp_path, capsys):
         out = str(tmp_path / "bench")
@@ -86,6 +124,59 @@ class TestBench:
         csv_text = open(os.path.join(out, "results.csv")).read().splitlines()
         assert csv_text[0].startswith("scene,re_deg")
         assert len(csv_text) == 3
+
+    def test_failed_pairs_count_in_rr(self, tmp_path, capsys):
+        # one good scene and one whose compatibility graph is empty
+        rng = np.random.default_rng(12345)
+        src = np.zeros((10, 3))
+        src[:, 0] = np.linspace(0.0, 1.0, 10)
+        broken = CorrSet(src, rng.uniform(40, 50, (10, 3)),
+                         gt=RigidTransform.identity())
+        good = gen_scene(SynthConfig(n_corrs=60, inlier_ratio=1.0,
+                                     noise_sigma=0.0, seed=3))
+        data = tmp_path / "data"
+        data.mkdir()
+        write_scene(good, data / "scene_0000.txt")
+        write_scene(broken, data / "scene_0001.txt")
+        cfg_text = "sigma_d = 0.01\n"
+        cfg = _write_config(tmp_path, cfg_text)
+        out = str(tmp_path / "bench")
+        assert main(["bench", "--config", cfg, str(data), "--out", out]) == 0
+        with open(os.path.join(out, "summary.json")) as f:
+            summary = json.load(f)
+        assert summary["n_pairs"] == 2
+        assert summary["rr"] == 0.5
+        assert summary["n_failures"] == 1
+        with open(os.path.join(out, "results.csv")) as f:
+            rows = f.read().splitlines()
+        assert rows[2].split(",")[:4] == ["scene_0001.txt", "", "", "error"]
+
+        run_cfg = parse_config(cfg_text)
+        suite = run_suite([read_scene(p) for p in sorted(data.iterdir())],
+                          init_params(run_cfg.channels, run_cfg.seed),
+                          run_cfg.compat_config(), run_cfg.pipeline_config(),
+                          run_cfg.thresholds())
+        assert aggregate(suite, run_cfg.thresholds())["rr"] == summary["rr"]
+
+        (data / "scene_0000.txt").unlink()
+        assert main(["bench", "--config", cfg, str(data), "--out", out]) == 2
+        assert "every pair failed" in capsys.readouterr().err
+
+    def test_serial_bench_loads_checkpoint_once(self, small_dataset, tmp_path,
+                                                capsys, monkeypatch):
+        ckpt = str(tmp_path / "m.ckpt")
+        save_checkpoint(init_params(channels=8, seed=0), ckpt)
+        calls = []
+        load = hgct.cli.load_checkpoint
+
+        def counting_load(path):
+            calls.append(path)
+            return load(path)
+
+        monkeypatch.setattr(hgct.cli, "load_checkpoint", counting_load)
+        assert main(["bench", small_dataset, "--checkpoint", ckpt,
+                     "--out", str(tmp_path / "bench")]) == 0
+        assert calls == [ckpt]
 
     def test_empty_dataset_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty"

@@ -1,7 +1,52 @@
+import dataclasses
+import pickle
+
 import pytest
 
+from hgct.compat import CompatConfig, GraphOrder
 from hgct.config import RunConfig, default_config_text, parse_config
 from hgct.errors import ConfigError
+from hgct.metrics import MetricThresholds
+from hgct.pipeline import PipelineConfig
+from hgct.train import SynthConfig, TrainConfig
+
+# every key set away from its default
+ALL_KEYS_TEXT = """
+seed = 7
+channels = 16
+threads = 3
+checkpoint = model.ckpt
+sigma_d = 0.25
+k1_frac = 0.3
+graph_order = fog
+theta_cmp_override = 0.7
+ns_frac = 0.4
+ninit_frac = 0.5
+knn_k = 12
+minimal_size = 4
+max_iters = 9
+step = 2
+theta_inlier = 0.2
+nms_radius = 0.15
+n1_frac = 0.6
+epochs = 5
+lr = 0.001
+lr_decay = 0.9
+batch = 3
+n_scenes = 4
+n_corrs = 50
+inlier_ratio = 0.5
+noise_sigma = 0.02
+scene_extent = 2.0
+rot_max_deg = 90.0
+trans_max = 0.5
+re_thresh_deg = 10.0
+te_thresh = 0.1
+gradcheck_n = 6
+gradcheck_channels = 4
+gradcheck_step = 0.0001
+gradcheck_tol = 0.01
+"""
 
 
 class TestParse:
@@ -41,6 +86,16 @@ class TestParse:
         with pytest.raises(ConfigError):
             parse_config("seed 1\n")
 
+    def test_bad_enum_value_names_line(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("graph_order = bogus\n")
+        assert "line 1" in str(err.value)
+        assert "graph_order" in str(err.value)
+
+    def test_pickle_roundtrip(self):
+        cfg = RunConfig()
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
+
 
 class TestDerivedConfigs:
     def test_nms_radius_defaults_to_sigma_d(self):
@@ -71,3 +126,34 @@ class TestDerivedConfigs:
         text = default_config_text()
         for f in dataclasses.fields(RunConfig):
             assert f.name in text
+
+    def test_every_key_maps_to_its_stage_field(self):
+        cfg = parse_config(ALL_KEYS_TEXT)
+        assert len(dataclasses.fields(RunConfig)) == 34
+        for f in dataclasses.fields(RunConfig):
+            assert getattr(cfg, f.name) != f.default, f.name
+        assert cfg.compat_config() == CompatConfig(
+            sigma_d=0.25, k1_frac=0.3, order=GraphOrder.FOG, theta_override=0.7)
+        assert cfg.pipeline_config() == PipelineConfig(
+            ns_frac=0.4, ninit_frac=0.5, knn_k=12, minimal_size=4, max_iters=9,
+            step=2, theta_inlier=0.2, nms_radius=0.15, n1_frac=0.6)
+        assert cfg.train_config() == TrainConfig(
+            epochs=5, lr=0.001, lr_decay=0.9, batch=3, theta_inlier=0.2,
+            sigma_d=0.25, seed=7)
+        assert cfg.synth_config() == SynthConfig(
+            n_corrs=50, inlier_ratio=0.5, noise_sigma=0.02, scene_extent=2.0,
+            rot_max_deg=90.0, trans_max=0.5, seed=7)
+        assert cfg.thresholds() == MetricThresholds(re_deg=10.0, te_m=0.1,
+                                                    theta_inlier=0.2)
+        assert (cfg.channels, cfg.threads, cfg.checkpoint, cfg.n_scenes) == \
+            (16, 3, "model.ckpt", 4)
+        assert (cfg.gradcheck_n, cfg.gradcheck_channels, cfg.gradcheck_step,
+                cfg.gradcheck_tol) == (6, 4, 1e-4, 1e-2)
+
+    def test_defaults_are_the_stage_defaults(self):
+        cfg = RunConfig()
+        assert cfg.compat_config() == CompatConfig()
+        assert cfg.pipeline_config() == PipelineConfig()
+        assert cfg.train_config() == TrainConfig()
+        assert cfg.synth_config() == SynthConfig()
+        assert cfg.thresholds() == MetricThresholds()

@@ -1,11 +1,13 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 from hgct.errors import ConfigError
-from hgct.sceneio import (read_dataset, read_scene, scene_from_text,
-                          scene_to_text, write_dataset, write_scene)
+from hgct.sceneio import (dataset_files, read_dataset, read_scene,
+                          scene_from_text, scene_to_text, write_dataset,
+                          write_scene)
 from hgct.train import SynthConfig, gen_scene
 
 
@@ -85,6 +87,26 @@ class TestDataset:
         assert manifest["files"] == names
         scenes = read_dataset(out)
         assert len(scenes) == 3 and len(scenes[0]) == 15
+
+    def test_listing_follows_manifest(self, tmp_path):
+        out = tmp_path / "data"
+        write_dataset(out, SynthConfig(n_corrs=12), n_scenes=3, seed=0)
+        assert [os.path.basename(p) for p in dataset_files(out)] == \
+            ["scene_0000.txt", "scene_0001.txt", "scene_0002.txt"]
+        (out / "manifest.json").write_text(json.dumps({"files": ["scene_0002.txt"]}))
+        assert dataset_files(out) == [os.path.join(out, "scene_0002.txt")]
+        (out / "manifest.json").unlink()
+        (out / "scene_0001.txt").unlink()
+        assert [os.path.basename(p) for p in dataset_files(out)] == \
+            ["scene_0000.txt", "scene_0002.txt"]
+
+    @pytest.mark.parametrize("make_dir", [True, False])
+    def test_no_scenes_found(self, tmp_path, make_dir):
+        path = tmp_path / "data"
+        if make_dir:
+            path.mkdir()
+        with pytest.raises(ConfigError, match="no scenes found"):
+            read_dataset(path)
 
     def test_manifest_count_matches_listing(self, tmp_path):
         out = tmp_path / "data"
