@@ -181,7 +181,10 @@ def relu(a) -> Var:
 
 def sigmoid(a) -> Var:
     a = wrap(a)
-    s = 0.5 * (np.tanh(0.5 * a.value) + 1.0)  # overflow-free
+    s = 0.5 * a.value  # 0.5 * (tanh(a / 2) + 1), overflow-free, in one array
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
 
     def vjp(g):
         return ((a, g * s * (1.0 - s)),)
@@ -253,9 +256,9 @@ def l2norm_rows(a) -> Var:
 
 def softmax_rows(a) -> Var:
     a = wrap(a)
-    z = a.value - a.value.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=1, keepdims=True)
+    s = a.value - a.value.max(axis=1, keepdims=True)  # exp and divide in place
+    np.exp(s, out=s)
+    s /= s.sum(axis=1, keepdims=True)
 
     def vjp(g):
         dot = np.sum(g * s, axis=1, keepdims=True)

@@ -18,7 +18,7 @@ import sys
 from .config import RunConfig, default_config_text, load_config
 from .errors import HgctError
 from .hgnn import init_params, load_checkpoint, save_checkpoint
-from .metrics import aggregate, evaluate_scene
+from .metrics import aggregate, evaluate_scene, failed_pair
 from .pipeline import register
 from .sceneio import dataset_files, read_dataset, read_scene, write_dataset
 from .train import train
@@ -87,8 +87,17 @@ def _init_worker(*stage_args) -> None:
     _worker_args = stage_args
 
 
+def _bench_scene(scene_path, *stage_args):
+    """Read and score one scene; a file that cannot be read is a failed pair."""
+    try:
+        corrs = read_scene(scene_path)
+    except (HgctError, OSError, ValueError) as err:
+        return failed_pair(str(err))
+    return evaluate_scene(corrs, *stage_args)
+
+
 def _bench_in_worker(scene_path):
-    return evaluate_scene(read_scene(scene_path), *_worker_args)
+    return _bench_scene(scene_path, *_worker_args)
 
 
 def _worker_count(cfg: RunConfig) -> int:
@@ -116,7 +125,7 @@ def cmd_bench(args) -> int:
                                  initargs=stage_args) as pool:
             results = list(pool.map(_bench_in_worker, scene_paths))
     else:
-        results = [evaluate_scene(read_scene(p), *stage_args) for p in scene_paths]
+        results = [_bench_scene(p, *stage_args) for p in scene_paths]
 
     failures = [r.error for r in results if r.error is not None]
     if len(failures) == len(results):

@@ -19,12 +19,19 @@ Architecture (channel width C, 5 convolution layers, 4 structure updates):
 The top-K selection is treated as constant support during differentiation:
 gradients flow through the retained sigmoid magnitudes only.
 
+Memory: `forward(..., keep_layers=False)`, which `pipeline.register` uses,
+keeps only X^5, Y^4, H^4, W_H^4 and s_hat in the trace, so each layer's
+N x N H and W_H are freed once the next layer's exist, instead of all five
+staying alive until the pass ends.
+
 Checkpoint format: ASCII magic line b"HGCT-CKPT v1\n", then three
 little-endian uint32 (channels, layer count, total parameter count), then all
 parameters as little-endian float64 in the order given by `param_specs`
 (sigma_f is stored last, as its log).
 """
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -125,34 +132,46 @@ def save_checkpoint(params: HgnnParams, path) -> None:
 
 
 def load_checkpoint(path) -> HgnnParams:
+    """Read a checkpoint. The header is checked against `param_specs` and the
+    file size before any parameter is read, so a bad header cannot make this
+    allocate; a short file or trailing bytes raise ValueError."""
     with open(path, "rb") as f:
         magic = f.read(len(CKPT_MAGIC))
         if magic != CKPT_MAGIC:
             raise ValueError(f"not a checkpoint file (bad magic): {path}")
-        channels, layers, count = struct.unpack("<III", f.read(12))
+        header = f.read(12)
+        if len(header) != 12:
+            raise ValueError("truncated checkpoint")
+        channels, layers, count = struct.unpack("<III", header)
         if layers != N_LAYERS:
             raise ValueError(f"checkpoint has {layers} layers; this build expects {N_LAYERS}")
-        tensors: Dict[str, av.Var] = {}
-        for name, shape in param_specs(channels):
-            size = int(np.prod(shape)) if shape else 1
-            buf = f.read(8 * size)
-            if len(buf) != 8 * size:
-                raise ValueError("truncated checkpoint")
-            arr = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
-            tensors[name] = av.param(arr)
-        total = sum(v.value.size for v in tensors.values())
-        if total != count:
-            raise ValueError("checkpoint parameter count mismatch")
+        specs = param_specs(channels)
+        sizes = [math.prod(shape) for _, shape in specs]
+        if channels < 1 or sum(sizes) != count:
+            raise ValueError(f"checkpoint header: {count} parameters do not match "
+                             f"channels={channels}")
+        body = os.fstat(f.fileno()).st_size - f.tell()
+        if body < 8 * count:
+            raise ValueError("truncated checkpoint")
+        if body > 8 * count:
+            raise ValueError(f"checkpoint has {body - 8 * count} trailing bytes")
+        values = np.frombuffer(f.read(8 * count), dtype="<f8").astype(np.float64)
+    ends = np.cumsum(sizes)
+    tensors = {name: av.param(values[end - size:end].reshape(shape))
+               for (name, shape), size, end in zip(specs, sizes, ends)}
     return HgnnParams(channels, tensors)
 
 
 @dataclass
 class ForwardTrace:
-    """Per-layer states plus tape handles sufficient for backpropagation."""
+    """Per-layer states plus tape handles sufficient for backpropagation.
+
+    A trace made with keep_layers=False holds only the last entry of each
+    list (X^5, Y^4, H^4, W_H^4)."""
 
     xs: List[np.ndarray]        # X^0 .. X^5, each (N, C)
     ys: List[np.ndarray]        # Y^0 .. Y^4
-    hs: List[np.ndarray]        # H^0 .. H^4, binary
+    hs: List[np.ndarray]        # H^0 .. H^4, binary; H^0 is hg0.h itself
     whs: List[np.ndarray]       # W_H^0 .. W_H^4
     s_hat: np.ndarray           # (N,) confidence in (0, 1)
     w_nonlocal: np.ndarray      # attention bias source (initial weights)
@@ -217,18 +236,6 @@ def _nonlocal(x: av.Var, log_bias: np.ndarray, params: HgnnParams, layer: int) -
     return av.add(x, msg)
 
 
-def nonlocal_apply(x: np.ndarray, w: np.ndarray, params: HgnnParams,
-                   layer: int = 0) -> np.ndarray:
-    """Feature enhancement A @ g(X) with attention biased by log(w + eps).
-
-    Standalone (no tape) entry point; `w` is any symmetric nonnegative matrix.
-    """
-    bias = np.log(np.asarray(w, dtype=np.float64) + NONLOCAL_EPS)
-    with av.no_grad():
-        out = _nonlocal(av.wrap(np.asarray(x, dtype=np.float64)), bias, params, layer)
-    return out.value
-
-
 def k2_schedule(n: int) -> List[int]:
     """Per-update retention counts: fractions 0.4, 0.3, 0.2, 0.1 of N."""
     return [max(1, round_half_up(0.1 * (N_LAYERS - (t + 1)) * n))
@@ -261,13 +268,30 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
         raise NonFinite(f"non-finite values in {name}")
 
 
+def _update(x: av.Var, y: av.Var, h: np.ndarray, params: HgnnParams, t: int,
+            k2: int) -> Tuple[np.ndarray, av.Var]:
+    """Structure update t: H^{t+1} and W_H^{t+1} from the masked sigmoid scores.
+    Its N x N temporaries are freed on return."""
+    q = _affine(x, params, f"upd.{t}.q")
+    k = _affine(y, params, f"upd.{t}.k")
+    s_full = av.sigmoid(av.add(av.mul(av.matmul(q, av.transpose(k)),
+                                      1.0 / np.sqrt(params.channels)),
+                               np.where(h > 0, 0.0, -MASK_NEG)))
+    retention = _topk_retention(s_full.value, h, k2)
+    return retention, av.mul(s_full, retention)
+
+
 def forward(corrs: CorrSet, hg0: Hypergraph, w_h0: np.ndarray,
-            params: HgnnParams) -> ForwardTrace:
+            params: HgnnParams, keep_layers: bool = True) -> ForwardTrace:
     """Run the network on one correspondence set.
 
     hg0 is the initial hypergraph; w_h0 is the raw initial weight matrix used
     as the NonLocal attention bias. Records the autodiff tape unless called
-    under autodiff.no_grad().
+    under autodiff.no_grad(). With keep_layers=False the per-layer lists of
+    the trace hold only the last layer (xs = [X^5], ys = [Y^4], hs = [H^4],
+    whs = [W_H^4], and the same for the *_vars), so each layer's N x N
+    arrays are freed once the next one exists. Every layer is checked for
+    non-finite values as it is computed, so NonFinite names the first bad one.
     """
     n = len(corrs)
     if n < 3:
@@ -275,24 +299,34 @@ def forward(corrs: CorrSet, hg0: Hypergraph, w_h0: np.ndarray,
     c = params.channels
     w_h0 = np.asarray(w_h0, dtype=np.float64)
     log_bias = np.log(w_h0 + NONLOCAL_EPS)
+    k2s = k2_schedule(n)
+
+    x_vars: List[av.Var] = []
+    y_vars: List[av.Var] = []
+    wh_vars: List[av.Var] = []
+    hs: List[np.ndarray] = []
+
+    def keep(layers: list, item, name: Optional[str] = None) -> None:
+        if name is not None:
+            _check_finite(name, item.value)
+        if not keep_layers:
+            layers.clear()
+        layers.append(item)
 
     inp = np.concatenate([corrs.src, corrs.tgt], axis=1)
     x = av.l2norm_rows(_affine(av.wrap(inp), params, "input_lift"))
-    y_prev = av.wrap(np.zeros((n, c)))
-
-    h = hg0.h.copy()
+    y = av.wrap(np.zeros((n, c)))   # Y^{-1}
+    h = hg0.h
     wh: av.Var = av.wrap(hg0.w_h)
-    k2s = k2_schedule(n)
-
-    x_vars = [x]
-    y_vars: List[av.Var] = []
-    wh_vars = [wh]
-    hs = [h]
+    keep(x_vars, x, "X^0")
+    keep(hs, h)
+    keep(wh_vars, wh, "W_H^0")
 
     for t in range(N_LAYERS):
         de_inv = _safe_inv(h.sum(axis=0))
         yhat = av.mul(av.matmul(av.wrap(h.T), x), de_inv[:, None])
-        y = av.l2norm_rows(_mlp(av.concat_cols(y_prev, yhat), params, f"mlp1.{t}"))
+        y = av.l2norm_rows(_mlp(av.concat_cols(y, yhat), params, f"mlp1.{t}"))
+        keep(y_vars, y, f"Y^{t}")
 
         we = av.vsum(wh, axis=0)
         dv_inv = _safe_inv(h.sum(axis=1))
@@ -300,37 +334,18 @@ def forward(corrs: CorrSet, hg0: Hypergraph, w_h0: np.ndarray,
                       dv_inv[:, None])
         xres = av.relu(av.add(x, _mlp(xhat, params, f"mlp2.{t}")))
         x = av.l2norm_rows(_nonlocal(xres, log_bias, params, t))
-
-        x_vars.append(x)
-        y_vars.append(y)
-        y_prev = y
+        keep(x_vars, x, f"X^{t + 1}")
 
         if t < N_UPDATES:
-            q = _affine(x, params, f"upd.{t}.q")
-            k = _affine(y, params, f"upd.{t}.k")
-            mask = np.where(h > 0, 0.0, -MASK_NEG)
-            s_full = av.sigmoid(av.add(av.mul(av.matmul(q, av.transpose(k)),
-                                              1.0 / np.sqrt(c)), mask))
-            retention = _topk_retention(s_full.value, h, k2s[t])
-            wh = av.mul(s_full, retention)
-            h = retention
-            hs.append(h)
-            wh_vars.append(wh)
+            h, wh = _update(x, y, h, params, t, k2s[t])
+            keep(hs, h)
+            keep(wh_vars, wh, f"W_H^{t + 1}")
 
     s_hat = av.reshape(av.sigmoid(_affine(x, params, "conf")), (n,))
-
-    xs = [v.value for v in x_vars]
-    ys = [v.value for v in y_vars]
-    whs = [v.value for v in wh_vars]
-    for i, arr in enumerate(xs):
-        _check_finite(f"X^{i}", arr)
-    for i, arr in enumerate(ys):
-        _check_finite(f"Y^{i}", arr)
-    for i, arr in enumerate(whs):
-        _check_finite(f"W_H^{i}", arr)
     _check_finite("s_hat", s_hat.value)
 
-    return ForwardTrace(xs=xs, ys=ys, hs=hs, whs=whs, s_hat=s_hat.value,
+    return ForwardTrace(xs=[v.value for v in x_vars], ys=[v.value for v in y_vars],
+                        hs=hs, whs=[v.value for v in wh_vars], s_hat=s_hat.value,
                         w_nonlocal=w_h0, channels=c, x_vars=x_vars,
                         y_vars=y_vars, wh_vars=wh_vars, s_var=s_hat)
 

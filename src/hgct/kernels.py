@@ -28,14 +28,25 @@ def gamma_matrix_numpy(src, tgt, sigma_d):
     d is the rigid distance: | ||src_i-src_j|| - ||tgt_i-tgt_j|| |.
     src, tgt: (N, 3) float64. Returns (N, N) float64, exactly symmetric.
     """
-    def pdist(p):
-        dx = p[:, None, 0] - p[None, :, 0]
-        dy = p[:, None, 1] - p[None, :, 1]
-        dz = p[:, None, 2] - p[None, :, 2]
-        return np.sqrt(dx * dx + dy * dy + dz * dz)
+    tmp = np.empty((len(src), len(src)))
 
-    d = np.abs(pdist(src) - pdist(tgt))
-    g = np.maximum(0.0, 1.0 - (d * d) / (sigma_d * sigma_d))
+    def pdist(p):
+        # one accumulator, summed as (dx*dx + dy*dy) + dz*dz
+        acc = np.subtract.outer(p[:, 0], p[:, 0])
+        acc *= acc
+        for k in (1, 2):
+            d = np.subtract.outer(p[:, k], p[:, k], out=tmp)
+            d *= d
+            acc += d
+        return np.sqrt(acc, out=acc)
+
+    g = pdist(src)
+    g -= pdist(tgt)
+    np.abs(g, out=g)
+    g *= g
+    g /= sigma_d * sigma_d
+    np.subtract(1.0, g, out=g)
+    np.maximum(0.0, g, out=g)
     np.fill_diagonal(g, 0.0)
     return g
 

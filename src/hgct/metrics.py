@@ -98,6 +98,12 @@ def aggregate(results: Sequence[PairResult], th: MetricThresholds) -> Dict:
     return summary
 
 
+def failed_pair(error: str, runtime_s: float = 0.0) -> PairResult:
+    """A pair that could not be registered: inf errors, zero IP/IR/F1."""
+    return PairResult(re_deg=float("inf"), te_m=float("inf"), success=False,
+                      ip=0.0, ir=0.0, f1=0.0, runtime_s=runtime_s, error=error)
+
+
 def evaluate_scene(corrs: CorrSet, params: HgnnParams, cc: CompatConfig,
                    pc: PipelineConfig, th: MetricThresholds) -> PairResult:
     """Register one pair and score it. A failed pipeline is a failed pair with
@@ -106,9 +112,7 @@ def evaluate_scene(corrs: CorrSet, params: HgnnParams, cc: CompatConfig,
     try:
         t_est, diag = register(corrs, params, cc, pc)
     except HgctError as err:
-        return PairResult(re_deg=float("inf"), te_m=float("inf"), success=False,
-                          ip=0.0, ir=0.0, f1=0.0,
-                          runtime_s=time.perf_counter() - t0, error=str(err))
+        return failed_pair(str(err), runtime_s=time.perf_counter() - t0)
     return evaluate_pair(t_est, corrs, th, runtime_s=time.perf_counter() - t0,
                          hp_before=diag.get("hyperedge_precision_before"),
                          hp_after=diag.get("hyperedge_precision_after"))

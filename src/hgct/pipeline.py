@@ -241,12 +241,14 @@ def register(corrs: CorrSet, params: HgnnParams, cc: CompatConfig,
     t0 = time.perf_counter()
     g = build_compat_graph(corrs, cc)
     hg0 = init_hypergraph(g)
+    w_h0, theta_cmp = g.w_h0, g.theta_cmp
+    del g  # frees w_gamma, which nothing below reads
     timings["graph_ms"] = 1000.0 * (time.perf_counter() - t0)
 
     t0 = time.perf_counter()
     with av.no_grad():
-        trace = forward(corrs, hg0, g.w_h0, params)
-    hg_final = trace.final_hypergraph()
+        trace = forward(corrs, hg0, w_h0, params, keep_layers=False)
+    hg_final = Hypergraph(h=trace.h_final, w_h=trace.wh_final)
     timings["network_ms"] = 1000.0 * (time.perf_counter() - t0)
 
     t0 = time.perf_counter()
@@ -265,7 +267,7 @@ def register(corrs: CorrSet, params: HgnnParams, cc: CompatConfig,
 
     diagnostics.update({
         "n": n,
-        "theta_cmp": g.theta_cmp,
+        "theta_cmp": theta_cmp,
         "seeds": [int(s) for s in seeds],
         "n_seeds": len(seeds),
         "n_initial": len(initial),

@@ -61,6 +61,8 @@ def scene_from_text(text: str, origin: str = "<string>") -> CorrSet:
         feat_dim = int(kv["feat_dim"])
         has_gt = bool(int(kv["has_gt"]))
         has_labels = bool(int(kv["has_labels"]))
+        if n < 0 or feat_dim < 0:
+            raise ValueError("negative size")
     except (KeyError, ValueError) as err:
         raise ConfigError(f"{origin}: malformed header: {lines[0]!r}") from err
 
@@ -76,33 +78,46 @@ def scene_from_text(text: str, origin: str = "<string>") -> CorrSet:
         gt = RigidTransform(np.array(vals[:9]).reshape(3, 3), np.array(vals[9:]))
         row += 1
 
-    expected = 6 + (1 if has_labels else 0) + feat_dim
-    src = np.empty((n, 3))
-    tgt = np.empty((n, 3))
-    labels = np.empty(n, dtype=bool) if has_labels else None
-    feat = np.empty((n, feat_dim)) if feat_dim else None
-    for i in range(n):
-        line_no = row + i
-        if line_no >= len(lines):
-            raise ConfigError(f"{origin}: expected {n} data rows, file ends at {i}")
-        parts = lines[line_no].split()
-        if len(parts) != expected:
-            raise ConfigError(f"{origin}: line {line_no + 1}: expected {expected} "
-                              f"fields, got {len(parts)}")
-        vals = [float(v) for v in parts[:6]]
-        src[i] = vals[:3]
-        tgt[i] = vals[3:]
-        col = 6
-        if has_labels:
-            labels[i] = bool(int(parts[col]))
-            col += 1
-        if feat_dim:
-            feat[i] = [float(v) for v in parts[col:]]
-    bad = np.flatnonzero(~(np.isfinite(src).all(axis=1) & np.isfinite(tgt).all(axis=1)))
+    expected = 6 + int(has_labels) + feat_dim
+    parts = [line.split() for line in lines[row:row + n]]
+    if len(parts) < n:
+        raise ConfigError(f"{origin}: expected {n} data rows, file ends at {len(parts)}")
+    for i, fields in enumerate(parts):
+        if len(fields) != expected:
+            raise ConfigError(f"{origin}: line {row + i + 1}: expected {expected} "
+                              f"fields, got {len(fields)}")
+    for line_no in range(row + n, len(lines)):
+        if lines[line_no].strip():
+            raise ConfigError(f"{origin}: line {line_no + 1}: text after the {n} "
+                              f"data rows")
+    try:
+        data = np.array(parts, dtype=np.float64).reshape(n, expected)
+    except ValueError:
+        i = next(i for i, fields in enumerate(parts) if not _numbers(fields))
+        raise ConfigError(f"{origin}: line {row + i + 1}: row {i} has a field that "
+                          f"is not a number") from None
+    bad = np.flatnonzero(~np.isfinite(data[:, :6]).all(axis=1))
     if bad.size:
         raise ValueError(f"{origin}: line {row + bad[0] + 1}: row {bad[0]} has a non-finite "
                          f"coordinate")
-    return CorrSet(src, tgt, feat=feat, gt=gt, labels=labels)
+    labels = None
+    if has_labels:
+        lab = data[:, 6]
+        bad = np.flatnonzero(~np.isfinite(lab) | (lab != np.floor(lab)))
+        if bad.size:
+            raise ConfigError(f"{origin}: line {row + bad[0] + 1}: row {bad[0]} has a "
+                              f"label that is not an integer")
+        labels = lab != 0
+    feat = data[:, expected - feat_dim:] if feat_dim else None
+    return CorrSet(data[:, 0:3], data[:, 3:6], feat=feat, gt=gt, labels=labels)
+
+
+def _numbers(fields: List[str]) -> bool:
+    try:
+        np.array(fields, dtype=np.float64)
+    except ValueError:
+        return False
+    return True
 
 
 def write_scene(corrs: CorrSet, path) -> None:

@@ -2,12 +2,18 @@
 
 Everything here recomputes the package's tensor contractions with explicit
 index loops (plain dense affine maps may use numpy); none of it shares code
-with the implementation under test. The one exception is
+with the implementation under test. The exceptions:
 `weighted_membership_precision`, a test-only metric with no counterpart in
-the package.
+the package; `nonlocal_apply`, a test entry point into the network's
+attention block; and the `*_reference` helpers, which keep the allocating
+numpy expressions that the package's in-place kernels must equal bit for
+bit.
 """
 
 import numpy as np
+
+from hgct import autodiff as av
+from hgct.hgnn import NONLOCAL_EPS, _nonlocal
 
 
 def rigid_distance_loop(si, ti, sj, tj):
@@ -133,6 +139,15 @@ def nonlocal_loop(x, w, params, layer, channels):
     return x + msg
 
 
+def nonlocal_apply(x, w, params, layer=0):
+    """The network's attention block A @ g(X), biased by log(w + eps), run
+    alone without the tape; `w` is any symmetric nonnegative matrix."""
+    bias = np.log(np.asarray(w, dtype=np.float64) + NONLOCAL_EPS)
+    with av.no_grad():
+        out = _nonlocal(av.wrap(np.asarray(x, dtype=np.float64)), bias, params, layer)
+    return out.value
+
+
 def conv_block_loop(x, y_prev, h, w_h, w_nl, params, layer, channels):
     """One convolution block (both stages) with loop-based aggregation."""
     n = x.shape[0]
@@ -235,3 +250,28 @@ def knn_subset_loop(x, seed, k):
     d = x - x[seed]
     dist = np.sum(d * d, axis=1)
     return np.lexsort((np.arange(len(x)), dist))[:k]
+
+
+def softmax_rows_reference(a):
+    """Row softmax as three allocating expressions."""
+    z = a - a.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def sigmoid_reference(a):
+    return 0.5 * (np.tanh(0.5 * a) + 1.0)
+
+
+def gamma_matrix_reference(src, tgt, sigma_d):
+    """Compatibility scores with one temporary per coordinate difference."""
+    def pdist(p):
+        dx = p[:, None, 0] - p[None, :, 0]
+        dy = p[:, None, 1] - p[None, :, 1]
+        dz = p[:, None, 2] - p[None, :, 2]
+        return np.sqrt(dx * dx + dy * dy + dz * dz)
+
+    d = np.abs(pdist(src) - pdist(tgt))
+    g = np.maximum(0.0, 1.0 - (d * d) / (sigma_d * sigma_d))
+    np.fill_diagonal(g, 0.0)
+    return g

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from hgct import autodiff as av
 
 
@@ -102,6 +103,52 @@ class TestOps:
         out = av.softmax_rows(av.wrap(logits))
         assert out.value[0, 1] == 0.0
         assert np.allclose(out.value.sum(), 1.0)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestInPlaceOps:
+    """softmax_rows and sigmoid fill one output array; the values must equal
+    the allocating expressions bit for bit, with and without the tape."""
+
+    @staticmethod
+    def _inputs(rng):
+        a = rng.normal(size=(40, 30)) * 10.0 ** rng.integers(-3, 3, (40, 30))
+        a[::3, ::4] = -1e30                     # masked entries
+        a[1] = 750.0                            # exp overflow without the shift
+        a[2] = np.round(a[2])                   # ties
+        a[5, :] = -1e30                         # an all-masked row
+        return a
+
+    @pytest.mark.parametrize("track", [False, True])
+    def test_softmax_rows_bit_equal(self, rng, track):
+        a = self._inputs(rng)
+        leaf = av.param(a) if track else av.wrap(a)
+        out = av.softmax_rows(leaf)
+        assert np.array_equal(_bits(out.value), _bits(oracles.softmax_rows_reference(a)))
+        assert np.array_equal(leaf.value, a)  # input left untouched
+
+    @pytest.mark.parametrize("track", [False, True])
+    def test_sigmoid_bit_equal(self, rng, track):
+        a = self._inputs(rng)
+        a[3] = np.array([0.0, -0.0, 1e-320, -1e-320, 40.0, -40.0, 1e300, -1e300] * 4)[:30]
+        leaf = av.param(a) if track else av.wrap(a)
+        out = av.sigmoid(leaf)
+        assert np.array_equal(_bits(out.value), _bits(oracles.sigmoid_reference(a)))
+        assert np.array_equal(leaf.value, a)
+
+    def test_vjps_use_the_output(self, rng):
+        a = rng.normal(size=(6, 7))
+        g = rng.normal(size=(6, 7))
+        leaf = av.param(a)
+        (ds,) = av.gradients([av.softmax_rows(leaf)], [g], [leaf])
+        s = oracles.softmax_rows_reference(a)
+        assert np.array_equal(ds, s * (g - np.sum(g * s, axis=1, keepdims=True)))
+        (dg,) = av.gradients([av.sigmoid(leaf)], [g], [leaf])
+        s = oracles.sigmoid_reference(a)
+        assert np.array_equal(dg, g * s * (1.0 - s))
 
 
 class TestEngine:

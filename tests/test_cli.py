@@ -162,6 +162,34 @@ class TestBench:
         assert main(["bench", "--config", cfg, str(data), "--out", out]) == 2
         assert "every pair failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_unreadable_scene_is_a_failed_pair(self, tmp_path, capsys, threads):
+        cfg = _write_config(tmp_path, f"n_scenes = 3\nn_corrs = 40\nthreads = {threads}\n"
+                                      "inlier_ratio = 1.0\nnoise_sigma = 0.0\n")
+        data = str(tmp_path / "data")
+        assert main(["gen", "--config", cfg, "--out", data]) == 0
+        bad = os.path.join(data, "scene_0001.txt")
+        with open(bad) as f:
+            lines = f.read().splitlines()
+        row = lines[2 + 5].split()  # header and gt line come first
+        row[0] = "nan"
+        lines[2 + 5] = " ".join(row)
+        with open(bad, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        out = str(tmp_path / "bench")
+        assert main(["bench", "--config", cfg, data, "--out", out]) == 0
+        with open(os.path.join(out, "summary.json")) as f:
+            summary = json.load(f)
+        assert summary["n_pairs"] == 3
+        assert summary["n_failures"] == 1
+        assert summary["rr"] == pytest.approx(2 / 3)
+        with open(os.path.join(out, "results.csv")) as f:
+            rows = [line.split(",") for line in f.read().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["scene_0000.txt", "scene_0001.txt",
+                                        "scene_0002.txt"]
+        assert rows[1][3] == "error"
+        assert rows[0][3] == rows[2][3] == "1"
+
     def test_serial_bench_loads_checkpoint_once(self, small_dataset, tmp_path,
                                                 capsys, monkeypatch):
         ckpt = str(tmp_path / "m.ckpt")

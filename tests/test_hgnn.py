@@ -8,8 +8,7 @@ from hgct import autodiff as av
 from hgct.errors import NonFinite
 from hgct.geom import CorrSet
 from hgct.hgnn import (LossGrads, _topk_retention, backward, forward, init_params,
-                       k2_schedule, load_checkpoint, nonlocal_apply,
-                       param_specs, save_checkpoint)
+                       k2_schedule, load_checkpoint, param_specs, save_checkpoint)
 from hgct.hypergraph import Hypergraph, init_hypergraph
 from hgct.train import SynthConfig, gen_scene, joint_loss, prepare_scene
 
@@ -168,6 +167,54 @@ class TestConventions:
             forward(ps.corrs, ps.hg0, ps.w_h0, params)
 
 
+class TestLeanForward:
+    """keep_layers=False keeps only the last layer, with the same values."""
+
+    @staticmethod
+    def _both(corrs, hg0, w0, params):
+        with av.no_grad():
+            full = forward(corrs, hg0, w0, params)
+            lean = forward(corrs, hg0, w0, params, keep_layers=False)
+        return full, lean
+
+    def _assert_last_layer_equal(self, full, lean):
+        for name in ("xs", "ys", "hs", "whs", "x_vars", "y_vars", "wh_vars"):
+            assert len(getattr(lean, name)) == 1, name
+        assert np.array_equal(lean.xs[0], full.xs[5])
+        assert np.array_equal(lean.ys[0], full.ys[4])
+        assert np.array_equal(lean.hs[0], full.hs[4])
+        assert np.array_equal(lean.whs[0], full.whs[4])
+        assert np.array_equal(lean.s_hat, full.s_hat)
+
+    def test_generic_instances(self):
+        for seed in range(5):
+            self._assert_last_layer_equal(*self._both(*_generic_instance(seed)))
+
+    def test_tie_heavy_scene(self):
+        # noise-free scene: saturated scores tie across whole rows of H
+        scene = gen_scene(SynthConfig(n_corrs=120, inlier_ratio=0.3,
+                                      noise_sigma=0.0, seed=8))
+        ps = prepare_scene(scene, 0.1, 0.1)
+        params = init_params(channels=8, seed=0)
+        full, lean = self._both(ps.corrs, ps.hg0, ps.w_h0, params)
+        assert np.any(np.diff(np.sort(full.whs[4][full.hs[4] > 0])) == 0)
+        self._assert_last_layer_equal(full, lean)
+
+    def test_input_hypergraph_left_unchanged(self):
+        corrs, hg0, w0, params = _generic_instance(3)
+        h, w_h = hg0.h.copy(), hg0.w_h.copy()
+        with av.no_grad():
+            forward(corrs, hg0, w0, params, keep_layers=False)
+        assert np.array_equal(hg0.h, h) and np.array_equal(hg0.w_h, w_h)
+
+    @pytest.mark.parametrize("keep_layers", [True, False])
+    def test_poisoned_intermediate_layer_raises(self, keep_layers):
+        ps, params = _prepared(n=10, channels=8)
+        params.var("nl.2.out.b").value[0] = np.nan  # first reaches X^3
+        with av.no_grad(), pytest.raises(NonFinite, match=r"X\^3"):
+            forward(ps.corrs, ps.hg0, ps.w_h0, params, keep_layers=keep_layers)
+
+
 class TestNonLocal:
     def test_uniform_when_weights_zero(self, rng):
         # constant log(eps) bias cancels in the softmax: attention is uniform
@@ -175,7 +222,7 @@ class TestNonLocal:
         params.var("nl.0.theta.w").value[:] = 0.0
         params.var("nl.0.theta.b").value[:] = 0.0
         x = rng.normal(size=(5, 4))
-        out = nonlocal_apply(x, np.zeros((5, 5)), params, layer=0)
+        out = oracles.nonlocal_apply(x, np.zeros((5, 5)), params, layer=0)
         assert np.all(np.isfinite(out))
         # with theta = 0 the logits are constant per row: uniform attention
         g = x @ params.value("nl.0.g.w") + params.value("nl.0.g.b")
@@ -186,7 +233,7 @@ class TestNonLocal:
     def test_single_vertex(self, rng):
         params = init_params(channels=4, seed=0)
         x = rng.normal(size=(1, 4))
-        out = nonlocal_apply(x, np.ones((1, 1)), params, layer=2)
+        out = oracles.nonlocal_apply(x, np.ones((1, 1)), params, layer=2)
         g = x @ params.value("nl.2.g.w") + params.value("nl.2.g.b")
         expected = x + g @ params.value("nl.2.out.w") + params.value("nl.2.out.b")
         assert np.allclose(out, expected, atol=1e-12)
@@ -196,7 +243,7 @@ class TestNonLocal:
         x = rng.normal(size=(7, 6))
         w = rng.uniform(size=(7, 7))
         w = (w + w.T) / 2
-        got = nonlocal_apply(x, w, params, layer=1)
+        got = oracles.nonlocal_apply(x, w, params, layer=1)
         expected = oracles.nonlocal_loop(x, w, params, 1, 6)
         assert np.max(np.abs(got - expected)) < 1e-10
 
@@ -297,6 +344,34 @@ class TestCheckpoint:
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _header(channels, count):
+        import struct
+        from hgct.hgnn import CKPT_MAGIC, N_LAYERS
+        return CKPT_MAGIC + struct.pack("<III", channels, N_LAYERS, count)
+
+    @pytest.mark.parametrize("count", [10, 2 ** 32 - 1])
+    def test_header_channels_disagree_with_count(self, tmp_path, count):
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(self._header(2 ** 20, count) + b"\0" * 64)
+        with pytest.raises(ValueError, match="do not match channels=1048576"):
+            load_checkpoint(path)
+
+    def test_consistent_header_longer_than_file(self, tmp_path):
+        n = init_params(channels=8, seed=0).n_params()
+        path = tmp_path / "short.ckpt"
+        path.write_bytes(self._header(8, n) + b"\0" * (8 * n - 1))
+        with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_trailing_byte_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(channels=8, seed=9), path)
+        with open(path, "ab") as f:
+            f.write(b"\0")
+        with pytest.raises(ValueError, match="1 trailing bytes"):
             load_checkpoint(path)
 
     def test_sigma_f_accessor(self):

@@ -86,6 +86,21 @@ class TestContracts:
             keep = kernels.nms_select(pts, order, 0.3, max_keep=cap)
             assert [i for i in order if keep[i]] == picks[:cap]
 
+    def test_gamma_matrix_numpy_matches_reference(self, rng):
+        # the in-place kernel against the allocating expressions, bit for bit
+        pts = rng.uniform(-1, 1, (60, 3))
+        cases = [
+            (pts, pts @ random_rotation(rng).T + 0.3, 0.1),   # all compatible
+            (pts, rng.uniform(-1, 1, (60, 3)), 0.3),           # mixed
+            (pts * 1e4, rng.uniform(-1e4, 1e4, (60, 3)), 7.0),
+            (np.repeat(pts[:5], 4, axis=0), np.repeat(pts[:5], 4, axis=0), 0.05),
+            (pts[:1], pts[:1], 0.1),
+        ]
+        for src, tgt, sigma_d in cases:
+            got = kernels.gamma_matrix_numpy(src, tgt, sigma_d)
+            ref = oracles.gamma_matrix_reference(src, tgt, sigma_d)
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
     def test_mae_scores_numpy_matches_per_transform_loop(self, rng):
         src = rng.uniform(-1, 1, (150, 3))
         tgt = src + rng.normal(0.0, 0.05, (150, 3))

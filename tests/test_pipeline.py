@@ -465,6 +465,24 @@ class TestRegister:
             register(CorrSet(src, tgt), params,
                      CompatConfig(sigma_d=0.001), PipelineConfig())
 
+    def test_peak_memory_is_bounded(self):
+        # register keeps one layer of the network's N x N state alive, not
+        # five: at most 12 N x N float64 arrays at its peak (about 21 when
+        # every layer's H and W_H was kept)
+        import tracemalloc
+        n = 600
+        sc = gen_scene(SynthConfig(n_corrs=n, inlier_ratio=0.3, seed=1))
+        params = init_params(channels=32, seed=0)
+        cc, pc = CompatConfig(), PipelineConfig()
+        register(sc, params, cc, pc)  # warm-up outside the measurement
+        tracemalloc.start()
+        try:
+            register(sc, params, cc, pc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (8.0 * n * n) <= 12.0
+
     def test_all_degenerate_seeds_raise_no_hypothesis(self):
         from hgct.errors import NoHypothesis
         # collinear source points: every minimal subset is rank-deficient,

@@ -62,6 +62,48 @@ class TestErrors:
             scene_from_text(text)
 
 
+    def test_text_after_rows_rejected(self):
+        sc = gen_scene(SynthConfig(n_corrs=10, seed=0))
+        text = scene_to_text(sc)
+        assert len(scene_from_text(text + "\n  \n")) == 10  # blank lines are fine
+        with pytest.raises(ConfigError, match=r"line 14: text after the 10 data rows"):
+            scene_from_text(text + "\n0 0 0 0 0 0 1\n")  # after a blank line 13
+
+    def test_wrong_field_count_names_line(self):
+        sc = gen_scene(SynthConfig(n_corrs=10, seed=0))
+        lines = scene_to_text(sc).splitlines()
+        lines[4] += " 0.5"   # row 2 gets an eighth field
+        with pytest.raises(ConfigError, match=r"line 5: expected 7 fields, got 8"):
+            scene_from_text("\n".join(lines))
+
+    def test_unparsable_number_names_line(self):
+        text = ("HGCT-CORR v1 n=3 feat_dim=0 has_gt=0 has_labels=0\n"
+                "1 2 3 4 5 6\n1 2 3 4 x5 6\n1 2 3 4 5 6\n")
+        with pytest.raises(ConfigError, match=r"line 3: row 1 has a field"):
+            scene_from_text(text)
+
+    def test_label_must_be_integer(self):
+        text = ("HGCT-CORR v1 n=2 feat_dim=0 has_gt=0 has_labels=1\n"
+                "1 2 3 4 5 6 1\n1 2 3 4 5 6 0.5\n")
+        with pytest.raises(ConfigError, match=r"line 3: row 1 has a label"):
+            scene_from_text(text)
+
+    def test_numbers_parse_as_python_float(self):
+        # the array parse must give the bits float() gives, on every spelling
+        words = ["1e-320", "-0", "+.5", "1E5", "2.2250738585072014e-308",
+                 "1.7976931348623157e308", "0.1", "-123456789.123456789",
+                 "5e-324", "9007199254740993", "1.00000000000000011102230246251565"]
+        rng = np.random.default_rng(3)
+        words += [format(v, ".17g") for v in rng.normal(size=40) * 1e3]
+        words += ["0"] * (-len(words) % 6)
+        rows = [" ".join(words[i:i + 6]) for i in range(0, len(words), 6)]
+        text = (f"HGCT-CORR v1 n={len(rows)} feat_dim=0 has_gt=0 has_labels=0\n"
+                + "\n".join(rows) + "\n")
+        sc = scene_from_text(text)
+        want = np.array([float(w) for w in words]).reshape(-1, 6)
+        got = np.concatenate([sc.src, sc.tgt], axis=1)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_nonfinite_row_rejected_by_index(self, tmp_path, bad):
         sc = gen_scene(SynthConfig(n_corrs=100, inlier_ratio=0.3, seed=1))
