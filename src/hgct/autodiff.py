@@ -8,7 +8,7 @@ and degree scalings enter the graph as non-differentiable data.
 """
 
 import contextlib
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -179,15 +179,25 @@ def relu(a) -> Var:
     return _result(np.where(mask, a.value, 0.0), (a,), vjp)
 
 
-def sigmoid(a) -> Var:
-    a = wrap(a)
-    s = 0.5 * a.value  # 0.5 * (tanh(a / 2) + 1), overflow-free, in one array
+def _sigmoid_inplace(s: np.ndarray) -> None:
+    """s <- 0.5 * (tanh(s / 2) + 1), overflow-free."""
+    s *= 0.5
     np.tanh(s, out=s)
     s += 1.0
     s *= 0.5
 
+
+def _sigmoid_vjp(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    return g * s * (1.0 - s)
+
+
+def sigmoid(a) -> Var:
+    a = wrap(a)
+    s = a.value.copy()
+    _sigmoid_inplace(s)
+
     def vjp(g):
-        return ((a, g * s * (1.0 - s)),)
+        return ((a, _sigmoid_vjp(g, s)),)
 
     return _result(s, (a,), vjp)
 
@@ -254,17 +264,72 @@ def l2norm_rows(a) -> Var:
     return _result(y, (a,), vjp)
 
 
-def softmax_rows(a) -> Var:
-    a = wrap(a)
-    s = a.value - a.value.max(axis=1, keepdims=True)  # exp and divide in place
+EXP_UNDERFLOW = -750.0  # np.exp is exactly +0.0 below this (it is from -745.14)
+
+
+def _softmax_rows_inplace(s: np.ndarray) -> None:
+    s -= s.max(axis=1, keepdims=True)
+    # np.exp is many times slower where it underflows to 0 (nearly one-hot
+    # attention rows are mostly such entries): they get exp(0), then 0
+    under = s < EXP_UNDERFLOW
+    np.putmask(s, under, 0.0)
     np.exp(s, out=s)
+    np.putmask(s, under, 0.0)
     s /= s.sum(axis=1, keepdims=True)
 
+
+def _softmax_rows_vjp(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    dot = np.sum(g * s, axis=1, keepdims=True)
+    return s * (g - dot)
+
+
+def softmax_rows(a) -> Var:
+    a = wrap(a)
+    s = a.value.copy()
+    _softmax_rows_inplace(s)
+
     def vjp(g):
-        dot = np.sum(g * s, axis=1, keepdims=True)
-        return ((a, s * (g - dot)),)
+        return ((a, _softmax_rows_vjp(g, s)),)
 
     return _result(s, (a,), vjp)
+
+
+SCORE_BLOCK = 1 << 16  # elements per row block of scaled_scores (512 KB, cache-sized)
+
+_ACTIVATIONS = {"softmax": (_softmax_rows_inplace, _softmax_rows_vjp),
+                "sigmoid": (_sigmoid_inplace, _sigmoid_vjp)}
+
+
+def scaled_scores(q, k, scale: float, bias: np.ndarray, activation: str,
+                  off_support: Optional[float] = None) -> Var:
+    """activation(q k^T * scale + bias), with activation "softmax" (per row)
+    or "sigmoid", in one (N, M) array.
+
+    bias is an (N, M) array added to the scaled scores. With off_support
+    given, bias is read as a support instead: off_support is added where bias
+    is not positive, which equals adding np.where(bias > 0, 0.0, off_support).
+
+    The result is bit-identical to matmul -> mul -> add -> softmax_rows /
+    sigmoid: the same operations in the same order, done in place, one block
+    of rows at a time so each block stays in cache. The VJP uses the chain's
+    expressions too, so gradients are bit-identical as well.
+    """
+    q, k = wrap(q), wrap(k)
+    finish, act_vjp = _ACTIVATIONS[activation]
+    s = q.value @ k.value.T
+    rows = max(1, SCORE_BLOCK // s.shape[1])
+    for lo in range(0, len(s), rows):
+        block, b = s[lo:lo + rows], bias[lo:lo + rows]
+        block *= scale
+        block += b if off_support is None else np.where(b > 0, 0.0, off_support)
+        finish(block)
+
+    def vjp(g):
+        gl = act_vjp(g, s)
+        gl *= scale
+        return ((q, gl @ k.value), (k, (q.value.T @ gl).T))
+
+    return _result(s, (q, k), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -83,10 +83,37 @@ def dynamic_threshold(gamma: np.ndarray, k1_frac: float) -> float:
     k1 = max(1, round_half_up(k1_frac * n))
     if n == 1:
         return 0.0
-    off = gamma[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    # row i's off-diagonal entries in column order, as one copy: dropping the
+    # first entry of each (n + 1)-long run of the flat array drops the diagonal
+    off = gamma.reshape(-1)[:-1].reshape(n - 1, n + 1)[:, 1:].copy().reshape(n, n - 1)
     k_eff = min(k1, n - 1)
-    top = -np.partition(-off, k_eff - 1, axis=1)[:, :k_eff]
+    np.negative(off, out=off)
+    off.partition(k_eff - 1, axis=1)
+    top = -off[:, :k_eff]
     return float(np.sum(top) / (k1 * n))
+
+
+MIRROR_ROWS = 64  # rows per block when mirroring the SOG product in place
+
+
+def _symmetric_square(w: np.ndarray) -> np.ndarray:
+    """w @ w for a symmetric w, made exactly symmetric with a zero diagonal.
+
+    BLAS rounds some entries of a product differently on the two sides of the
+    diagonal, so the strict upper triangle is mirrored onto the lower one, in
+    place and a block of rows at a time. (A syrk, w @ w.T, is exactly
+    symmetric too, but at most sizes it differs from the gemm's upper
+    triangle by an ulp, which would change outputs.)
+    """
+    prod = w @ w
+    n = len(prod)
+    for lo in range(0, n, MIRROR_ROWS):
+        hi = lo + MIRROR_ROWS
+        prod[lo:hi, :lo] = prod[:lo, lo:hi].T
+        diag = prod[lo:hi, lo:hi]
+        diag[...] = np.triu(diag, 1)
+        diag += diag.T
+    return prod
 
 
 def build_compat_graph(corrs: CorrSet, cfg: CompatConfig) -> CompatGraph:
@@ -106,17 +133,15 @@ def build_compat_graph(corrs: CorrSet, cfg: CompatConfig) -> CompatGraph:
         theta = float(cfg.theta_override)
     else:
         theta = dynamic_threshold(gamma, cfg.k1_frac)
-    w_gamma = np.where(gamma >= theta, gamma, 0.0)
+    w_gamma = gamma  # thresholded in place; a NaN theta keeps nothing
+    np.copyto(w_gamma, 0.0, where=~(w_gamma >= theta))
     np.fill_diagonal(w_gamma, 0.0)
     if not np.any(w_gamma > 0):
         raise EmptyGraph("no compatible correspondence pair survives theta_cmp"
                          f"={theta:.6g}")
     if cfg.order is GraphOrder.SOG:
-        prod = w_gamma @ w_gamma
-        # enforce exact symmetry: mirror the upper triangle of the product
-        upper = np.triu(prod, 1)
-        prod = upper + upper.T
-        w_h0 = w_gamma * prod
+        w_h0 = _symmetric_square(w_gamma)
+        w_h0 *= w_gamma
     else:
         w_h0 = w_gamma.copy()
     return CompatGraph(w_gamma=w_gamma, w_h0=w_h0, theta_cmp=theta, order=cfg.order)

@@ -230,8 +230,7 @@ def _nonlocal(x: av.Var, log_bias: np.ndarray, params: HgnnParams, layer: int) -
     q = _affine(x, params, f"nl.{layer}.theta")
     k = _affine(x, params, f"nl.{layer}.phi")
     v = _affine(x, params, f"nl.{layer}.g")
-    logits = av.add(av.mul(av.matmul(q, av.transpose(k)), 1.0 / np.sqrt(c)), log_bias)
-    attn = av.softmax_rows(logits)
+    attn = av.scaled_scores(q, k, 1.0 / np.sqrt(c), log_bias, "softmax")
     msg = _affine(av.matmul(attn, v), params, f"nl.{layer}.out")
     return av.add(x, msg)
 
@@ -274,9 +273,8 @@ def _update(x: av.Var, y: av.Var, h: np.ndarray, params: HgnnParams, t: int,
     Its N x N temporaries are freed on return."""
     q = _affine(x, params, f"upd.{t}.q")
     k = _affine(y, params, f"upd.{t}.k")
-    s_full = av.sigmoid(av.add(av.mul(av.matmul(q, av.transpose(k)),
-                                      1.0 / np.sqrt(params.channels)),
-                               np.where(h > 0, 0.0, -MASK_NEG)))
+    s_full = av.scaled_scores(q, k, 1.0 / np.sqrt(params.channels), h, "sigmoid",
+                              off_support=-MASK_NEG)
     retention = _topk_retention(s_full.value, h, k2)
     return retention, av.mul(s_full, retention)
 
@@ -298,7 +296,8 @@ def forward(corrs: CorrSet, hg0: Hypergraph, w_h0: np.ndarray,
         raise ValueError("need at least 3 correspondences")
     c = params.channels
     w_h0 = np.asarray(w_h0, dtype=np.float64)
-    log_bias = np.log(w_h0 + NONLOCAL_EPS)
+    log_bias = w_h0 + NONLOCAL_EPS
+    np.log(log_bias, out=log_bias)
     k2s = k2_schedule(n)
 
     x_vars: List[av.Var] = []

@@ -1,4 +1,4 @@
-"""Hypergraph incidence structure, degrees, weights, and the hyperedge-precision metric.
+"""Hypergraph incidence structure and the hyperedge-precision metric.
 
 Vertices and hyperedges are both indexed by correspondence index: hyperedge j
 collects the vertices whose initial weight to j is positive, plus j itself, so
@@ -40,21 +40,6 @@ def init_hypergraph(g: CompatGraph) -> Hypergraph:
     return Hypergraph(h=h, w_h=w_h)
 
 
-def vertex_degrees(hg: Hypergraph) -> np.ndarray:
-    """D(v_i): number of hyperedges containing vertex i (row sums)."""
-    return hg.h.sum(axis=1)
-
-
-def hyperedge_degrees(hg: Hypergraph) -> np.ndarray:
-    """D(e_j): number of vertices in hyperedge j (column sums)."""
-    return hg.h.sum(axis=0)
-
-
-def hyperedge_weights(hg: Hypergraph) -> np.ndarray:
-    """W(e_j): total weight mass of hyperedge j (column sums of w_h)."""
-    return hg.w_h.sum(axis=0)
-
-
 def gt_hypergraph(labels) -> Hypergraph:
     """Ground-truth incidence: h*(i, j) = 1 iff i and j are both inliers."""
     lab = np.asarray(labels, dtype=bool).astype(np.float64)
@@ -76,19 +61,3 @@ def hyperedge_precision(hg: Hypergraph, labels) -> float:
     inlier_counts = hg.h[lab, :].sum(axis=0)
     fractions = inlier_counts[nonempty] / sizes[nonempty]
     return float(np.mean(fractions))
-
-
-def excluded_edge_count(hg: Hypergraph) -> int:
-    """Number of empty hyperedges left out of the precision mean."""
-    return int(np.sum(hg.h.sum(axis=0) == 0))
-
-
-def dump(hg: Hypergraph) -> str:
-    """Debug listing: one line per hyperedge with sorted members and weights."""
-    lines = []
-    for j in range(hg.n):
-        members = np.flatnonzero(hg.h[:, j] > 0)
-        weights = " ".join(format(hg.w_h[i, j], ".6g") for i in members)
-        vs = " ".join(str(i) for i in members)
-        lines.append(f"edge {j}: v=[{vs}] w=[{weights}]")
-    return "\n".join(lines)

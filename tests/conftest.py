@@ -1,14 +1,6 @@
 import numpy as np
 import pytest
 
-from hgct import kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # JIT compilation happens once here so timed tests measure compute only
-    kernels.warmup()
-
 
 @pytest.fixture
 def rng():

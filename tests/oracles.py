@@ -5,9 +5,10 @@ index loops (plain dense affine maps may use numpy); none of it shares code
 with the implementation under test. The exceptions:
 `weighted_membership_precision`, a test-only metric with no counterpart in
 the package; `nonlocal_apply`, a test entry point into the network's
-attention block; and the `*_reference` helpers, which keep the allocating
-numpy expressions that the package's in-place kernels must equal bit for
-bit.
+attention block; the `*_reference` and `*_chain` helpers, which keep the
+allocating numpy expressions and unfused tape ops that the package's in-place
+kernels must equal bit for bit; and the test-only views of a Hypergraph at
+the end (degrees, weights, empty-edge count, a debug listing).
 """
 
 import numpy as np
@@ -42,6 +43,16 @@ def dynamic_threshold_loop(gamma, k1_frac):
         row = sorted((gamma[i, j] for j in range(n) if j != i), reverse=True)
         total += sum(row[:k1])
     return total / (k1 * n)
+
+
+def dynamic_threshold_reference(gamma, k1_frac):
+    """The threshold with a boolean-mask copy and a negated partitioned copy."""
+    n = gamma.shape[0]
+    k1 = max(1, int(np.floor(k1_frac * n + 0.5)))
+    off = gamma[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    k_eff = min(k1, n - 1)
+    top = -np.partition(-off, k_eff - 1, axis=1)[:, :k_eff]
+    return float(np.sum(top) / (k1 * n))
 
 
 def sog_weights_loop(w_gamma):
@@ -263,6 +274,26 @@ def sigmoid_reference(a):
     return 0.5 * (np.tanh(0.5 * a) + 1.0)
 
 
+def scaled_scores_reference(q, k, scale, bias, activation):
+    """activation(q k^T * scale + bias) as allocating expressions."""
+    z = (q @ k.T) * scale + bias
+    return softmax_rows_reference(z) if activation == "softmax" else sigmoid_reference(z)
+
+
+def scaled_scores_chain(q, k, scale, bias, activation):
+    """The tape ops that av.scaled_scores fuses: matmul -> mul -> add ->
+    softmax_rows / sigmoid."""
+    z = av.add(av.mul(av.matmul(q, av.transpose(k)), scale), bias)
+    return av.softmax_rows(z) if activation == "softmax" else av.sigmoid(z)
+
+
+def sog_product_reference(w_gamma):
+    """w_gamma * (w_gamma @ w_gamma), made exactly symmetric by mirroring the
+    strict upper triangle of a general matrix product."""
+    upper = np.triu(w_gamma @ w_gamma, 1)
+    return w_gamma * (upper + upper.T)
+
+
 def gamma_matrix_reference(src, tgt, sigma_d):
     """Compatibility scores with one temporary per coordinate difference."""
     def pdist(p):
@@ -275,3 +306,36 @@ def gamma_matrix_reference(src, tgt, sigma_d):
     g = np.maximum(0.0, 1.0 - (d * d) / (sigma_d * sigma_d))
     np.fill_diagonal(g, 0.0)
     return g
+
+
+# test-only views of a Hypergraph
+
+def vertex_degrees(hg):
+    """D(v_i): number of hyperedges containing vertex i (row sums)."""
+    return hg.h.sum(axis=1)
+
+
+def hyperedge_degrees(hg):
+    """D(e_j): number of vertices in hyperedge j (column sums)."""
+    return hg.h.sum(axis=0)
+
+
+def hyperedge_weights(hg):
+    """W(e_j): total weight mass of hyperedge j (column sums of w_h)."""
+    return hg.w_h.sum(axis=0)
+
+
+def excluded_edge_count(hg):
+    """Number of empty hyperedges left out of the precision mean."""
+    return int(np.sum(hg.h.sum(axis=0) == 0))
+
+
+def dump(hg):
+    """Debug listing: one line per hyperedge with sorted members and weights."""
+    lines = []
+    for j in range(hg.n):
+        members = np.flatnonzero(hg.h[:, j] > 0)
+        weights = " ".join(format(hg.w_h[i, j], ".6g") for i in members)
+        vs = " ".join(str(i) for i in members)
+        lines.append(f"edge {j}: v=[{vs}] w=[{weights}]")
+    return "\n".join(lines)

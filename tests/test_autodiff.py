@@ -151,6 +151,91 @@ class TestInPlaceOps:
         assert np.array_equal(dg, g * s * (1.0 - s))
 
 
+class TestScaledScores:
+    """The fused score primitive against the allocating expressions and the
+    unfused tape ops, bit for bit, in both activations."""
+
+    ACTS = ["softmax", "sigmoid"]
+
+    @staticmethod
+    def _case(rng, n=24, m=30, c=5):
+        q = rng.normal(size=(n, c))
+        k = rng.normal(size=(m, c))
+        bias = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-3, 3, (n, m))
+        bias[::3, ::4] = -1e30                   # masked entries
+        bias[1] = 750.0                          # exp overflow without the shift
+        bias[2] = np.round(bias[2])              # ties
+        bias[3] = -1e30                          # an all-masked row
+        bias[4] = -np.arange(m) * 30.0           # exp underflows to 0 and to subnormals
+        bias[6, 1::2] = -1e9
+        return q, k, bias
+
+    @pytest.fixture(params=[1 << 16, 64], ids=["one-block", "row-blocks"])
+    def block(self, request, monkeypatch):
+        # 64 elements is two rows of 30 per block, so blocks end mid-matrix
+        monkeypatch.setattr(av, "SCORE_BLOCK", request.param)
+
+    @pytest.mark.parametrize("activation", ACTS)
+    @pytest.mark.parametrize("track", [False, True])
+    def test_forward_bit_equal(self, rng, block, activation, track):
+        q, k, bias = self._case(rng)
+        inputs = [a.copy() for a in (q, k, bias)]
+        wrap = av.param if track else av.wrap
+        out = av.scaled_scores(wrap(q), wrap(k), 0.37, bias, activation)
+        ref = oracles.scaled_scores_reference(q, k, 0.37, bias, activation)
+        assert np.array_equal(_bits(out.value), _bits(ref))
+        chain = oracles.scaled_scores_chain(wrap(q), wrap(k), 0.37, bias, activation)
+        assert np.array_equal(_bits(out.value), _bits(chain.value))
+        for a, b in zip(inputs, (q, k, bias)):
+            assert np.array_equal(a, b)  # inputs left untouched
+
+    def test_off_support_is_the_where_mask(self, rng, block):
+        q, k, _ = self._case(rng)
+        support = (rng.uniform(size=(24, 30)) < 0.4).astype(np.float64)
+        support[3] = 0.0
+        out = av.scaled_scores(av.wrap(q), av.wrap(k), 0.37, support, "sigmoid",
+                               off_support=-1e30)
+        ref = oracles.scaled_scores_reference(q, k, 0.37,
+                                              np.where(support > 0, 0.0, -1e30), "sigmoid")
+        assert np.array_equal(_bits(out.value), _bits(ref))
+
+    @pytest.mark.parametrize("activation", ACTS)
+    def test_vjp_bit_equal_to_chain(self, rng, block, activation):
+        q, k, bias = self._case(rng)
+        g = rng.normal(size=bias.shape)
+        qa, ka = av.param(q), av.param(k)
+        dq, dk = av.gradients([av.scaled_scores(qa, ka, 0.37, bias, activation)], [g],
+                              [qa, ka])
+        qb, kb = av.param(q), av.param(k)
+        rq, rk = av.gradients([oracles.scaled_scores_chain(qb, kb, 0.37, bias, activation)],
+                              [g], [qb, kb])
+        assert np.array_equal(_bits(dq), _bits(rq))
+        assert np.array_equal(_bits(dk), _bits(rk))
+        # and the chain's expressions written out
+        s = oracles.scaled_scores_reference(q, k, 0.37, bias, activation)
+        if activation == "softmax":
+            gl = s * (g - np.sum(g * s, axis=1, keepdims=True))
+        else:
+            gl = g * s * (1.0 - s)
+        gl = gl * 0.37
+        assert np.array_equal(_bits(dq), _bits(gl @ k))
+        assert np.array_equal(_bits(dk), _bits((q.T @ gl).T))
+
+    @pytest.mark.parametrize("activation", ACTS)
+    def test_finite_differences(self, rng, block, activation):
+        bias = rng.normal(size=(4, 5))
+        weights = rng.normal(size=(4, 5))
+        fd_check(lambda q, k: av.vsum(av.mul(av.scaled_scores(q, k, 0.7, bias, activation),
+                                             weights)),
+                 [rng.normal(size=(4, 3)), rng.normal(size=(5, 3))])
+
+    def test_exp_is_zero_below_the_underflow_cut(self):
+        x = np.concatenate([-np.geomspace(-av.EXP_UNDERFLOW, 1e308, 4001), [-np.inf]])
+        x = np.concatenate([x, np.nextafter(av.EXP_UNDERFLOW, -np.inf) - np.arange(100)])
+        assert np.all(np.exp(x) == 0.0)
+        assert not np.any(np.signbit(np.exp(x)))
+
+
 class TestEngine:
     def test_constant_graph_not_tracked(self):
         a = av.wrap(np.ones(3))

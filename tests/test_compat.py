@@ -95,6 +95,17 @@ class TestDynamicThreshold:
                 assert dynamic_threshold(g, frac) == pytest.approx(
                     oracles.dynamic_threshold_loop(g, frac), abs=1e-12)
 
+    def test_input_unchanged_and_equal_to_reference(self, rng):
+        for n in (2, 3, 7, 40):
+            g = rng.uniform(size=(n, n))
+            g[0, 1] = g[1, 0]                 # a tie
+            np.fill_diagonal(g, 0.0)
+            before = g.copy()
+            for frac in (0.1, 0.5, 1.0):
+                got = dynamic_threshold(g, frac)
+                assert got == oracles.dynamic_threshold_reference(g, frac)
+                assert np.array_equal(g, before)
+
     def test_round_half_up(self):
         assert round_half_up(0.5) == 1
         assert round_half_up(1.4) == 1
@@ -153,6 +164,15 @@ class TestBuildGraph:
             assert np.array_equal(g.w_gamma, g.w_gamma.T)
             assert np.array_equal(g.w_h0, g.w_h0.T)
 
+    def test_sog_product_bit_equal_to_mirrored_gemm(self, rng):
+        # large enough for BLAS's blocked kernels; dense and sparse graphs
+        for n, sigma_d in ((12, 0.5), (150, 0.3), (400, 0.2)):
+            cs = _random_set(rng, n=n, scale=0.5)
+            g = build_compat_graph(cs, CompatConfig(sigma_d=sigma_d))
+            ref = oracles.sog_product_reference(g.w_gamma)
+            assert np.array_equal(g.w_h0.view(np.int64), ref.view(np.int64))
+            assert np.array_equal(g.w_h0, g.w_h0.T)
+
     def test_override_monotonicity(self, rng):
         cs = _random_set(rng, n=12, scale=0.4)
         prev_support = None
@@ -197,3 +217,21 @@ class TestBuildGraph:
         cs = _random_set(rng, n=8, scale=0.3)
         g = build_compat_graph(cs, CompatConfig(sigma_d=0.5, theta_override=0.05))
         assert g.theta_cmp == 0.05
+
+
+def test_build_peak_memory_is_bounded(rng):
+    # gamma is thresholded in place into w_gamma and the SOG product is one
+    # more array: at most 3.5 N x N float64 arrays at the peak (about 5 when
+    # the threshold, the product and its mirror each made their own)
+    import tracemalloc
+    n = 600
+    cs = _random_set(rng, n=n, scale=0.5)
+    cfg = CompatConfig(sigma_d=0.2)
+    build_compat_graph(cs, cfg)  # warm-up outside the measurement
+    tracemalloc.start()
+    try:
+        build_compat_graph(cs, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (8.0 * n * n) <= 3.5

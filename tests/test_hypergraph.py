@@ -5,10 +5,10 @@ import oracles
 from hgct.compat import CompatConfig, CompatGraph, GraphOrder, build_compat_graph
 from hgct.errors import NoEdges
 from hgct.geom import CorrSet
-from hgct.hypergraph import (Hypergraph, dump, excluded_edge_count,
-                             gt_hypergraph, hyperedge_degrees,
-                             hyperedge_precision, hyperedge_weights,
-                             init_hypergraph, vertex_degrees)
+from hgct.hypergraph import (Hypergraph, gt_hypergraph, hyperedge_precision,
+                             init_hypergraph)
+from oracles import (dump, excluded_edge_count, hyperedge_degrees,
+                     hyperedge_weights, vertex_degrees)
 
 
 def _graph_from_w(w):

@@ -6,46 +6,6 @@ from hgct import kernels
 from hgct.geom import random_rotation
 
 
-class TestCrossImplementation:
-    """The numba and numpy paths must agree on every kernel."""
-
-    def setup_method(self):
-        self.impls = kernels.implementations()
-
-    def test_gamma_matrix_paths_agree(self, rng):
-        if "numba" not in self.impls:
-            pytest.skip("numba path disabled")
-        src = rng.uniform(-1, 1, (40, 3))
-        tgt = rng.uniform(-1, 1, (40, 3))
-        a = self.impls["numpy"]["gamma_matrix"](src, tgt, 0.3)
-        b = self.impls["numba"]["gamma_matrix"](src, tgt, 0.3)
-        assert np.max(np.abs(a - b)) < 1e-14
-
-    def test_mae_scores_paths_agree(self, rng):
-        if "numba" not in self.impls:
-            pytest.skip("numba path disabled")
-        rots = np.stack([random_rotation(rng) for _ in range(6)])
-        trans = rng.normal(size=(6, 3))
-        src = rng.uniform(-1, 1, (100, 3))
-        tgt = rng.uniform(-1, 1, (100, 3))
-        a = self.impls["numpy"]["mae_scores"](rots, trans, src, tgt, 0.5)
-        b = self.impls["numba"]["mae_scores"](rots, trans, src, tgt, 0.5)
-        assert np.max(np.abs(a - b)) < 1e-10
-
-    def test_nms_paths_agree(self, rng):
-        if "numba" not in self.impls:
-            pytest.skip("numba path disabled")
-        pts = rng.uniform(-1, 1, (60, 3))
-        order = rng.permutation(60)
-        a = self.impls["numpy"]["nms_select"](pts, order, 0.3)
-        b = self.impls["numba"]["nms_select"](pts, order.astype(np.int64), 0.3)
-        assert np.array_equal(a, b)
-        for cap in range(int(a.sum()) + 2):
-            a = self.impls["numpy"]["nms_select"](pts, order, 0.3, cap)
-            b = self.impls["numba"]["nms_select"](pts, order.astype(np.int64), 0.3, cap)
-            assert np.array_equal(a, b)
-
-
 class TestContracts:
     def test_gamma_symmetric_zero_diag(self, rng):
         src = rng.uniform(-1, 1, (25, 3))
@@ -100,6 +60,18 @@ class TestContracts:
             got = kernels.gamma_matrix_numpy(src, tgt, sigma_d)
             ref = oracles.gamma_matrix_reference(src, tgt, sigma_d)
             assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+    def test_gamma_matrix_blocks_match_reference(self, rng):
+        # sizes around the row-block boundaries, including a short last block
+        b = kernels.GAMMA_ROWS
+        for n in (b - 1, b, b + 1, 2 * b + 3):
+            src = rng.uniform(-1, 1, (n, 3))
+            tgt = src + rng.normal(0.0, 0.05, (n, 3))
+            tgt[::4] = rng.uniform(-1, 1, tgt[::4].shape)
+            got = kernels.gamma_matrix_numpy(src, tgt, 0.1)
+            ref = oracles.gamma_matrix_reference(src, tgt, 0.1)
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+            assert np.array_equal(got, got.T)
 
     def test_mae_scores_numpy_matches_per_transform_loop(self, rng):
         src = rng.uniform(-1, 1, (150, 3))
