@@ -91,6 +91,12 @@ def _result(value, parents: Sequence[Var], vjp) -> Var:
     return out
 
 
+def _tracked(*pairs) -> List[Tuple["Var", np.ndarray]]:
+    """VJP pairs (parent, gradient) for the tracked parents only. Each
+    gradient is given as a function, so a constant's is never computed."""
+    return [(parent, grad_of()) for parent, grad_of in pairs if parent.track]
+
+
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     """Sum `grad` down to `shape` (inverse of numpy broadcasting)."""
     if grad.shape == tuple(shape):
@@ -112,8 +118,8 @@ def add(a, b) -> Var:
     a, b = wrap(a), wrap(b)
 
     def vjp(g):
-        return ((a, _unbroadcast(g, a.value.shape)),
-                (b, _unbroadcast(g, b.value.shape)))
+        return _tracked((a, lambda: _unbroadcast(g, a.value.shape)),
+                        (b, lambda: _unbroadcast(g, b.value.shape)))
 
     return _result(a.value + b.value, (a, b), vjp)
 
@@ -122,8 +128,8 @@ def sub(a, b) -> Var:
     a, b = wrap(a), wrap(b)
 
     def vjp(g):
-        return ((a, _unbroadcast(g, a.value.shape)),
-                (b, _unbroadcast(-g, b.value.shape)))
+        return _tracked((a, lambda: _unbroadcast(g, a.value.shape)),
+                        (b, lambda: _unbroadcast(-g, b.value.shape)))
 
     return _result(a.value - b.value, (a, b), vjp)
 
@@ -132,8 +138,8 @@ def mul(a, b) -> Var:
     a, b = wrap(a), wrap(b)
 
     def vjp(g):
-        return ((a, _unbroadcast(g * b.value, a.value.shape)),
-                (b, _unbroadcast(g * a.value, b.value.shape)))
+        return _tracked((a, lambda: _unbroadcast(g * b.value, a.value.shape)),
+                        (b, lambda: _unbroadcast(g * a.value, b.value.shape)))
 
     return _result(a.value * b.value, (a, b), vjp)
 
@@ -142,7 +148,7 @@ def matmul(a, b) -> Var:
     a, b = wrap(a), wrap(b)
 
     def vjp(g):
-        return ((a, g @ b.value.T), (b, a.value.T @ g))
+        return _tracked((a, lambda: g @ b.value.T), (b, lambda: a.value.T @ g))
 
     return _result(a.value @ b.value, (a, b), vjp)
 

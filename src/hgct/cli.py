@@ -5,7 +5,8 @@ register (one scene), bench (metrics over a dataset), gradcheck
 (finite-difference verification), report (merge bench summaries).
 
 Common flags: --config <path>, --seed <int>, --out <path>. The environment
-variable HGCT_THREADS caps the bench worker pool. Exit code 0 on success;
+variable HGCT_THREADS caps the processes of bench and train (the `threads`
+key, 0 = every usable CPU). Exit code 0 on success;
 failures print one `error: <message>` line on stderr and exit nonzero.
 """
 
@@ -18,6 +19,7 @@ import sys
 from .config import RunConfig, default_config_text, load_config
 from .errors import HgctError
 from .hgnn import init_params, load_checkpoint, save_checkpoint
+from .kernels import set_blas_threads, worker_count
 from .metrics import aggregate, evaluate_scene, failed_pair
 from .pipeline import register
 from .sceneio import dataset_files, read_dataset, read_scene, write_dataset
@@ -85,6 +87,7 @@ _worker_args = None  # evaluate_scene's arguments after the scene, per pool work
 def _init_worker(*stage_args) -> None:
     global _worker_args
     _worker_args = stage_args
+    set_blas_threads(1)  # for the worker's life: the workers share the cores
 
 
 def _bench_scene(scene_path, *stage_args):
@@ -100,24 +103,13 @@ def _bench_in_worker(scene_path):
     return _bench_scene(scene_path, *_worker_args)
 
 
-def _worker_count(cfg: RunConfig) -> int:
-    cap = os.environ.get("HGCT_THREADS")
-    workers = cfg.threads
-    if cap is not None:
-        try:
-            workers = min(workers, max(1, int(cap)))
-        except ValueError:
-            raise HgctError(f"HGCT_THREADS must be an integer, got {cap!r}")
-    return max(1, workers)
-
-
 def cmd_bench(args) -> int:
     cfg = _load_run_config(args)
     scene_paths = dataset_files(args.dataset)
     # params and stage configs are built once and handed to each worker once
     stage_args = (_params_for(cfg, args.checkpoint), cfg.compat_config(),
                   cfg.pipeline_config(), cfg.thresholds())
-    workers = _worker_count(cfg)
+    workers = worker_count(cfg.threads, len(scene_paths))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

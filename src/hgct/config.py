@@ -27,7 +27,7 @@ _OVERRIDES = {"nms_radius": (Optional[float], None)}
 # the file's key order: (key, type, default) for keys no stage declares, and
 # the stage config classes; a field several stages declare is one key
 _LAYOUT = (
-    ("seed", int, 0), ("channels", int, 32), ("threads", int, 1),
+    ("seed", int, 0), ("channels", int, 32),
     ("checkpoint", Optional[str], None),
     CompatConfig, PipelineConfig, TrainConfig,
     ("n_scenes", int, 16),

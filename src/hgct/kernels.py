@@ -1,12 +1,95 @@
-"""Hot numeric kernels: plain float64 arrays in, plain arrays out.
+"""Hot numeric kernels: plain float64 arrays in, plain arrays out, and the
+process and BLAS thread budget they run with.
 
 There is one implementation, in numpy; `NUMBA_ENABLED` names the backend
 that ran (always False) for reports.
 """
 
+import contextlib
+import ctypes
+import functools
+import glob
+import os
+
 import numpy as np
 
+from .errors import ConfigError
+
 NUMBA_ENABLED = False
+
+# thread-count symbols of the OpenBLAS builds numpy bundles, {} = get or set
+_OPENBLAS_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads")
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_thread_fns():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "*openblas*"))
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for pattern in _OPENBLAS_SYMBOLS:
+            get = getattr(lib, pattern.format("get"), None)
+            set_ = getattr(lib, pattern.format("set"), None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+def set_blas_threads(n: int) -> int:
+    """Set numpy's OpenBLAS to `n` threads and return the previous count;
+    returns 0 and changes nothing where that OpenBLAS is not found.
+
+    Processes that each take a share of the cores use one thread each: with
+    OpenBLAS's default of one thread per core they oversubscribe the cores.
+    """
+    fns = _openblas_thread_fns()
+    if fns is None:
+        return 0
+    get, set_ = fns
+    previous = get()
+    set_(n)
+    return previous
+
+
+@contextlib.contextmanager
+def blas_threads(n: int):
+    """Run the block with numpy's OpenBLAS on `n` threads (see
+    set_blas_threads) and restore the previous count after it."""
+    previous = set_blas_threads(n)
+    try:
+        yield
+    finally:
+        if previous:
+            set_blas_threads(previous)
+
+
+def worker_count(threads: int, jobs: int) -> int:
+    """Processes to run `jobs` independent jobs on: `threads`, or every CPU
+    this process may run on when it is 0, capped by the HGCT_THREADS
+    environment variable and by `jobs`; at least 1."""
+    if threads < 0:
+        raise ConfigError(f"threads must be >= 0, got {threads}")
+    if threads > 0:
+        workers = threads
+    elif hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))
+    else:
+        workers = os.cpu_count() or 1
+    cap = os.environ.get("HGCT_THREADS")
+    if cap is not None:
+        try:
+            workers = min(workers, max(1, int(cap)))
+        except ValueError:
+            raise ConfigError(f"HGCT_THREADS must be an integer, got {cap!r}") from None
+    return max(1, min(workers, jobs))
+
 
 GAMMA_ROWS = 32  # rows of the score matrix computed per block (cache-sized)
 
@@ -64,7 +147,8 @@ def mae_scores_numpy(rots, trans, src, tgt, theta):
     for lo in range(0, len(rots), MAE_CHUNK):
         hi = lo + MAE_CHUNK
         d = src @ rots[lo:hi].transpose(0, 2, 1) + trans[lo:hi, None, :] - tgt
-        r = np.sqrt(np.sum(d ** 2, axis=2))
+        x, y, z = d[..., 0], d[..., 1], d[..., 2]
+        r = np.sqrt(x * x + y * y + z * z)
         out[lo:hi] = np.sum(np.maximum(0.0, 1.0 - r / theta), axis=1)
     return out
 

@@ -264,6 +264,11 @@ def register(corrs: CorrSet, params: HgnnParams, cc: CompatConfig,
 
     scores = np.array([h.score for h in hypotheses])
     best = hypotheses[int(np.lexsort((np.arange(len(scores)), -scores))[0])]
+    if best.score == 0.0:
+        # e.g. a scene in millimetres: every residual exceeds theta_inlier
+        raise NoHypothesis(
+            f"no correspondence lies within theta_inlier={pc.theta_inlier} of any of "
+            f"{len(hypotheses)} hypotheses; sigma_d and theta_inlier are in metres")
 
     diagnostics.update({
         "n": n,

@@ -8,6 +8,7 @@ weights against the inlier incidence).
 """
 
 import csv
+import multiprocessing
 import time
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional
@@ -16,10 +17,11 @@ import numpy as np
 
 from . import autodiff as av
 from .compat import CompatConfig, build_compat_graph, round_half_up
-from .errors import NonFinite
+from .errors import HgctError, NonFinite
 from .geom import CorrSet, RigidTransform, inlier_labels, random_rotation
 from .hgnn import ForwardTrace, HgnnParams, forward, init_params
 from .hypergraph import Hypergraph, gt_hypergraph, init_hypergraph
+from .kernels import blas_threads, worker_count
 
 PROB_EPS = 1e-7  # clamp bound for probabilities inside BCE terms
 
@@ -52,6 +54,7 @@ class TrainConfig:
     theta_inlier: float = 0.1     # meters
     sigma_d: float = 0.1          # meters
     seed: int = 0
+    threads: int = 0              # processes per batch; 0 = every usable CPU
 
     def __post_init__(self):
         if self.lr < 0:
@@ -60,6 +63,8 @@ class TrainConfig:
             raise ValueError("lr_decay must be in (0, 1]")
         if self.batch < 1 or self.epochs < 1:
             raise ValueError("batch and epochs must be >= 1")
+        if self.threads < 0:
+            raise ValueError("threads must be >= 0")
 
 
 def gen_scene(cfg: SynthConfig) -> CorrSet:
@@ -228,6 +233,112 @@ def prepare_scene(corrs: CorrSet, sigma_d: float, theta_inlier: float,
     return PreparedScene(corrs=corrs, hg0=hg0, w_h0=g.w_h0, labels=labels)
 
 
+def _scene_grads(prepared: List[PreparedScene], idxs, params: HgnnParams) -> list:
+    """(parameter gradients, loss components) of each listed scene, in order."""
+    wrt = [params.var(n) for n in params.names]
+    out = []
+    for idx in idxs:
+        ps = prepared[idx]
+        try:
+            trace = forward(ps.corrs, ps.hg0, ps.w_h0, params)
+            total, comps = joint_loss(trace, ps.labels, params)
+            out.append((av.grad(total, wrt), comps))
+        except NonFinite as err:
+            raise NonFinite(f"scene {idx}: {err}") from err
+    return out
+
+
+def _serve(conn, prepared: List[PreparedScene], params: HgnnParams) -> None:
+    """A training worker's loop: each message (scene indices, parameter
+    values) is answered with _scene_grads of those scenes, or with the
+    NonFinite it raised; None ends the loop."""
+    while True:
+        msg = conn.recv()
+        if msg is None:
+            return
+        idxs, values = msg
+        for name, value in zip(params.names, values):
+            params.var(name).value = value
+        try:
+            reply = _scene_grads(prepared, idxs, params)
+        except NonFinite as err:
+            reply = err
+        conn.send(reply)
+
+
+class _Worker:
+    """A forked process serving _serve over a pipe. It inherits the prepared
+    scenes and the parameter layout, so only indices, parameter values and
+    results cross the pipe."""
+
+    STOP_TIMEOUT_S = 5.0
+
+    def __init__(self, prepared: List[PreparedScene], params: HgnnParams):
+        ctx = multiprocessing.get_context("fork")
+        self.conn, child = ctx.Pipe()
+        self.proc = ctx.Process(target=_serve, args=(child, prepared, params),
+                                daemon=True)
+        self.proc.start()
+        child.close()  # so the worker's exit reads as EOF here
+
+    def _exited(self) -> HgctError:
+        self.proc.join(self.STOP_TIMEOUT_S)
+        return HgctError(f"training worker {self.proc.pid} exited "
+                         f"(exit code {self.proc.exitcode})")
+
+    def send(self, msg) -> None:
+        try:
+            self.conn.send(msg)
+        except OSError:
+            raise self._exited() from None
+
+    def recv(self):
+        try:
+            return self.conn.recv()
+        except (EOFError, OSError):  # OSError: it exited with our message unread
+            raise self._exited() from None
+
+    def stop(self) -> None:
+        try:
+            self.conn.send(None)
+        except OSError:
+            pass  # it has exited already
+        self.proc.join(self.STOP_TIMEOUT_S)
+        if self.proc.is_alive():
+            self.proc.terminate()
+            self.proc.join()
+        self.conn.close()
+
+
+def _process_count(tc: TrainConfig) -> int:
+    """Processes computing each batch: the parent and forked workers. Serial
+    where fork is unavailable or a daemonic process may not have children."""
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return 1
+    return worker_count(tc.threads, tc.batch)
+
+
+def _chunk_grads(chunk, prepared: List[PreparedScene], params: HgnnParams,
+                 workers: List[_Worker]) -> list:
+    """_scene_grads of every scene of the chunk, in chunk order. The chunk is
+    split into contiguous parts: this process computes the first, worker i
+    part i + 1."""
+    parts = np.array_split(chunk, len(workers) + 1)
+    values = [params.value(n) for n in params.names]
+    for worker, part in zip(workers, parts[1:]):
+        worker.send((part, values))
+    try:
+        results = _scene_grads(prepared, parts[0], params)
+    finally:
+        replies = [worker.recv() for worker in workers]  # keeps the pipes in step
+    for reply in replies:
+        if isinstance(reply, NonFinite):
+            raise reply
+        results += reply
+    return results
+
+
 def train(scenes: Iterable[CorrSet], tc: TrainConfig, params_init: HgnnParams,
           log_csv=None, cc: Optional[CompatConfig] = None,
           history: Optional[list] = None) -> HgnnParams:
@@ -235,6 +346,9 @@ def train(scenes: Iterable[CorrSet], tc: TrainConfig, params_init: HgnnParams,
 
     Gradients are averaged over `tc.batch` scenes per step; the learning rate
     decays by `tc.lr_decay` each epoch. Fully deterministic given tc.seed.
+    Each batch is computed by `tc.threads` processes (see _process_count),
+    each with one BLAS thread; gradients and losses are summed in batch order,
+    so the result is bit-identical for any process count.
     Emits per-epoch mean losses to `log_csv` (path or file-like) when given;
     when `history` is a list it also receives one mean-loss dict per epoch.
     """
@@ -247,7 +361,6 @@ def train(scenes: Iterable[CorrSet], tc: TrainConfig, params_init: HgnnParams,
     opt = Adam(params)
     rng = np.random.default_rng(tc.seed)
     names = params.names
-    wrt = [params.var(n) for n in names]
 
     close_log = False
     writer = None
@@ -261,38 +374,37 @@ def train(scenes: Iterable[CorrSet], tc: TrainConfig, params_init: HgnnParams,
         writer.writerow(["epoch", "mean_loss_class", "mean_loss_match",
                          "mean_loss_graph", "mean_loss_total", "wall_seconds"])
 
+    workers: List[_Worker] = []
     try:
-        for epoch in range(tc.epochs):
-            t0 = time.perf_counter()
-            lr = tc.lr * (tc.lr_decay ** epoch)
-            order = rng.permutation(len(prepared))
-            sums = {"class": 0.0, "match": 0.0, "graph": 0.0, "total": 0.0}
-            for start in range(0, len(order), tc.batch):
-                chunk = order[start:start + tc.batch]
-                acc = {n: np.zeros_like(params.value(n)) for n in names}
-                for idx in chunk:
-                    ps = prepared[idx]
-                    try:
-                        trace = forward(ps.corrs, ps.hg0, ps.w_h0, params)
-                        total, comps = joint_loss(trace, ps.labels, params)
-                        grads = av.grad(total, wrt)
-                    except NonFinite as err:
-                        raise NonFinite(f"scene {idx}: {err}") from err
-                    for n, g in zip(names, grads):
-                        acc[n] += g
-                    for k in sums:
-                        sums[k] += comps[k]
-                scale = 1.0 / len(chunk)
-                opt.step(params, {n: acc[n] * scale for n in names}, lr)
-            means = {k: v / len(prepared) for k, v in sums.items()}
-            wall = time.perf_counter() - t0
-            if history is not None:
-                history.append(means)
-            if writer is not None:
-                writer.writerow([epoch, f"{means['class']:.8f}", f"{means['match']:.8f}",
-                                 f"{means['graph']:.8f}", f"{means['total']:.8f}",
-                                 f"{wall:.3f}"])
+        with blas_threads(1):
+            for _ in range(_process_count(tc) - 1):
+                workers.append(_Worker(prepared, params))
+            for epoch in range(tc.epochs):
+                t0 = time.perf_counter()
+                lr = tc.lr * (tc.lr_decay ** epoch)
+                order = rng.permutation(len(prepared))
+                sums = {"class": 0.0, "match": 0.0, "graph": 0.0, "total": 0.0}
+                for start in range(0, len(order), tc.batch):
+                    chunk = order[start:start + tc.batch]
+                    acc = {n: np.zeros_like(params.value(n)) for n in names}
+                    for grads, comps in _chunk_grads(chunk, prepared, params, workers):
+                        for n, g in zip(names, grads):
+                            acc[n] += g
+                        for k in sums:
+                            sums[k] += comps[k]
+                    scale = 1.0 / len(chunk)
+                    opt.step(params, {n: acc[n] * scale for n in names}, lr)
+                means = {k: v / len(prepared) for k, v in sums.items()}
+                wall = time.perf_counter() - t0
+                if history is not None:
+                    history.append(means)
+                if writer is not None:
+                    writer.writerow([epoch, f"{means['class']:.8f}",
+                                     f"{means['match']:.8f}", f"{means['graph']:.8f}",
+                                     f"{means['total']:.8f}", f"{wall:.3f}"])
     finally:
+        for worker in workers:
+            worker.stop()
         if close_log:
             fh.close()
     return params

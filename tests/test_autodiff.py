@@ -289,3 +289,14 @@ class TestEngine:
             y = av.add(y, 1.0)
         g = av.grad(y, [x])[0]
         assert g == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("op", [av.add, av.sub, av.mul, av.matmul])
+    def test_vjp_skips_constant_parents(self, rng, op):
+        x = av.param(rng.normal(size=(4, 4)))
+        c = rng.normal(size=(4, 4))
+        for out in (op(x, c), op(c, x)):
+            pairs = out._vjp(np.ones(out.shape))
+            assert len(pairs) == 1 and pairs[0][0] is x
+        y = av.param(rng.normal(size=(4, 4)))
+        pairs = op(x, y)._vjp(np.ones((4, 4)))
+        assert [p is q for (p, _), q in zip(pairs, (x, y))] == [True, True]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import hgct.cli
+from hgct import kernels
 from hgct.cli import main
 from hgct.config import parse_config
 from hgct.geom import CorrSet, RigidTransform
@@ -226,6 +227,25 @@ class TestBench:
         a.pop("mean_runtime_s")
         b.pop("mean_runtime_s")
         assert a == b
+
+    def test_pool_results_csv_matches_serial(self, small_dataset, tmp_path, capsys):
+        rows = {}
+        for threads in (1, 2):
+            cfg = _write_config(tmp_path, f"threads = {threads}\n")
+            out = str(tmp_path / f"bench{threads}")
+            assert main(["bench", "--config", cfg, small_dataset, "--out", out]) == 0
+            with open(os.path.join(out, "results.csv")) as f:
+                rows[threads] = [line.split(",")[:-1] for line in f.read().splitlines()]
+        assert rows[1] == rows[2]
+
+    def test_pool_worker_runs_one_blas_thread(self):
+        fns = kernels._openblas_thread_fns()
+        if fns is None:
+            pytest.skip("numpy's bundled OpenBLAS not found")
+        get, _ = fns
+        with kernels.blas_threads(get()):  # restores this process's count
+            hgct.cli._init_worker()
+            assert get() == 1
 
     def test_hgct_threads_env_must_be_int(self, small_dataset, tmp_path,
                                           capsys, monkeypatch):

@@ -139,7 +139,7 @@ class TestDerivedConfigs:
             step=2, theta_inlier=0.2, nms_radius=0.15, n1_frac=0.6)
         assert cfg.train_config() == TrainConfig(
             epochs=5, lr=0.001, lr_decay=0.9, batch=3, theta_inlier=0.2,
-            sigma_d=0.25, seed=7)
+            sigma_d=0.25, seed=7, threads=3)
         assert cfg.synth_config() == SynthConfig(
             n_corrs=50, inlier_ratio=0.5, noise_sigma=0.02, scene_extent=2.0,
             rot_max_deg=90.0, trans_max=0.5, seed=7)

@@ -1,8 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 
 import oracles
 from hgct import kernels
+from hgct.errors import ConfigError
 from hgct.geom import random_rotation
 
 
@@ -82,3 +85,58 @@ class TestContracts:
             got = kernels.mae_scores_numpy(rots, trans, src, tgt, 0.1)
             ref = oracles.mae_scores_loop(rots, trans, src, tgt, 0.1)
             assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e-1, 1.0, 1e1, 1e3])
+    def test_mae_scores_numpy_matches_sum_of_squares(self, rng, scale):
+        # x*x + y*y + z*z against np.sum(d ** 2, axis=...), bit for bit
+        src = rng.uniform(-scale, scale, (300, 3))
+        tgt = src + rng.normal(0.0, 0.05 * scale, (300, 3))
+        tgt[::3] = rng.uniform(-scale, scale, tgt[::3].shape)
+        m = 2 * kernels.MAE_CHUNK + 3
+        rots = np.stack([random_rotation(rng, 30.0) for _ in range(m)])
+        trans = rng.normal(0.0, 0.1 * scale, (m, 3))
+        got = kernels.mae_scores_numpy(rots, trans, src, tgt, 0.1 * scale)
+        ref = oracles.mae_scores_loop(rots, trans, src, tgt, 0.1 * scale)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+class TestBlasThreads:
+    def test_restores_previous_count(self):
+        fns = kernels._openblas_thread_fns()
+        if fns is None:
+            pytest.skip("numpy's bundled OpenBLAS not found")
+        get, _ = fns
+        before = get()
+        with kernels.blas_threads(1):
+            assert get() == 1
+        assert get() == before
+        with pytest.raises(RuntimeError):
+            with kernels.blas_threads(1):
+                raise RuntimeError("inside")
+        assert get() == before
+
+
+class TestWorkerCount:
+    def test_zero_means_every_usable_cpu(self, monkeypatch):
+        monkeypatch.delenv("HGCT_THREADS", raising=False)
+        cpus = len(os.sched_getaffinity(0))
+        assert kernels.worker_count(0, 10_000) == cpus
+        assert kernels.worker_count(3, 10_000) == 3
+
+    def test_capped_by_jobs_and_env(self, monkeypatch):
+        monkeypatch.delenv("HGCT_THREADS", raising=False)
+        assert kernels.worker_count(8, 5) == 5
+        assert kernels.worker_count(8, 0) == 1
+        monkeypatch.setenv("HGCT_THREADS", "2")
+        assert kernels.worker_count(8, 5) == 2
+        assert kernels.worker_count(1, 5) == 1
+        monkeypatch.setenv("HGCT_THREADS", "0")
+        assert kernels.worker_count(8, 5) == 1
+
+    def test_bad_values_rejected(self, monkeypatch):
+        monkeypatch.setenv("HGCT_THREADS", "two")
+        with pytest.raises(ConfigError, match="HGCT_THREADS"):
+            kernels.worker_count(2, 5)
+        monkeypatch.delenv("HGCT_THREADS")
+        with pytest.raises(ConfigError, match="threads"):
+            kernels.worker_count(-1, 5)

@@ -493,3 +493,17 @@ class TestRegister:
         params = init_params(channels=4, seed=0)
         with pytest.raises(NoHypothesis):
             register(cs, params, CompatConfig(sigma_d=0.1), PipelineConfig())
+
+    def test_millimetre_scene_raises_no_hypothesis(self):
+        # the thresholds are in metres: on a scene in millimetres every
+        # residual exceeds theta_inlier and the best score is 0
+        from hgct.errors import NoHypothesis
+        params = init_params(channels=32, seed=0)
+        for seed in range(2):
+            sc = gen_scene(SynthConfig(n_corrs=200, seed=seed))
+            mm = CorrSet(1000.0 * sc.src, 1000.0 * sc.tgt,
+                         gt=RigidTransform(sc.gt.R, 1000.0 * sc.gt.t), labels=sc.labels)
+            with pytest.raises(NoHypothesis, match="metres"):
+                register(mm, params, CompatConfig(), PipelineConfig())
+            _, diag = register(sc, params, CompatConfig(), PipelineConfig())
+            assert diag["best_score"] > 0 and diag["re_deg"] < 1.0

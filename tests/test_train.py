@@ -1,16 +1,25 @@
+import importlib
 import io
+import multiprocessing
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
 
 from hgct import autodiff as av
 from hgct.compat import gamma_matrix
+from hgct.errors import HgctError, NonFinite
 from hgct.geom import residuals
 from hgct.hgnn import init_params, forward
 from hgct.hypergraph import gt_hypergraph
 from hgct.train import (Adam, SynthConfig, TrainConfig, gen_scene,
                         gradient_check, joint_loss, loss_class, loss_graph,
                         loss_match, prepare_scene, scene_batch, train)
+
+# the module: the package's `train` attribute is the function
+train_module = importlib.import_module("hgct.train")
 
 
 def _bce_loop(p, y):
@@ -235,3 +244,102 @@ class TestGradientCheck:
         rep = gradient_check(n=8, channels=4, seed=3)
         assert rep["max_rel_err"] < 1e-3
         assert rep["n_params"] == 1074
+
+
+@pytest.fixture
+def alarm():
+    """Fails the test instead of letting it hang past `seconds`."""
+    def on_alarm(signum, frame):
+        raise TimeoutError("train did not return")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    yield lambda seconds: signal.alarm(seconds)
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+class TestParallelTrain:
+    def _scenes(self, n_scenes):
+        return scene_batch(SynthConfig(n_corrs=30, inlier_ratio=0.4,
+                                       noise_sigma=0.01), n_scenes, seed0=20)
+
+    def _train(self, scenes, **tc_fields):
+        history = []
+        params = train(scenes, TrainConfig(lr=1e-3, seed=3, **tc_fields),
+                       init_params(channels=8, seed=1), history=history)
+        return params.flat(), history
+
+    # uneven splits, an empty part, a short last chunk, threads above the batch
+    @pytest.mark.parametrize("n_scenes,batch,epochs,threads", [
+        (7, 5, 3, 2), (7, 5, 2, 3), (6, 2, 2, 4), (5, 6, 2, 2)])
+    def test_bit_identical_to_serial(self, n_scenes, batch, epochs, threads):
+        scenes = self._scenes(n_scenes)
+        serial = self._train(scenes, epochs=epochs, batch=batch, threads=1)
+        parallel = self._train(scenes, epochs=epochs, batch=batch, threads=threads)
+        assert np.array_equal(parallel[0], serial[0])
+        assert parallel[1] == serial[1]
+        assert not multiprocessing.active_children()
+
+    def test_worker_nonfinite_carries_serial_message(self, monkeypatch):
+        scenes = self._scenes(4)
+        # with batch 2 and two processes the worker computes the second scene
+        # of each chunk
+        target = int(np.random.default_rng(0).permutation(4)[1])
+        computed_here = []
+
+        def forward_failing_on_target(corrs, *args, **kwargs):
+            idx = next(i for i, s in enumerate(scenes) if s is corrs)
+            computed_here.append(idx)
+            if idx == target:
+                raise NonFinite("injected")
+            return forward(corrs, *args, **kwargs)
+
+        monkeypatch.setattr(train_module, "forward", forward_failing_on_target)
+        messages = []
+        for threads in (1, 2):
+            computed_here.clear()
+            with pytest.raises(NonFinite) as err:
+                train(scenes, TrainConfig(epochs=1, batch=2, seed=0, threads=threads),
+                      init_params(channels=4, seed=1))
+            messages.append(str(err.value))
+        assert messages == [f"scene {target}: injected"] * 2
+        assert target not in computed_here  # the worker raised it
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("where", ["_scene_grads", "_serve"])
+    def test_dead_worker_raises_instead_of_hanging(self, monkeypatch, alarm, where):
+        # the worker exits while computing, or before it reads its first message
+        parent = os.getpid()
+        original = getattr(train_module, where)
+
+        def exit_in_worker(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return original(*args)
+
+        monkeypatch.setattr(train_module, where, exit_in_worker)
+        alarm(60)
+        t0 = time.perf_counter()
+        with pytest.raises(HgctError, match="exit code 3"):
+            train(self._scenes(4), TrainConfig(epochs=2, batch=2, threads=2),
+                  init_params(channels=4, seed=1))
+        assert time.perf_counter() - t0 < 30
+        assert not multiprocessing.active_children()
+
+    def test_process_count(self, monkeypatch):
+        count = train_module._process_count
+        monkeypatch.delenv("HGCT_THREADS", raising=False)
+        assert count(TrainConfig(batch=4, threads=3)) == 3
+        assert count(TrainConfig(batch=2, threads=3)) == 2
+        monkeypatch.setenv("HGCT_THREADS", "1")
+        assert count(TrainConfig(batch=4, threads=3)) == 1
+        monkeypatch.delenv("HGCT_THREADS")
+        monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        assert count(TrainConfig(batch=4, threads=3)) == 1
+        monkeypatch.undo()
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert count(TrainConfig(batch=4, threads=3)) == 1
+
+    def test_negative_threads_rejected(self):
+        with pytest.raises(ValueError, match="threads"):
+            TrainConfig(threads=-1)
