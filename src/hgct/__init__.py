@@ -9,8 +9,8 @@ minimal-set sampling with truncated-MAE verification.
 from .compat import CompatConfig, CompatGraph, GraphOrder, build_compat_graph
 from .errors import (ConfigError, DegenerateInput, EmptyGraph, HgctError,
                      NoEdges, NoHypothesis, NonFinite)
-from .geom import (CorrSet, Correspondence, Point3, RigidTransform, kabsch_svd,
-                   residual, residuals, rotation_error_deg, translation_error)
+from .geom import (CorrSet, RigidTransform, kabsch_svd, residuals, rotation_error_deg,
+                   translation_error)
 from .hgnn import (ForwardTrace, HgnnParams, LossGrads, backward, forward,
                    init_params, load_checkpoint, save_checkpoint)
 from .hypergraph import (Hypergraph, gt_hypergraph, hyperedge_precision,
@@ -27,8 +27,8 @@ __all__ = [
     "CompatConfig", "CompatGraph", "GraphOrder", "build_compat_graph",
     "ConfigError", "DegenerateInput", "EmptyGraph", "HgctError", "NoEdges",
     "NoHypothesis", "NonFinite",
-    "CorrSet", "Correspondence", "Point3", "RigidTransform", "kabsch_svd",
-    "residual", "residuals", "rotation_error_deg", "translation_error",
+    "CorrSet", "RigidTransform", "kabsch_svd", "residuals", "rotation_error_deg",
+    "translation_error",
     "ForwardTrace", "HgnnParams", "LossGrads", "backward", "forward",
     "init_params", "load_checkpoint", "save_checkpoint",
     "Hypergraph", "gt_hypergraph", "hyperedge_precision", "init_hypergraph",

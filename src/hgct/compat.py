@@ -14,7 +14,7 @@ import numpy as np
 
 from . import kernels
 from .errors import EmptyGraph
-from .geom import Correspondence, CorrSet
+from .geom import CorrSet
 
 
 class GraphOrder(str, Enum):
@@ -47,22 +47,6 @@ class CompatGraph:
 def round_half_up(x: float) -> int:
     """round() with ties away from zero, as used for all count parameters."""
     return int(np.floor(x + 0.5))
-
-
-def rigid_distance(c_i: Correspondence, c_j: Correspondence) -> float:
-    """| ||p_i^s - p_j^s|| - ||p_i^t - p_j^t|| |; zero for two exact inliers."""
-    ds = np.linalg.norm(c_i.src.as_array() - c_j.src.as_array())
-    dt = np.linalg.norm(c_i.tgt.as_array() - c_j.tgt.as_array())
-    return float(abs(ds - dt))
-
-
-def compat_score(d: float, sigma_d: float) -> float:
-    """Truncated quadratic compatibility max(0, 1 - d^2/sigma_d^2) in [0, 1]."""
-    if sigma_d <= 0:
-        raise ValueError("sigma_d must be positive")
-    if d < 0:
-        raise ValueError("rigid distance must be nonnegative")
-    return float(max(0.0, 1.0 - (d * d) / (sigma_d * sigma_d)))
 
 
 def gamma_matrix(corrs: CorrSet, sigma_d: float) -> np.ndarray:

@@ -13,31 +13,6 @@ RANK_EPS = 1e-12
 
 
 @dataclass(frozen=True)
-class Point3:
-    """A 3D point in meters."""
-
-    x: float
-    y: float
-    z: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=np.float64)
-
-    @staticmethod
-    def from_array(a) -> "Point3":
-        return Point3(float(a[0]), float(a[1]), float(a[2]))
-
-
-@dataclass(frozen=True)
-class Correspondence:
-    """A putative match pairing a source point with a target point."""
-
-    src: Point3
-    tgt: Point3
-    feat: Optional[np.ndarray] = None
-
-
-@dataclass(frozen=True)
 class RigidTransform:
     """Rotation (3x3, orthonormal, det +1) and translation (3-vector, meters)."""
 
@@ -189,12 +164,6 @@ def kabsch_batch(src, tgt, weights=None):
     rots = np.matmul(u, vt)
     trans = c_tgt[:, 0] - np.matmul(rots, c_src.transpose(0, 2, 1))[:, :, 0]
     return rots, trans, ok
-
-
-def residual(transform: RigidTransform, c: Correspondence) -> float:
-    """Euclidean reprojection distance ||R p_src + t - p_tgt|| in meters."""
-    p = transform.R @ c.src.as_array() + transform.t - c.tgt.as_array()
-    return float(np.sqrt(p @ p))
 
 
 def residuals(transform: RigidTransform, src, tgt) -> np.ndarray:

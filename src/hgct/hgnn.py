@@ -20,9 +20,12 @@ The top-K selection is treated as constant support during differentiation:
 gradients flow through the retained sigmoid magnitudes only.
 
 Memory: `forward(..., keep_layers=False)`, which `pipeline.register` uses,
-keeps only X^5, Y^4, H^4, W_H^4 and s_hat in the trace, so each layer's
-N x N H and W_H are freed once the next layer's exist, instead of all five
-staying alive until the pass ends.
+keeps only X^5, Y^4, H^4, W_H^4 and s_hat in the trace and drops every N x N
+array after its last read: w_h0 once the log bias exists, W_H^t once its
+column sums are taken, H^t once H^{t+1} exists. Without a tape the update
+writes W_H^{t+1} into its score array, and top-K retention runs in row
+blocks. Handing hg0 and w_h0 over in `Handover` holders lets forward drop
+the caller's last reference to them too.
 
 Checkpoint format: ASCII magic line b"HGCT-CKPT v1\n", then three
 little-endian uint32 (channels, layer count, total parameter count), then all
@@ -167,7 +170,7 @@ class ForwardTrace:
     """Per-layer states plus tape handles sufficient for backpropagation.
 
     A trace made with keep_layers=False holds only the last entry of each
-    list (X^5, Y^4, H^4, W_H^4)."""
+    list (X^5, Y^4, H^4, W_H^4) and an empty (0, 0) w_nonlocal."""
 
     xs: List[np.ndarray]        # X^0 .. X^5, each (N, C)
     ys: List[np.ndarray]        # Y^0 .. Y^4
@@ -196,9 +199,6 @@ class ForwardTrace:
     @property
     def wh_final(self) -> np.ndarray:
         return self.whs[-1]
-
-    def final_hypergraph(self) -> Hypergraph:
-        return Hypergraph(h=self.hs[-1].copy(), w_h=self.whs[-1].copy())
 
 
 @dataclass
@@ -241,6 +241,9 @@ def k2_schedule(n: int) -> List[int]:
             for t in range(N_UPDATES)]
 
 
+TOPK_BLOCK = 1 << 16  # elements per row block of _topk_retention's temporaries
+
+
 def _topk_retention(scores: np.ndarray, support: np.ndarray, k2: int) -> np.ndarray:
     """Per-row mask keeping the k2 highest-score entries within `support`.
 
@@ -248,17 +251,24 @@ def _topk_retention(scores: np.ndarray, support: np.ndarray, k2: int) -> np.ndar
     the lower column index: a longer row keeps every supported entry above
     its k2-th largest supported score, then fills the remaining slots with
     the entries equal to that score, in column order. Scores are finite.
+    The rule is per row, so it runs one block of rows at a time and its
+    temporaries are block-sized.
     """
-    supp = support > 0
-    mask = supp.astype(support.dtype)
-    rows = np.flatnonzero(np.count_nonzero(supp, axis=1) > k2)
-    if rows.size:
-        s = np.where(supp[rows], scores[rows], -np.inf)
-        kth = np.partition(s, -k2, axis=1)[:, [-k2]]
-        above = s > kth
-        tie = s == kth
-        room = k2 - np.count_nonzero(above, axis=1)
-        mask[rows] = above | (tie & (np.cumsum(tie, axis=1, dtype=np.int32) <= room[:, None]))
+    mask = np.empty(support.shape, dtype=support.dtype)
+    step = max(1, TOPK_BLOCK // support.shape[1])
+    for lo in range(0, len(mask), step):
+        supp = support[lo:lo + step] > 0
+        out = mask[lo:lo + step]
+        out[...] = supp
+        rows = np.flatnonzero(np.count_nonzero(supp, axis=1) > k2)
+        if rows.size:
+            s = np.where(supp[rows], scores[lo:lo + step][rows], -np.inf)
+            kth = np.partition(s, -k2, axis=1)[:, [-k2]]
+            above = s > kth
+            tie = s == kth
+            room = k2 - np.count_nonzero(above, axis=1)
+            out[rows] = above | (tie & (np.cumsum(tie, axis=1, dtype=np.int32)
+                                        <= room[:, None]))
     return mask
 
 
@@ -270,13 +280,36 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
 def _update(x: av.Var, y: av.Var, h: np.ndarray, params: HgnnParams, t: int,
             k2: int) -> Tuple[np.ndarray, av.Var]:
     """Structure update t: H^{t+1} and W_H^{t+1} from the masked sigmoid scores.
-    Its N x N temporaries are freed on return."""
+    Without a tape, W_H^{t+1} is the same product written into the scores."""
     q = _affine(x, params, f"upd.{t}.q")
     k = _affine(y, params, f"upd.{t}.k")
     s_full = av.scaled_scores(q, k, 1.0 / np.sqrt(params.channels), h, "sigmoid",
                               off_support=-MASK_NEG)
     retention = _topk_retention(s_full.value, h, k2)
-    return retention, av.mul(s_full, retention)
+    if s_full.track:
+        return retention, av.mul(s_full, retention)
+    s_full.value *= retention
+    return retention, s_full
+
+
+class Handover:
+    """An argument handed over to `forward`, which empties the holder as it
+    reads it. CPython keeps a call's arguments alive until the call returns,
+    so only through a holder can forward drop the last reference to an
+    N x N input (hg0, w_h0) as soon as it has read it."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+
+def _received(arg):
+    """arg itself, or the value of a Handover, which is emptied."""
+    if isinstance(arg, Handover):
+        value, arg.value = arg.value, None
+        return value
+    return arg
 
 
 def forward(corrs: CorrSet, hg0: Hypergraph, w_h0: np.ndarray,
@@ -284,20 +317,28 @@ def forward(corrs: CorrSet, hg0: Hypergraph, w_h0: np.ndarray,
     """Run the network on one correspondence set.
 
     hg0 is the initial hypergraph; w_h0 is the raw initial weight matrix used
-    as the NonLocal attention bias. Records the autodiff tape unless called
-    under autodiff.no_grad(). With keep_layers=False the per-layer lists of
-    the trace hold only the last layer (xs = [X^5], ys = [Y^4], hs = [H^4],
-    whs = [W_H^4], and the same for the *_vars), so each layer's N x N
-    arrays are freed once the next one exists. Every layer is checked for
-    non-finite values as it is computed, so NonFinite names the first bad one.
+    as the NonLocal attention bias. Either may come in a Handover, which
+    forward empties; the arrays themselves are never modified. Records the
+    autodiff tape unless called under autodiff.no_grad(). With
+    keep_layers=False the per-layer lists of the trace hold only the last
+    layer (xs = [X^5], ys = [Y^4], hs = [H^4], whs = [W_H^4], and the same
+    for the *_vars) and w_nonlocal is empty, and every N x N array is
+    dropped after its last read. Every layer is checked for non-finite
+    values as it is computed, so NonFinite names the first bad one.
     """
     n = len(corrs)
     if n < 3:
         raise ValueError("need at least 3 correspondences")
     c = params.channels
-    w_h0 = np.asarray(w_h0, dtype=np.float64)
+    w_h0 = np.asarray(_received(w_h0), dtype=np.float64)
     log_bias = w_h0 + NONLOCAL_EPS
     np.log(log_bias, out=log_bias)
+    w_nonlocal = w_h0 if keep_layers else np.empty((0, 0))
+    del w_h0
+    hg0 = _received(hg0)
+    h = hg0.h
+    wh: Optional[av.Var] = av.wrap(hg0.w_h)
+    del hg0
     k2s = k2_schedule(n)
 
     x_vars: List[av.Var] = []
@@ -308,15 +349,12 @@ def forward(corrs: CorrSet, hg0: Hypergraph, w_h0: np.ndarray,
     def keep(layers: list, item, name: Optional[str] = None) -> None:
         if name is not None:
             _check_finite(name, item.value)
-        if not keep_layers:
-            layers.clear()
-        layers.append(item)
+        if keep_layers:
+            layers.append(item)
 
     inp = np.concatenate([corrs.src, corrs.tgt], axis=1)
     x = av.l2norm_rows(_affine(av.wrap(inp), params, "input_lift"))
     y = av.wrap(np.zeros((n, c)))   # Y^{-1}
-    h = hg0.h
-    wh: av.Var = av.wrap(hg0.w_h)
     keep(x_vars, x, "X^0")
     keep(hs, h)
     keep(wh_vars, wh, "W_H^0")
@@ -328,6 +366,8 @@ def forward(corrs: CorrSet, hg0: Hypergraph, w_h0: np.ndarray,
         keep(y_vars, y, f"Y^{t}")
 
         we = av.vsum(wh, axis=0)
+        if t < N_UPDATES:
+            wh = None  # read only for we; the update makes W_H^{t+1}
         dv_inv = _safe_inv(h.sum(axis=1))
         xhat = av.mul(av.matmul(av.wrap(h), av.mul(av.reshape(we, (n, 1)), y)),
                       dv_inv[:, None])
@@ -343,9 +383,11 @@ def forward(corrs: CorrSet, hg0: Hypergraph, w_h0: np.ndarray,
     s_hat = av.reshape(av.sigmoid(_affine(x, params, "conf")), (n,))
     _check_finite("s_hat", s_hat.value)
 
+    if not keep_layers:
+        x_vars, y_vars, hs, wh_vars = [x], [y], [h], [wh]
     return ForwardTrace(xs=[v.value for v in x_vars], ys=[v.value for v in y_vars],
                         hs=hs, whs=[v.value for v in wh_vars], s_hat=s_hat.value,
-                        w_nonlocal=w_h0, channels=c, x_vars=x_vars,
+                        w_nonlocal=w_nonlocal, channels=c, x_vars=x_vars,
                         y_vars=y_vars, wh_vars=wh_vars, s_var=s_hat)
 
 

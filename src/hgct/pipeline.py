@@ -19,10 +19,10 @@ import numpy as np
 from . import autodiff as av
 from . import kernels
 from .compat import CompatConfig, build_compat_graph, round_half_up
-from .errors import NoHypothesis
+from .errors import NoEdges, NoHypothesis
 from .geom import CorrSet, RigidTransform, kabsch_batch, pose_errors, residuals
 from .geom import kabsch_svd  # noqa: F401  (perfbench/layers.py wraps pipeline.kabsch_svd)
-from .hgnn import HgnnParams, forward
+from .hgnn import Handover, HgnnParams, forward
 from .hypergraph import Hypergraph, hyperedge_precision, init_hypergraph
 
 
@@ -244,6 +244,14 @@ def register(corrs: CorrSet, params: HgnnParams, cc: CompatConfig,
     w_h0, theta_cmp = g.w_h0, g.theta_cmp
     del g  # frees w_gamma, which nothing below reads
     timings["graph_ms"] = 1000.0 * (time.perf_counter() - t0)
+    labels = corrs.labels
+    if labels is not None:
+        try:
+            precision_before = hyperedge_precision(hg0, labels)
+        except NoEdges:  # H^4 lies inside H^0, so the after figure raises it
+            precision_before = None
+    # forward drops H^0, W_H^0 and w_h0 after their last reads
+    hg0, w_h0 = Handover(hg0), Handover(w_h0)
 
     t0 = time.perf_counter()
     with av.no_grad():
@@ -282,9 +290,8 @@ def register(corrs: CorrSet, params: HgnnParams, cc: CompatConfig,
         "best_seed": best.seed_index,
         "timings_ms": timings,
     })
-    labels = corrs.labels
     if labels is not None:
-        diagnostics["hyperedge_precision_before"] = hyperedge_precision(hg0, labels)
+        diagnostics["hyperedge_precision_before"] = precision_before
         diagnostics["hyperedge_precision_after"] = hyperedge_precision(hg_final, labels)
     if corrs.gt is not None:
         re, te = pose_errors(best.transform, corrs.gt)

@@ -7,9 +7,14 @@ with the implementation under test. The exceptions:
 the package; `nonlocal_apply`, a test entry point into the network's
 attention block; the `*_reference` and `*_chain` helpers, which keep the
 allocating numpy expressions and unfused tape ops that the package's in-place
-kernels must equal bit for bit; and the test-only views of a Hypergraph at
-the end (degrees, weights, empty-edge count, a debug listing).
+kernels must equal bit for bit; the test-only views of a Hypergraph (degrees,
+weights, empty-edge count, a debug listing); and the per-correspondence types
+and scalar functions at the end (Point3, Correspondence, rigid_distance,
+compat_score, residual), which the package works without.
 """
+
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -339,3 +344,52 @@ def dump(hg):
         vs = " ".join(str(i) for i in members)
         lines.append(f"edge {j}: v=[{vs}] w=[{weights}]")
     return "\n".join(lines)
+
+
+# per-correspondence types and scalar functions
+
+@dataclass(frozen=True)
+class Point3:
+    """A 3D point in meters."""
+
+    x: float
+    y: float
+    z: float
+
+    def as_array(self) -> np.ndarray:
+        return np.array([self.x, self.y, self.z], dtype=np.float64)
+
+    @staticmethod
+    def from_array(a) -> "Point3":
+        return Point3(float(a[0]), float(a[1]), float(a[2]))
+
+
+@dataclass(frozen=True)
+class Correspondence:
+    """A putative match pairing a source point with a target point."""
+
+    src: Point3
+    tgt: Point3
+    feat: Optional[np.ndarray] = None
+
+
+def rigid_distance(c_i: Correspondence, c_j: Correspondence) -> float:
+    """| ||p_i^s - p_j^s|| - ||p_i^t - p_j^t|| |; zero for two exact inliers."""
+    ds = np.linalg.norm(c_i.src.as_array() - c_j.src.as_array())
+    dt = np.linalg.norm(c_i.tgt.as_array() - c_j.tgt.as_array())
+    return float(abs(ds - dt))
+
+
+def compat_score(d: float, sigma_d: float) -> float:
+    """Truncated quadratic compatibility max(0, 1 - d^2/sigma_d^2) in [0, 1]."""
+    if sigma_d <= 0:
+        raise ValueError("sigma_d must be positive")
+    if d < 0:
+        raise ValueError("rigid distance must be nonnegative")
+    return float(max(0.0, 1.0 - (d * d) / (sigma_d * sigma_d)))
+
+
+def residual(transform, c: Correspondence) -> float:
+    """Euclidean reprojection distance ||R p_src + t - p_tgt|| in meters."""
+    p = transform.R @ c.src.as_array() + transform.t - c.tgt.as_array()
+    return float(np.sqrt(p @ p))

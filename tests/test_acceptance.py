@@ -30,7 +30,7 @@ from hgct.compat import (CompatConfig, GraphOrder, build_compat_graph,
                          dynamic_threshold, gamma_matrix)
 from hgct.geom import CorrSet, pose_errors
 from hgct.hgnn import forward, init_params, k2_schedule
-from hgct.hypergraph import (gt_hypergraph, hyperedge_precision,
+from hgct.hypergraph import (Hypergraph, gt_hypergraph, hyperedge_precision,
                              init_hypergraph)
 from hgct.metrics import MetricThresholds, aggregate, run_suite, sweep_theta
 from hgct.pipeline import (PipelineConfig, evaluate_hypothesis, gf_nms,
@@ -212,7 +212,8 @@ def test_c4_heldout_hyperedge_precision(trained_model):
         untrained.append(oracles.weighted_membership_precision(
             tr0.h_final, tr0.wh_final, ps.labels))
         before.append(hyperedge_precision(ps.hg0, ps.labels))
-        after.append(hyperedge_precision(tr.final_hypergraph(), ps.labels))
+        after.append(hyperedge_precision(Hypergraph(h=tr.h_final, w_h=tr.wh_final),
+                                         ps.labels))
     mt, mu = float(np.mean(trained)), float(np.mean(untrained))
     wins = sum(1 for a, b in zip(trained, untrained) if a > b)
     losses = sum(1 for a, b in zip(trained, untrained) if a < b)
@@ -279,7 +280,7 @@ def test_c6_gfnms_vs_nms():
         hg0 = init_hypergraph(g)
         with av.no_grad():
             tr = forward(sc, hg0, g.w_h0, params)
-        gf = gf_nms(tr.final_hypergraph(), s_hat, sc, pc)
+        gf = gf_nms(Hypergraph(h=tr.h_final, w_h=tr.wh_final), s_hat, sc, pc)
         nms = standard_nms_seeds(s_hat, sc.src, pc.nms_radius, n_s)
         gf_in = int(sc.labels[gf].sum())
         nms_in = int(sc.labels[nms].sum())
@@ -318,8 +319,8 @@ def test_c8_invariant_suites():
     cases = 0
 
     # geometry: residual nonnegativity, RE symmetry and bounds
-    from hgct.geom import RigidTransform, random_rotation, residual, rotation_error_deg
-    from hgct.geom import Correspondence, Point3
+    from hgct.geom import RigidTransform, random_rotation, rotation_error_deg
+    from oracles import Correspondence, Point3, residual
     for _ in range(250):
         a = random_rotation(rng)
         b = random_rotation(rng)
@@ -409,7 +410,6 @@ def test_c8_invariant_suites():
         sc = CorrSet(sc.src[:n], sc.tgt[:n], gt=sc.gt, labels=sc.labels[:n])
         score = evaluate_hypothesis(sc.gt, sc, 0.1)
         assert 0.0 <= score <= n
-        from hgct.hypergraph import Hypergraph
         h = (rng.uniform(size=(n, n)) < 0.3).astype(float)
         hg = Hypergraph(h=h, w_h=h.copy())
         s_hat = rng.uniform(size=n)

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 import oracles
 from hgct.compat import (CompatConfig, GraphOrder, build_compat_graph,
-                         compat_score, dynamic_threshold, gamma_matrix,
-                         rigid_distance, round_half_up)
+                         dynamic_threshold, gamma_matrix, round_half_up)
 from hgct.errors import EmptyGraph
-from hgct.geom import Correspondence, CorrSet, Point3
+from hgct.geom import CorrSet
+from oracles import Correspondence, Point3, compat_score, rigid_distance
 
 
 def _corr(src, tgt):

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 import oracles
 from hgct.errors import DegenerateInput
-from hgct.geom import (Correspondence, CorrSet, Point3, RigidTransform,
-                       kabsch_batch, kabsch_svd, random_rotation, residual, residuals,
-                       rotation_about_axis, rotation_error_deg,
-                       translation_error)
+from hgct.geom import (CorrSet, RigidTransform, kabsch_batch, kabsch_svd,
+                       random_rotation, residuals, rotation_about_axis,
+                       rotation_error_deg, translation_error)
+from oracles import Correspondence, Point3, residual
 
 
 def _corr(src, tgt):

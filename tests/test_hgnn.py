@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,10 +7,12 @@ from hypothesis import strategies as st
 
 import oracles
 from hgct import autodiff as av
+from hgct import hgnn
 from hgct.errors import NonFinite
 from hgct.geom import CorrSet
-from hgct.hgnn import (LossGrads, _topk_retention, backward, forward, init_params,
-                       k2_schedule, load_checkpoint, param_specs, save_checkpoint)
+from hgct.hgnn import (Handover, LossGrads, _topk_retention, _update, backward, forward,
+                       init_params, k2_schedule, load_checkpoint, param_specs,
+                       save_checkpoint)
 from hgct.hypergraph import Hypergraph, init_hypergraph
 from hgct.train import SynthConfig, gen_scene, joint_loss, prepare_scene
 
@@ -86,6 +90,67 @@ class TestTopkRetention:
         got = _topk_retention(scores, support, k2)
         assert got.dtype == np.float64
         assert np.array_equal(got, oracles.topk_retention_loop(scores, support, k2))
+
+    @pytest.mark.parametrize("rows", [2, 3])
+    def test_row_blocks_with_ties_across_boundaries(self, monkeypatch, rows):
+        # rows of equal, partly tied scores run on both sides of every block
+        # boundary; the k2-th score is tied in each long row
+        n, k2 = 11, 4
+        monkeypatch.setattr(hgnn, "TOPK_BLOCK", rows * n)
+        rng = np.random.default_rng(rows)
+        row = np.round(rng.uniform(size=n), 1)
+        row[[1, 4, 6, 9]] = row.max()
+        scores = np.tile(row, (n, 1))
+        scores[::3] = 0.5
+        support = (rng.uniform(size=(n, n)) < 0.8).astype(np.float64)
+        support[5] = 0.0
+        got = _topk_retention(scores, support, k2)
+        assert np.array_equal(got, oracles.topk_retention_loop(scores, support, k2))
+
+    @pytest.mark.parametrize("tape", [True, False])
+    @pytest.mark.parametrize("rows", [2, 3])
+    def test_update_in_row_blocks_matches_loops(self, monkeypatch, tape, rows):
+        # a zero k projection makes every score of a row equal: each row
+        # keeps its k2 lowest supported columns, in every block
+        ps, params = _prepared(n=10, seed=3, channels=4)
+        n = len(ps.corrs)
+        params.var("upd.0.k.w").value[:] = 0.0
+        with av.no_grad():
+            tr = forward(ps.corrs, ps.hg0, ps.w_h0, params)
+        monkeypatch.setattr(hgnn, "TOPK_BLOCK", rows * n)
+        k2 = k2_schedule(n)[0]
+        x, y = av.wrap(tr.xs[1]), av.wrap(tr.ys[0])
+        if tape:
+            h_new, w_new = _update(x, y, tr.hs[0], params, 0, k2)
+        else:
+            with av.no_grad():
+                h_new, w_new = _update(x, y, tr.hs[0], params, 0, k2)
+        assert w_new.track == tape
+        h_ref, w_ref = oracles.update_block_loop(tr.xs[1], tr.ys[0], tr.hs[0], params,
+                                                 0, k2, 4)
+        assert np.any(np.count_nonzero(tr.hs[0], axis=1) > k2)
+        assert np.array_equal(h_new, h_ref)
+        assert np.max(np.abs(w_new.value - w_ref)) < 1e-10
+        assert np.array_equal(h_new, tr.hs[1]) and np.array_equal(w_new.value, tr.whs[1])
+
+
+class TestUpdate:
+    def test_in_place_product_equals_taped_mul(self):
+        # without a tape W_H^{t+1} is written into the score array; with one
+        # it is av.mul(scores, retention): the same bits either way
+        ps, params = _prepared(n=12, seed=2, channels=8)
+        with av.no_grad():
+            tr = forward(ps.corrs, ps.hg0, ps.w_h0, params)
+        k2s = k2_schedule(len(ps.corrs))
+        for t in range(4):
+            x, y = av.wrap(tr.xs[t + 1]), av.wrap(tr.ys[t])
+            h_tape, w_tape = _update(x, y, tr.hs[t], params, t, k2s[t])
+            with av.no_grad():
+                h_lean, w_lean = _update(x, y, tr.hs[t], params, t, k2s[t])
+            assert w_tape.track and not w_lean.track
+            assert np.array_equal(h_tape, h_lean)
+            assert np.array_equal(w_tape.value, w_lean.value)
+            assert np.array_equal(w_lean.value, tr.whs[t + 1])
 
 
 class TestConventions:
@@ -199,6 +264,45 @@ class TestLeanForward:
         full, lean = self._both(ps.corrs, ps.hg0, ps.w_h0, params)
         assert np.any(np.diff(np.sort(full.whs[4][full.hs[4] > 0])) == 0)
         self._assert_last_layer_equal(full, lean)
+
+    def test_prepared_scene_twice_unchanged_and_equal(self):
+        ps, params = _prepared(n=12, seed=1, channels=8)
+        before = (ps.hg0.h.copy(), ps.hg0.w_h.copy(), ps.w_h0.copy())
+        with av.no_grad():
+            first = forward(ps.corrs, ps.hg0, ps.w_h0, params, keep_layers=False)
+            second = forward(ps.corrs, ps.hg0, ps.w_h0, params, keep_layers=False)
+        for arr, copy in zip((ps.hg0.h, ps.hg0.w_h, ps.w_h0), before):
+            assert np.array_equal(arr, copy)
+        for name in ("xs", "ys", "hs", "whs"):
+            assert np.array_equal(getattr(first, name)[0], getattr(second, name)[0]), name
+        assert np.array_equal(first.s_hat, second.s_hat)
+        assert first.w_nonlocal.shape == (0, 0)
+
+    def test_handed_over_inputs_die_after_their_last_read(self, monkeypatch):
+        # W_H^0 and w_h0 are dead by the first update; H^0, that update's
+        # support, is dead by the second
+        ps, params = _prepared(n=12, seed=1, channels=8)
+        with av.no_grad():
+            plain = forward(ps.corrs, ps.hg0, ps.w_h0, params, keep_layers=False)
+        hg0 = Hypergraph(h=ps.hg0.h.copy(), w_h=ps.hg0.w_h.copy())
+        w0 = ps.w_h0.copy()
+        refs = {"H^0": weakref.ref(hg0.h), "W_H^0": weakref.ref(hg0.w_h),
+                "w_h0": weakref.ref(w0)}
+        alive = []
+
+        def spy(*args):
+            alive.append({name for name, ref in refs.items() if ref() is not None})
+            return _update(*args)
+
+        monkeypatch.setattr(hgnn, "_update", spy)
+        holders = (Handover(hg0), Handover(w0))
+        del hg0, w0
+        with av.no_grad():
+            got = forward(ps.corrs, holders[0], holders[1], params, keep_layers=False)
+        assert holders[0].value is None and holders[1].value is None
+        assert alive == [{"H^0"}, set(), set(), set()]
+        assert np.array_equal(got.whs[0], plain.whs[0])
+        assert np.array_equal(got.s_hat, plain.s_hat)
 
     def test_input_hypergraph_left_unchanged(self):
         corrs, hg0, w0, params = _generic_instance(3)

@@ -3,11 +3,11 @@ import pytest
 
 import oracles
 from hgct import kernels
-from hgct.compat import CompatConfig
+from hgct.compat import CompatConfig, build_compat_graph
 from hgct.geom import (CorrSet, RigidTransform, pose_errors, random_rotation,
                        residuals)
 from hgct.hgnn import init_params
-from hgct.hypergraph import Hypergraph
+from hgct.hypergraph import Hypergraph, hyperedge_precision, init_hypergraph
 from hgct.pipeline import (Hypothesis, HypothesisOrigin, PipelineConfig,
                            evaluate_hypothesis, gf_adjacency, gf_nms, gf_score,
                            hypothesis_correctness, initial_hypotheses,
@@ -433,6 +433,18 @@ class TestRegister:
                     "hyperedge_precision_after", "re_deg", "te_m"):
             assert key in diag
 
+    def test_precision_before_is_that_of_the_initial_hypergraph(self):
+        # register takes it right after the graph build, before the network
+        # frees H^0
+        cc = CompatConfig()
+        params = init_params(channels=8, seed=0)
+        for seed in range(3):
+            sc = gen_scene(SynthConfig(n_corrs=150, inlier_ratio=0.2 + 0.1 * seed,
+                                       seed=seed))
+            _, diag = register(sc, params, cc, PipelineConfig())
+            hg0 = init_hypergraph(build_compat_graph(sc, cc))
+            assert diag["hyperedge_precision_before"] == hyperedge_precision(hg0, sc.labels)
+
     def test_rigid_motion_invariance(self, rng):
         # moving both clouds by a global motion G leaves RE/TE against the
         # conjugated ground truth unchanged (noise-free: both are ~0)
@@ -466,9 +478,10 @@ class TestRegister:
                      CompatConfig(sigma_d=0.001), PipelineConfig())
 
     def test_peak_memory_is_bounded(self):
-        # register keeps one layer of the network's N x N state alive, not
-        # five: at most 12 N x N float64 arrays at its peak (about 21 when
-        # every layer's H and W_H was kept)
+        # register frees every N x N array after its last read: at most 6
+        # N x N float64 arrays at its peak (about 4.6; 9.4 when H^0, W_H^0
+        # and w_h0 lived through the whole network pass, about 21 when every
+        # layer's H and W_H was kept)
         import tracemalloc
         n = 600
         sc = gen_scene(SynthConfig(n_corrs=n, inlier_ratio=0.3, seed=1))
@@ -481,7 +494,7 @@ class TestRegister:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / (8.0 * n * n) <= 12.0
+        assert peak / (8.0 * n * n) <= 6.0
 
     def test_all_degenerate_seeds_raise_no_hypothesis(self):
         from hgct.errors import NoHypothesis
