@@ -22,9 +22,8 @@ gradients flow through the retained sigmoid magnitudes only.
 Memory: `forward(..., keep_layers=False)`, which `pipeline.register` uses,
 keeps only X^5, Y^4, H^4, W_H^4 and s_hat in the trace and drops every N x N
 array after its last read: w_h0 once the log bias exists, W_H^t once its
-column sums are taken, H^t once H^{t+1} exists. Without a tape the update
-writes W_H^{t+1} into its score array, and top-K retention runs in row
-blocks. Handing hg0 and w_h0 over in `Handover` holders lets forward drop
+column sums are taken, H^t once H^{t+1} exists. The update writes
+W_H^{t+1} into its score array, and top-K retention runs in row blocks. Handing hg0 and w_h0 over in `Handover` holders lets forward drop
 the caller's last reference to them too.
 
 Checkpoint format: ASCII magic line b"HGCT-CKPT v1\n", then three
@@ -280,14 +279,19 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
 def _update(x: av.Var, y: av.Var, h: np.ndarray, params: HgnnParams, t: int,
             k2: int) -> Tuple[np.ndarray, av.Var]:
     """Structure update t: H^{t+1} and W_H^{t+1} from the masked sigmoid scores.
-    Without a tape, W_H^{t+1} is the same product written into the scores."""
+
+    W_H^{t+1} is the scores times the 0/1 retention mask, written into the
+    score array, with or without a tape. The sigmoid VJP g * s * (1 - s)
+    reads only its output, so its gradients equal those of
+    av.mul(scores, retention) bit for bit: where the mask is 1 nothing
+    changes, and where it is 0, (g * 0) * s * (1 - s) and g * 0 * (1 - 0)
+    are the same signed zero (NaN when g is not finite).
+    """
     q = _affine(x, params, f"upd.{t}.q")
     k = _affine(y, params, f"upd.{t}.k")
     s_full = av.scaled_scores(q, k, 1.0 / np.sqrt(params.channels), h, "sigmoid",
                               off_support=-MASK_NEG)
     retention = _topk_retention(s_full.value, h, k2)
-    if s_full.track:
-        return retention, av.mul(s_full, retention)
     s_full.value *= retention
     return retention, s_full
 

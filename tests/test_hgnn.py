@@ -136,21 +136,38 @@ class TestTopkRetention:
 
 class TestUpdate:
     def test_in_place_product_equals_taped_mul(self):
-        # without a tape W_H^{t+1} is written into the score array; with one
-        # it is av.mul(scores, retention): the same bits either way
+        # W_H^{t+1} is written into the score array; its value and its
+        # gradients equal those of av.mul(scores, retention) bit for bit,
+        # including the signed zeros where the retention mask is 0
         ps, params = _prepared(n=12, seed=2, channels=8)
         with av.no_grad():
             tr = forward(ps.corrs, ps.hg0, ps.w_h0, params)
         k2s = k2_schedule(len(ps.corrs))
+        rng = np.random.default_rng(0)
         for t in range(4):
-            x, y = av.wrap(tr.xs[t + 1]), av.wrap(tr.ys[t])
-            h_tape, w_tape = _update(x, y, tr.hs[t], params, t, k2s[t])
+            x = av.Var(tr.xs[t + 1], track=True)
+            y = av.Var(tr.ys[t], track=True)
+            h_new, w_new = _update(x, y, tr.hs[t], params, t, k2s[t])
+            scores = av.scaled_scores(hgnn._affine(x, params, f"upd.{t}.q"),
+                                      hgnn._affine(y, params, f"upd.{t}.k"),
+                                      1.0 / np.sqrt(params.channels), tr.hs[t],
+                                      "sigmoid", off_support=-hgnn.MASK_NEG)
+            h_ref = _topk_retention(scores.value, tr.hs[t], k2s[t])
+            w_ref = av.mul(scores, h_ref)
+            assert w_new.track
+            assert np.array_equal(h_new, h_ref) and np.any(h_ref == 0)
+            assert np.array_equal(w_new.value, w_ref.value)
+            assert np.array_equal(w_new.value, tr.whs[t + 1])
+            g = rng.standard_normal(w_new.shape)
+            for got, want in zip(av.gradients([w_new], [g], [x, y]),
+                                 av.gradients([w_ref], [g], [x, y])):
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
             with av.no_grad():
                 h_lean, w_lean = _update(x, y, tr.hs[t], params, t, k2s[t])
-            assert w_tape.track and not w_lean.track
-            assert np.array_equal(h_tape, h_lean)
-            assert np.array_equal(w_tape.value, w_lean.value)
-            assert np.array_equal(w_lean.value, tr.whs[t + 1])
+            assert not w_lean.track
+            assert np.array_equal(h_lean, h_ref)
+            assert np.array_equal(w_lean.value, w_ref.value)
 
 
 class TestConventions:
