@@ -27,10 +27,6 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 class Var:
     __slots__ = ("value", "track", "_parents", "_vjp")
 
@@ -289,45 +285,32 @@ def _softmax_rows_vjp(g: np.ndarray, s: np.ndarray) -> np.ndarray:
     return s * (g - dot)
 
 
-def softmax_rows(a) -> Var:
-    a = wrap(a)
-    s = a.value.copy()
-    _softmax_rows_inplace(s)
-
-    def vjp(g):
-        return ((a, _softmax_rows_vjp(g, s)),)
-
-    return _result(s, (a,), vjp)
-
-
 SCORE_BLOCK = 1 << 16  # elements per row block of scaled_scores (512 KB, cache-sized)
 
 _ACTIVATIONS = {"softmax": (_softmax_rows_inplace, _softmax_rows_vjp),
                 "sigmoid": (_sigmoid_inplace, _sigmoid_vjp)}
 
 
-def scaled_scores(q, k, scale: float, bias: np.ndarray, activation: str,
-                  off_support: Optional[float] = None) -> Var:
+def scaled_scores(q, k, scale: float, bias: Optional[np.ndarray], activation: str) -> Var:
     """activation(q k^T * scale + bias), with activation "softmax" (per row)
-    or "sigmoid", in one (N, M) array.
+    or "sigmoid", in one (N, M) array. bias is an (N, M) array, or None for
+    no bias.
 
-    bias is an (N, M) array added to the scaled scores. With off_support
-    given, bias is read as a support instead: off_support is added where bias
-    is not positive, which equals adding np.where(bias > 0, 0.0, off_support).
-
-    The result is bit-identical to matmul -> mul -> add -> softmax_rows /
-    sigmoid: the same operations in the same order, done in place, one block
-    of rows at a time so each block stays in cache. The VJP uses the chain's
-    expressions too, so gradients are bit-identical as well.
+    The result is bit-identical to matmul -> mul -> add -> row softmax /
+    sigmoid (matmul -> mul -> sigmoid without a bias): the same operations
+    in the same order, done in place, one block of rows at a time so each
+    block stays in cache. The VJP uses the chain's expressions too, so
+    gradients are bit-identical as well.
     """
     q, k = wrap(q), wrap(k)
     finish, act_vjp = _ACTIVATIONS[activation]
     s = q.value @ k.value.T
     rows = max(1, SCORE_BLOCK // s.shape[1])
     for lo in range(0, len(s), rows):
-        block, b = s[lo:lo + rows], bias[lo:lo + rows]
+        block = s[lo:lo + rows]
         block *= scale
-        block += b if off_support is None else np.where(b > 0, 0.0, off_support)
+        if bias is not None:
+            block += bias[lo:lo + rows]
         finish(block)
 
     def vjp(g):

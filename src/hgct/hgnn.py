@@ -10,7 +10,7 @@ Architecture (channel width C, 5 convolution layers, 4 structure updates):
     X    = relu(X^t + mlp2_t(Xhat))
     X^{t+1} = l2norm(nonlocal_t(X, W_nl))          W_nl = initial weight matrix
   between layers (t = 0..3):
-    S = sigmoid(q_t(X^{t+1}) k_t(Y^t)^T / sqrt(C) + mask)
+    S = sigmoid(q_t(X^{t+1}) k_t(Y^t)^T / sqrt(C))
     per vertex row: keep the K2(t) highest-S incident hyperedges,
     K2(t) = max(1, round(0.1 * (4 - t) * N)); kept sigmoid values become
     W_H^{t+1}, their support becomes H^{t+1}
@@ -20,11 +20,9 @@ The top-K selection is treated as constant support during differentiation:
 gradients flow through the retained sigmoid magnitudes only.
 
 Memory: `forward(..., keep_layers=False)`, which `pipeline.register` uses,
-keeps only X^5, Y^4, H^4, W_H^4 and s_hat in the trace and drops every N x N
-array after its last read: w_h0 once the log bias exists, W_H^t once its
-column sums are taken, H^t once H^{t+1} exists. The update writes
-W_H^{t+1} into its score array, and top-K retention runs in row blocks. Handing hg0 and w_h0 over in `Handover` holders lets forward drop
-the caller's last reference to them too.
+keeps only X^5, Y^4, H^4 and s_hat in the trace and drops or reuses every
+N x N array after its last read (see `forward`). The update writes W_H^{t+1}
+into its score array, and top-K retention runs in row blocks.
 
 Checkpoint format: ASCII magic line b"HGCT-CKPT v1\n", then three
 little-endian uint32 (channels, layer count, total parameter count), then all
@@ -48,7 +46,6 @@ from .hypergraph import Hypergraph
 
 N_LAYERS = 5
 N_UPDATES = 4
-MASK_NEG = 1e30       # finite stand-in for -inf in the update mask
 NONLOCAL_EPS = 1e-12  # floor inside log(W + eps)
 
 CKPT_MAGIC = b"HGCT-CKPT v1\n"
@@ -168,8 +165,10 @@ def load_checkpoint(path) -> HgnnParams:
 class ForwardTrace:
     """Per-layer states plus tape handles sufficient for backpropagation.
 
-    A trace made with keep_layers=False holds only the last entry of each
-    list (X^5, Y^4, H^4, W_H^4) and an empty (0, 0) w_nonlocal."""
+    A trace made with keep_layers=False holds only the last entry of xs, ys
+    and hs (X^5, Y^4, H^4) and of x_vars and y_vars, no W_H (whs and
+    wh_vars are empty, so wh_final raises IndexError) and an empty (0, 0)
+    w_nonlocal."""
 
     xs: List[np.ndarray]        # X^0 .. X^5, each (N, C)
     ys: List[np.ndarray]        # Y^0 .. Y^4
@@ -243,17 +242,20 @@ def k2_schedule(n: int) -> List[int]:
 TOPK_BLOCK = 1 << 16  # elements per row block of _topk_retention's temporaries
 
 
-def _topk_retention(scores: np.ndarray, support: np.ndarray, k2: int) -> np.ndarray:
+def _topk_retention(scores: np.ndarray, support: np.ndarray, k2: int,
+                    in_place: bool = False) -> np.ndarray:
     """Per-row mask keeping the k2 highest-score entries within `support`.
 
     Rows with at most k2 supported entries keep them all. Ties break toward
     the lower column index: a longer row keeps every supported entry above
     its k2-th largest supported score, then fills the remaining slots with
-    the entries equal to that score, in column order. Scores are finite.
-    The rule is per row, so it runs one block of rows at a time and its
-    temporaries are block-sized.
+    the entries equal to that score, in column order. Supported scores are
+    finite; the others are never read. The rule is per row, so it runs one
+    block of rows at a time and its temporaries are block-sized. With
+    in_place, the mask is written into `support` itself: each block's
+    support is read before the block is written.
     """
-    mask = np.empty(support.shape, dtype=support.dtype)
+    mask = support if in_place else np.empty(support.shape, dtype=support.dtype)
     step = max(1, TOPK_BLOCK // support.shape[1])
     for lo in range(0, len(mask), step):
         supp = support[lo:lo + step] > 0
@@ -277,21 +279,24 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
 
 
 def _update(x: av.Var, y: av.Var, h: np.ndarray, params: HgnnParams, t: int,
-            k2: int) -> Tuple[np.ndarray, av.Var]:
-    """Structure update t: H^{t+1} and W_H^{t+1} from the masked sigmoid scores.
+            k2: int, in_place: bool = False) -> Tuple[np.ndarray, av.Var]:
+    """Structure update t: H^{t+1} and W_H^{t+1} from the sigmoid scores.
 
     W_H^{t+1} is the scores times the 0/1 retention mask, written into the
-    score array, with or without a tape. The sigmoid VJP g * s * (1 - s)
-    reads only its output, so its gradients equal those of
+    score array, with or without a tape. Top-K reads only scores on the
+    support of H^t, and the product zeroes every other entry, so the scores
+    need no off-support mask: sigmoid(z) * 0 and sigmoid(z - 1e30) * 0 are
+    the same +0.0 for finite z (NaN for NaN z). The sigmoid VJP
+    g * s * (1 - s) reads only its output, so the gradients equal those of
     av.mul(scores, retention) bit for bit: where the mask is 1 nothing
     changes, and where it is 0, (g * 0) * s * (1 - s) and g * 0 * (1 - 0)
-    are the same signed zero (NaN when g is not finite).
+    are the same signed zero (NaN when g is not finite). With in_place,
+    H^{t+1} is written into h.
     """
     q = _affine(x, params, f"upd.{t}.q")
     k = _affine(y, params, f"upd.{t}.k")
-    s_full = av.scaled_scores(q, k, 1.0 / np.sqrt(params.channels), h, "sigmoid",
-                              off_support=-MASK_NEG)
-    retention = _topk_retention(s_full.value, h, k2)
+    s_full = av.scaled_scores(q, k, 1.0 / np.sqrt(params.channels), None, "sigmoid")
+    retention = _topk_retention(s_full.value, h, k2, in_place)
     s_full.value *= retention
     return retention, s_full
 
@@ -322,20 +327,27 @@ def forward(corrs: CorrSet, hg0: Hypergraph, w_h0: np.ndarray,
 
     hg0 is the initial hypergraph; w_h0 is the raw initial weight matrix used
     as the NonLocal attention bias. Either may come in a Handover, which
-    forward empties; the arrays themselves are never modified. Records the
-    autodiff tape unless called under autodiff.no_grad(). With
-    keep_layers=False the per-layer lists of the trace hold only the last
-    layer (xs = [X^5], ys = [Y^4], hs = [H^4], whs = [W_H^4], and the same
-    for the *_vars) and w_nonlocal is empty, and every N x N array is
-    dropped after its last read. Every layer is checked for non-finite
-    values as it is computed, so NonFinite names the first bad one.
+    forward empties. Records the autodiff tape unless called under
+    autodiff.no_grad(). With keep_layers=False the per-layer lists of the
+    trace hold only the last layer (xs = [X^5], ys = [Y^4], hs = [H^4], the
+    same for x_vars and y_vars; whs and wh_vars are empty) and w_nonlocal is
+    empty, and every N x N array is dropped after its last read: w_h0 once
+    the log bias exists, W_H^t once its column sums are taken, H^t once
+    H^{t+1} exists. A handed-over w_h0 then becomes the log bias in place,
+    and a handed-over H^0 holds H^1, then H^2 and on, unless a tape (which
+    reads H^t) is recorded. Plain arguments are never modified. Every layer
+    is checked for non-finite values as it is computed, so NonFinite
+    names the first bad one.
     """
     n = len(corrs)
     if n < 3:
         raise ValueError("need at least 3 correspondences")
     c = params.channels
+    # an argument handed over to a lean pass is forward's own to overwrite
+    own_w, own_h = (isinstance(a, Handover) and not keep_layers for a in (w_h0, hg0))
     w_h0 = np.asarray(_received(w_h0), dtype=np.float64)
-    log_bias = w_h0 + NONLOCAL_EPS
+    log_bias = w_h0 if own_w else w_h0.copy()
+    log_bias += NONLOCAL_EPS
     np.log(log_bias, out=log_bias)
     w_nonlocal = w_h0 if keep_layers else np.empty((0, 0))
     del w_h0
@@ -370,8 +382,9 @@ def forward(corrs: CorrSet, hg0: Hypergraph, w_h0: np.ndarray,
         keep(y_vars, y, f"Y^{t}")
 
         we = av.vsum(wh, axis=0)
-        if t < N_UPDATES:
-            wh = None  # read only for we; the update makes W_H^{t+1}
+        if t < N_UPDATES or not keep_layers:
+            wh = None  # read only for we; the update makes W_H^{t+1}, and
+            # only the full trace keeps W_H^4
         dv_inv = _safe_inv(h.sum(axis=1))
         xhat = av.mul(av.matmul(av.wrap(h), av.mul(av.reshape(we, (n, 1)), y)),
                       dv_inv[:, None])
@@ -380,7 +393,9 @@ def forward(corrs: CorrSet, hg0: Hypergraph, w_h0: np.ndarray,
         keep(x_vars, x, f"X^{t + 1}")
 
         if t < N_UPDATES:
-            h, wh = _update(x, y, h, params, t, k2s[t])
+            # a tape reads H^t in the conv's backward pass
+            h, wh = _update(x, y, h, params, t, k2s[t], own_h and not x.track)
+            own_h = not keep_layers
             keep(hs, h)
             keep(wh_vars, wh, f"W_H^{t + 1}")
 
@@ -388,7 +403,7 @@ def forward(corrs: CorrSet, hg0: Hypergraph, w_h0: np.ndarray,
     _check_finite("s_hat", s_hat.value)
 
     if not keep_layers:
-        x_vars, y_vars, hs, wh_vars = [x], [y], [h], [wh]
+        x_vars, y_vars, hs, wh_vars = [x], [y], [h], []
     return ForwardTrace(xs=[v.value for v in x_vars], ys=[v.value for v in y_vars],
                         hs=hs, whs=[v.value for v in wh_vars], s_hat=s_hat.value,
                         w_nonlocal=w_nonlocal, channels=c, x_vars=x_vars,

@@ -9,30 +9,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compat import CompatGraph
 from .errors import NoEdges
 
 
 @dataclass(frozen=True)
 class Hypergraph:
     h: np.ndarray     # (N, N) binary incidence, float64 holding {0, 1}
-    w_h: np.ndarray   # (N, N) nonnegative weights, zero where h is zero
+    w_h: np.ndarray   # (N, N) nonnegative weights, zero where h is zero;
+                      # (0, 0) where only h is kept (register's final H^4)
 
     @property
     def n(self) -> int:
         return self.h.shape[0]
 
 
-def init_hypergraph(g: CompatGraph) -> Hypergraph:
-    """Incidence from the positive support of w_h0, plus self-membership.
+def init_hypergraph(w_h0: np.ndarray) -> Hypergraph:
+    """Incidence from the positive support of the initial weights w_h0 (a
+    CompatGraph's), plus self-membership.
 
     Every non-isolated vertex i is added to its own hyperedge with weight 1 so
     that hypothesis sampling over e_i always contains the seed. Isolated
     vertices keep an all-zero row and column.
     """
-    w0 = g.w_h0
-    h = (w0 > 0).astype(np.float64)
-    w_h = w0.copy()
+    h = (w_h0 > 0).astype(np.float64)
+    w_h = w_h0.copy()
     non_isolated = h.sum(axis=1) > 0
     idx = np.flatnonzero(non_isolated)
     h[idx, idx] = 1.0
@@ -58,6 +58,6 @@ def hyperedge_precision(hg: Hypergraph, labels) -> float:
     nonempty = sizes > 0
     if not np.any(nonempty):
         raise NoEdges("every hyperedge is empty")
-    inlier_counts = hg.h[lab, :].sum(axis=0)
+    inlier_counts = lab.astype(np.float64) @ hg.h  # exact integer sums
     fractions = inlier_counts[nonempty] / sizes[nonempty]
     return float(np.mean(fractions))

@@ -100,34 +100,39 @@ def gamma_matrix_numpy(src, tgt, sigma_d):
     d is the rigid distance: | ||src_i-src_j|| - ||tgt_i-tgt_j|| |.
     src, tgt: (N, 3) float64. Returns (N, N) float64, exactly symmetric.
     Computed GAMMA_ROWS rows at a time so each block's passes stay in cache.
+    Each block is computed only from its first row's column on and mirrored
+    into the lower triangle: (a - b)^2 and (b - a)^2 are the same float, so
+    the mirrored entries are the ones a full computation would give.
     """
     n = len(src)
     g = np.empty((n, n))
-    tmp = np.empty((min(GAMMA_ROWS, n), n))
-    dist_tgt = np.empty_like(tmp)
+    buf = np.empty(3 * min(GAMMA_ROWS, n) * n)
 
-    def pdist(p, rows, out, scratch):
+    def pdist(p, rows, cols, out, scratch):
         # one accumulator, summed as (dx*dx + dy*dy) + dz*dz
-        np.subtract.outer(p[rows, 0], p[:, 0], out=out)
+        np.subtract.outer(p[rows, 0], p[cols, 0], out=out)
         out *= out
         for k in (1, 2):
-            np.subtract.outer(p[rows, k], p[:, k], out=scratch)
+            np.subtract.outer(p[rows, k], p[cols, k], out=scratch)
             scratch *= scratch
             out += scratch
         np.sqrt(out, out=out)
 
     for lo in range(0, n, GAMMA_ROWS):
-        rows = slice(lo, lo + GAMMA_ROWS)
-        block = g[rows]
-        b = len(block)
-        pdist(src, rows, block, tmp[:b])
-        pdist(tgt, rows, dist_tgt[:b], tmp[:b])
-        block -= dist_tgt[:b]
+        rows, cols = slice(lo, lo + GAMMA_ROWS), slice(lo, n)
+        b, m = min(GAMMA_ROWS, n - lo), n - lo
+        # contiguous scratch: the passes run much slower on strided views of g
+        block, dist_tgt, tmp = buf[:3 * b * m].reshape(3, b, m)
+        pdist(src, rows, cols, block, tmp)
+        pdist(tgt, rows, cols, dist_tgt, tmp)
+        block -= dist_tgt
         np.abs(block, out=block)
         block *= block
         block /= sigma_d * sigma_d
         np.subtract(1.0, block, out=block)
         np.maximum(0.0, block, out=block)
+        g[rows, cols] = block
+        g[rows, :lo] = g[:lo, rows].T
     np.fill_diagonal(g, 0.0)
     return g
 

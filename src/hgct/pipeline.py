@@ -240,23 +240,25 @@ def register(corrs: CorrSet, params: HgnnParams, cc: CompatConfig,
 
     t0 = time.perf_counter()
     g = build_compat_graph(corrs, cc)
-    hg0 = init_hypergraph(g)
     w_h0, theta_cmp = g.w_h0, g.theta_cmp
     del g  # frees w_gamma, which nothing below reads
+    hg0 = init_hypergraph(w_h0)
     timings["graph_ms"] = 1000.0 * (time.perf_counter() - t0)
     labels = corrs.labels
     if labels is not None:
         try:
             precision_before = hyperedge_precision(hg0, labels)
-        except NoEdges:  # H^4 lies inside H^0, so the after figure raises it
+        except NoEdges:  # an empty H^0: H^4, inside it, is empty too
             precision_before = None
-    # forward drops H^0, W_H^0 and w_h0 after their last reads
+    # forward drops W_H^0 after its last read and reuses the buffers of w_h0
+    # (as the log bias) and H^0 (as H^1..H^4)
     hg0, w_h0 = Handover(hg0), Handover(w_h0)
 
     t0 = time.perf_counter()
     with av.no_grad():
         trace = forward(corrs, hg0, w_h0, params, keep_layers=False)
-    hg_final = Hypergraph(h=trace.h_final, w_h=trace.wh_final)
+    # seeds, hypotheses and precision read only the incidence of H^4
+    hg_final = Hypergraph(h=trace.h_final, w_h=np.empty((0, 0)))
     timings["network_ms"] = 1000.0 * (time.perf_counter() - t0)
 
     t0 = time.perf_counter()
@@ -292,7 +294,8 @@ def register(corrs: CorrSet, params: HgnnParams, cc: CompatConfig,
     })
     if labels is not None:
         diagnostics["hyperedge_precision_before"] = precision_before
-        diagnostics["hyperedge_precision_after"] = hyperedge_precision(hg_final, labels)
+        diagnostics["hyperedge_precision_after"] = (
+            None if precision_before is None else hyperedge_precision(hg_final, labels))
     if corrs.gt is not None:
         re, te = pose_errors(best.transform, corrs.gt)
         diagnostics["re_deg"] = re

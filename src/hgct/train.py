@@ -223,7 +223,7 @@ def prepare_scene(corrs: CorrSet, sigma_d: float, theta_inlier: float,
     if cc is None:
         cc = CompatConfig(sigma_d=sigma_d)
     g = build_compat_graph(corrs, cc)
-    hg0 = init_hypergraph(g)
+    hg0 = init_hypergraph(g.w_h0)
     if corrs.gt is not None:
         labels = inlier_labels(corrs, corrs.gt, theta_inlier)
     elif corrs.labels is not None:

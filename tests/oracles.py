@@ -8,9 +8,11 @@ the package; `nonlocal_apply`, a test entry point into the network's
 attention block; the `*_reference` and `*_chain` helpers, which keep the
 allocating numpy expressions and unfused tape ops that the package's in-place
 kernels must equal bit for bit; the test-only views of a Hypergraph (degrees,
-weights, empty-edge count, a debug listing); and the per-correspondence types
-and scalar functions at the end (Point3, Correspondence, rigid_distance,
-compat_score, residual), which the package works without.
+weights, empty-edge count, a debug listing); the per-correspondence types
+and scalar functions (Point3, Correspondence, rigid_distance, compat_score,
+residual), which the package works without; and the tape-level row softmax
+and grad-mode query at the end (softmax_rows, grad_enabled), which are
+built on the package's kernels and which the network does not call.
 """
 
 from dataclasses import dataclass
@@ -280,16 +282,21 @@ def sigmoid_reference(a):
 
 
 def scaled_scores_reference(q, k, scale, bias, activation):
-    """activation(q k^T * scale + bias) as allocating expressions."""
-    z = (q @ k.T) * scale + bias
+    """activation(q k^T * scale + bias) as allocating expressions; no bias
+    term when bias is None."""
+    z = (q @ k.T) * scale
+    if bias is not None:
+        z = z + bias
     return softmax_rows_reference(z) if activation == "softmax" else sigmoid_reference(z)
 
 
 def scaled_scores_chain(q, k, scale, bias, activation):
     """The tape ops that av.scaled_scores fuses: matmul -> mul -> add ->
-    softmax_rows / sigmoid."""
-    z = av.add(av.mul(av.matmul(q, av.transpose(k)), scale), bias)
-    return av.softmax_rows(z) if activation == "softmax" else av.sigmoid(z)
+    softmax_rows / sigmoid, without the add when bias is None."""
+    z = av.mul(av.matmul(q, av.transpose(k)), scale)
+    if bias is not None:
+        z = av.add(z, bias)
+    return softmax_rows(z) if activation == "softmax" else av.sigmoid(z)
 
 
 def sog_product_reference(w_gamma):
@@ -393,3 +400,19 @@ def residual(transform, c: Correspondence) -> float:
     """Euclidean reprojection distance ||R p_src + t - p_tgt|| in meters."""
     p = transform.R @ c.src.as_array() + transform.t - c.tgt.as_array()
     return float(np.sqrt(p @ p))
+
+
+# tape-level ops the network reaches only through av.scaled_scores
+
+def softmax_rows(a):
+    """Row softmax as one tape op: the in-place kernel on a copy of the
+    input, and a VJP that reads the output."""
+    a = av.wrap(a)
+    s = a.value.copy()
+    av._softmax_rows_inplace(s)
+    return av._result(s, (a,), lambda g: ((a, av._softmax_rows_vjp(g, s)),))
+
+
+def grad_enabled():
+    """Whether the tape records, i.e. False inside av.no_grad()."""
+    return av._GRAD_ENABLED

@@ -277,7 +277,7 @@ def test_c6_gfnms_vs_nms():
                                    noise_sigma=0.01, seed=300 + seed))
         s_hat = sc.labels.astype(float)  # oracle confidences
         g = build_compat_graph(sc, cc)
-        hg0 = init_hypergraph(g)
+        hg0 = init_hypergraph(g.w_h0)
         with av.no_grad():
             tr = forward(sc, hg0, g.w_h0, params)
         gf = gf_nms(Hypergraph(h=tr.h_final, w_h=tr.wh_final), s_hat, sc, pc)

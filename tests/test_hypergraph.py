@@ -2,19 +2,13 @@ import numpy as np
 import pytest
 
 import oracles
-from hgct.compat import CompatConfig, CompatGraph, GraphOrder, build_compat_graph
+from hgct.compat import CompatConfig, build_compat_graph
 from hgct.errors import NoEdges
 from hgct.geom import CorrSet
 from hgct.hypergraph import (Hypergraph, gt_hypergraph, hyperedge_precision,
                              init_hypergraph)
 from oracles import (dump, excluded_edge_count, hyperedge_degrees,
                      hyperedge_weights, vertex_degrees)
-
-
-def _graph_from_w(w):
-    w = np.asarray(w, dtype=np.float64)
-    return CompatGraph(w_gamma=(w > 0).astype(float), w_h0=w, theta_cmp=0.0,
-                       order=GraphOrder.SOG)
 
 
 def _random_hypergraph(rng, n=10, density=0.4):
@@ -26,7 +20,7 @@ def _random_hypergraph(rng, n=10, density=0.4):
 class TestInit:
     def test_three_clique(self):
         w = np.ones((3, 3)) - np.eye(3)
-        hg = init_hypergraph(_graph_from_w(w))
+        hg = init_hypergraph(w)
         # every hyperedge contains all three vertices (self-membership added)
         assert np.array_equal(hg.h, np.ones((3, 3)))
         assert np.array_equal(hyperedge_degrees(hg), [3, 3, 3])
@@ -35,7 +29,7 @@ class TestInit:
     def test_isolated_vertex(self):
         w = np.zeros((4, 4))
         w[0, 1] = w[1, 0] = 0.5
-        hg = init_hypergraph(_graph_from_w(w))
+        hg = init_hypergraph(w)
         assert np.all(hg.h[2] == 0) and np.all(hg.h[:, 2] == 0)
         assert vertex_degrees(hg)[2] == 0
 
@@ -44,7 +38,7 @@ class TestInit:
             w = rng.uniform(size=(8, 8)) * (rng.uniform(size=(8, 8)) < 0.3)
             w = np.triu(w, 1)
             w = w + w.T
-            hg = init_hypergraph(_graph_from_w(w))
+            hg = init_hypergraph(w)
             for i in range(8):
                 for j in range(8):
                     if i == j:
@@ -57,7 +51,7 @@ class TestInit:
         w = rng.uniform(size=(6, 6)) * (rng.uniform(size=(6, 6)) < 0.5)
         w = np.triu(w, 1)
         w = w + w.T
-        hg = init_hypergraph(_graph_from_w(w))
+        hg = init_hypergraph(w)
         assert np.array_equal(hg.h, hg.h.T)
         assert np.array_equal(hg.w_h, hg.w_h.T)
 
@@ -65,7 +59,7 @@ class TestInit:
         src = rng.uniform(-1, 1, (8, 3))
         cs = CorrSet(src, src + 1.0)
         g = build_compat_graph(cs, CompatConfig(sigma_d=0.1))
-        hg = init_hypergraph(g)
+        hg = init_hypergraph(g.w_h0)
         assert np.all((hg.w_h > 0) <= (hg.h > 0))
 
 
@@ -148,7 +142,7 @@ class TestPrecision:
         src = rng.uniform(-1, 1, (8, 3))
         cs = CorrSet(src, src + 0.7, labels=np.ones(8, dtype=bool))
         g = build_compat_graph(cs, CompatConfig(sigma_d=0.1))
-        hg = init_hypergraph(g)
+        hg = init_hypergraph(g.w_h0)
         assert hyperedge_precision(hg, cs.labels) == 1.0
 
 

@@ -442,7 +442,7 @@ class TestRegister:
             sc = gen_scene(SynthConfig(n_corrs=150, inlier_ratio=0.2 + 0.1 * seed,
                                        seed=seed))
             _, diag = register(sc, params, cc, PipelineConfig())
-            hg0 = init_hypergraph(build_compat_graph(sc, cc))
+            hg0 = init_hypergraph(build_compat_graph(sc, cc).w_h0)
             assert diag["hyperedge_precision_before"] == hyperedge_precision(hg0, sc.labels)
 
     def test_rigid_motion_invariance(self, rng):
@@ -478,10 +478,10 @@ class TestRegister:
                      CompatConfig(sigma_d=0.001), PipelineConfig())
 
     def test_peak_memory_is_bounded(self):
-        # register frees every N x N array after its last read: at most 6
-        # N x N float64 arrays at its peak (about 4.6; 9.4 when H^0, W_H^0
-        # and w_h0 lived through the whole network pass, about 21 when every
-        # layer's H and W_H was kept)
+        # register frees every N x N array after its last read and reuses
+        # the buffers of w_h0 and H^0 in place: at most 4 N x N float64
+        # arrays at its peak (about 3.6; the dense floor is 3, the log
+        # bias, H^t and one score array)
         import tracemalloc
         n = 600
         sc = gen_scene(SynthConfig(n_corrs=n, inlier_ratio=0.3, seed=1))
@@ -494,7 +494,26 @@ class TestRegister:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / (8.0 * n * n) <= 6.0
+        assert peak / (8.0 * n * n) <= 4.0
+
+    @pytest.mark.parametrize("seed", [1, 4, 6])
+    def test_labelled_scene_with_empty_initial_hypergraph(self, seed):
+        # a graph with edges but no triangle: the SOG weights and H^0 are
+        # empty, the network still runs, and the precision of an empty
+        # hypergraph is undefined, so it is reported as None
+        rng = np.random.default_rng(seed)
+        src = rng.uniform(-2, 2, (12, 3))
+        tgt = src + rng.normal(0, 0.15, (12, 3))
+        params = init_params(8, 0)
+        cc, pc = CompatConfig(sigma_d=0.1), PipelineConfig()
+        assert not np.any(build_compat_graph(CorrSet(src, tgt), cc).w_h0)
+        t_plain, diag_plain = register(CorrSet(src, tgt), params, cc, pc)
+        labelled = CorrSet(src, tgt, labels=np.ones(12, dtype=bool))
+        t, diag = register(labelled, params, cc, pc)
+        assert diag["hyperedge_precision_before"] is None
+        assert diag["hyperedge_precision_after"] is None
+        assert np.array_equal(t.R, t_plain.R) and np.array_equal(t.t, t_plain.t)
+        assert diag["best_score"] == diag_plain["best_score"] > 0
 
     def test_all_degenerate_seeds_raise_no_hypothesis(self):
         from hgct.errors import NoHypothesis
