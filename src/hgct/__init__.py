@@ -11,13 +11,12 @@ from .errors import (ConfigError, DegenerateInput, EmptyGraph, HgctError,
                      NoEdges, NoHypothesis, NonFinite)
 from .geom import (CorrSet, RigidTransform, kabsch_svd, residuals, rotation_error_deg,
                    translation_error)
-from .hgnn import (ForwardTrace, HgnnParams, LossGrads, backward, forward,
-                   init_params, load_checkpoint, save_checkpoint)
+from .hgnn import (ForwardTrace, HgnnParams, forward, init_params, load_checkpoint,
+                   save_checkpoint)
 from .hypergraph import (Hypergraph, gt_hypergraph, hyperedge_precision,
                          init_hypergraph)
 from .metrics import MetricThresholds, PairResult, aggregate, inlier_metrics
-from .pipeline import (Hypothesis, PipelineConfig, evaluate_hypothesis, gf_nms,
-                       hypothesis_correctness, ransac_baseline, register)
+from .pipeline import Hypothesis, PipelineConfig, gf_nms, register
 from .train import (SynthConfig, TrainConfig, gen_scene, joint_loss, loss_class,
                     loss_graph, loss_match, train)
 
@@ -29,12 +28,11 @@ __all__ = [
     "NoHypothesis", "NonFinite",
     "CorrSet", "RigidTransform", "kabsch_svd", "residuals", "rotation_error_deg",
     "translation_error",
-    "ForwardTrace", "HgnnParams", "LossGrads", "backward", "forward",
-    "init_params", "load_checkpoint", "save_checkpoint",
+    "ForwardTrace", "HgnnParams", "forward", "init_params", "load_checkpoint",
+    "save_checkpoint",
     "Hypergraph", "gt_hypergraph", "hyperedge_precision", "init_hypergraph",
     "MetricThresholds", "PairResult", "aggregate", "inlier_metrics",
-    "Hypothesis", "PipelineConfig", "evaluate_hypothesis", "gf_nms",
-    "hypothesis_correctness", "ransac_baseline", "register",
+    "Hypothesis", "PipelineConfig", "gf_nms", "register",
     "SynthConfig", "TrainConfig", "gen_scene", "joint_loss", "loss_class",
     "loss_graph", "loss_match", "train",
     "__version__",

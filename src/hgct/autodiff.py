@@ -40,34 +40,6 @@ class Var:
     def shape(self):
         return self.value.shape
 
-    def item(self) -> float:
-        return float(self.value)
-
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def param(value) -> Var:
     """A leaf Var that participates in differentiation."""

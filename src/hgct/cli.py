@@ -56,7 +56,7 @@ def cmd_train(args) -> int:
     log_path = args.log or out + ".train.csv"
     params = train(scenes, cfg.train_config(),
                    init_params(channels=cfg.channels, seed=cfg.seed),
-                   log_csv=log_path)
+                   log_csv=log_path, cc=cfg.compat_config())
     save_checkpoint(params, out)
     print(f"wrote checkpoint {out} ({params.n_params()} parameters); "
           f"log: {log_path}")
@@ -112,10 +112,14 @@ def cmd_bench(args) -> int:
     workers = worker_count(cfg.threads, len(scene_paths))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=stage_args) as pool:
-            results = list(pool.map(_bench_in_worker, scene_paths))
+        try:
+            with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                     initargs=stage_args) as pool:
+                results = list(pool.map(_bench_in_worker, scene_paths))
+        except BrokenProcessPool as err:
+            raise HgctError(f"a bench worker process exited: {err}") from None
     else:
         results = [_bench_scene(p, *stage_args) for p in scene_paths]
 

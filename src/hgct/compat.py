@@ -49,11 +49,6 @@ def round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
-def gamma_matrix(corrs: CorrSet, sigma_d: float) -> np.ndarray:
-    """Dense pairwise compatibility scores with zero diagonal."""
-    return kernels.gamma_matrix(corrs.src, corrs.tgt, sigma_d)
-
-
 def dynamic_threshold(gamma: np.ndarray, k1_frac: float) -> float:
     """Mean of each row's K1 largest off-diagonal scores, K1 = max(1, round(k1_frac*N)).
 
@@ -112,7 +107,7 @@ def build_compat_graph(corrs: CorrSet, cfg: CompatConfig) -> CompatGraph:
     n = len(corrs)
     if n < 3:
         raise ValueError("need at least 3 correspondences")
-    gamma = gamma_matrix(corrs, cfg.sigma_d)
+    gamma = kernels.gamma_matrix(corrs.src, corrs.tgt, cfg.sigma_d)
     if cfg.theta_override is not None:
         theta = float(cfg.theta_override)
     else:

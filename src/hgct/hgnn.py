@@ -1,4 +1,4 @@
-"""Dynamic hypergraph network: forward pass, exact gradients, checkpoint I/O.
+"""Dynamic hypergraph network: forward pass (taped for autodiff), checkpoint I/O.
 
 Architecture (channel width C, 5 convolution layers, 4 structure updates):
 
@@ -17,7 +17,8 @@ Architecture (channel width C, 5 convolution layers, 4 structure updates):
   shat = sigmoid(conf_head(X^5))
 
 The top-K selection is treated as constant support during differentiation:
-gradients flow through the retained sigmoid magnitudes only.
+gradients (autodiff.gradients over the recorded tape) flow through the
+retained sigmoid magnitudes only.
 
 Memory: `forward(..., keep_layers=False)`, which `pipeline.register` uses,
 keeps only X^5, Y^4, H^4 and s_hat in the trace and drops or reuses every
@@ -176,15 +177,10 @@ class ForwardTrace:
     whs: List[np.ndarray]       # W_H^0 .. W_H^4
     s_hat: np.ndarray           # (N,) confidence in (0, 1)
     w_nonlocal: np.ndarray      # attention bias source (initial weights)
-    channels: int
     x_vars: List[av.Var]
     y_vars: List[av.Var]
     wh_vars: List[av.Var]
     s_var: av.Var
-
-    @property
-    def n(self) -> int:
-        return len(self.s_hat)
 
     @property
     def x_final(self) -> np.ndarray:
@@ -197,15 +193,6 @@ class ForwardTrace:
     @property
     def wh_final(self) -> np.ndarray:
         return self.whs[-1]
-
-
-@dataclass
-class LossGrads:
-    """Upstream gradients w.r.t. the trace outputs, used to seed backward()."""
-
-    d_s_hat: Optional[np.ndarray] = None
-    d_x_final: Optional[np.ndarray] = None
-    d_wh_final: Optional[np.ndarray] = None
 
 
 def _affine(x: av.Var, params: HgnnParams, prefix: str) -> av.Var:
@@ -406,34 +393,6 @@ def forward(corrs: CorrSet, hg0: Hypergraph, w_h0: np.ndarray,
         x_vars, y_vars, hs, wh_vars = [x], [y], [h], []
     return ForwardTrace(xs=[v.value for v in x_vars], ys=[v.value for v in y_vars],
                         hs=hs, whs=[v.value for v in wh_vars], s_hat=s_hat.value,
-                        w_nonlocal=w_nonlocal, channels=c, x_vars=x_vars,
+                        w_nonlocal=w_nonlocal, x_vars=x_vars,
                         y_vars=y_vars, wh_vars=wh_vars, s_var=s_hat)
 
-
-def backward(trace: ForwardTrace, params: HgnnParams,
-             loss_grads: LossGrads) -> Dict[str, np.ndarray]:
-    """Parameter gradients for upstream loss gradients on the trace outputs.
-
-    The hypergraph update's top-K selection is constant support: gradients
-    reach q/k projections only through the retained sigmoid values.
-    """
-    n = trace.n
-    outputs: List[av.Var] = []
-    seeds: List[np.ndarray] = []
-    if loss_grads.d_s_hat is not None:
-        outputs.append(trace.s_var)
-        seeds.append(np.asarray(loss_grads.d_s_hat, dtype=np.float64).reshape(n))
-    if loss_grads.d_x_final is not None:
-        outputs.append(trace.x_vars[-1])
-        seeds.append(np.asarray(loss_grads.d_x_final, dtype=np.float64))
-    if loss_grads.d_wh_final is not None:
-        outputs.append(trace.wh_vars[-1])
-        seeds.append(np.asarray(loss_grads.d_wh_final, dtype=np.float64))
-    names = params.names
-    wrt = [params.var(name) for name in names]
-    if not outputs:
-        return {name: np.zeros_like(params.value(name)) for name in names}
-    grads = av.gradients(outputs, seeds, wrt)
-    for name, g in zip(names, grads):
-        _check_finite(f"grad[{name}]", g)
-    return dict(zip(names, grads))

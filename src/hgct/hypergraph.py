@@ -15,8 +15,7 @@ from .errors import NoEdges
 @dataclass(frozen=True)
 class Hypergraph:
     h: np.ndarray     # (N, N) binary incidence, float64 holding {0, 1}
-    w_h: np.ndarray   # (N, N) nonnegative weights, zero where h is zero;
-                      # (0, 0) where only h is kept (register's final H^4)
+    w_h: np.ndarray   # (N, N) nonnegative weights, zero where h is zero
 
     @property
     def n(self) -> int:
@@ -40,24 +39,24 @@ def init_hypergraph(w_h0: np.ndarray) -> Hypergraph:
     return Hypergraph(h=h, w_h=w_h)
 
 
-def gt_hypergraph(labels) -> Hypergraph:
+def gt_hypergraph(labels) -> np.ndarray:
     """Ground-truth incidence: h*(i, j) = 1 iff i and j are both inliers."""
     lab = np.asarray(labels, dtype=bool).astype(np.float64)
-    h = np.outer(lab, lab)
-    return Hypergraph(h=h, w_h=h.copy())
+    return np.outer(lab, lab)
 
 
-def hyperedge_precision(hg: Hypergraph, labels) -> float:
-    """Mean inlier fraction over non-empty hyperedges, in [0, 1].
+def hyperedge_precision(h: np.ndarray, labels) -> float:
+    """Mean inlier fraction over the non-empty hyperedges (columns) of the
+    incidence h, in [0, 1].
 
     Empty hyperedges are excluded from the mean (a 0/0 term is undefined).
     Raises NoEdges when every hyperedge is empty.
     """
     lab = np.asarray(labels, dtype=bool)
-    sizes = hg.h.sum(axis=0)
+    sizes = h.sum(axis=0)
     nonempty = sizes > 0
     if not np.any(nonempty):
         raise NoEdges("every hyperedge is empty")
-    inlier_counts = lab.astype(np.float64) @ hg.h  # exact integer sums
+    inlier_counts = lab.astype(np.float64) @ h  # exact integer sums
     fractions = inlier_counts[nonempty] / sizes[nonempty]
     return float(np.mean(fractions))

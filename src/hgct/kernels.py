@@ -94,16 +94,20 @@ def worker_count(threads: int, jobs: int) -> int:
 GAMMA_ROWS = 32  # rows of the score matrix computed per block (cache-sized)
 
 
-def gamma_matrix_numpy(src, tgt, sigma_d):
+def gamma_matrix(src, tgt, sigma_d):
     """Pairwise compatibility scores max(0, 1 - d^2/sigma_d^2), zero diagonal.
 
     d is the rigid distance: | ||src_i-src_j|| - ||tgt_i-tgt_j|| |.
-    src, tgt: (N, 3) float64. Returns (N, N) float64, exactly symmetric.
+    src, tgt: (N, 3), read as float64. Returns (N, N) float64, exactly
+    symmetric.
     Computed GAMMA_ROWS rows at a time so each block's passes stay in cache.
     Each block is computed only from its first row's column on and mirrored
     into the lower triangle: (a - b)^2 and (b - a)^2 are the same float, so
     the mirrored entries are the ones a full computation would give.
     """
+    src = np.ascontiguousarray(src, dtype=np.float64)
+    tgt = np.ascontiguousarray(tgt, dtype=np.float64)
+    sigma_d = float(sigma_d)
     n = len(src)
     g = np.empty((n, n))
     buf = np.empty(3 * min(GAMMA_ROWS, n) * n)
@@ -140,7 +144,7 @@ def gamma_matrix_numpy(src, tgt, sigma_d):
 MAE_CHUNK = 16  # transforms scored per (chunk, N, 3) broadcast
 
 
-def mae_scores_numpy(rots, trans, src, tgt, theta):
+def mae_scores(rots, trans, src, tgt, theta):
     """Truncated-residual fitness for a batch of rigid transforms.
 
     rots: (M, 3, 3), trans: (M, 3). Score_m = sum_i max(0, 1 - r_mi/theta)
@@ -148,6 +152,11 @@ def mae_scores_numpy(rots, trans, src, tgt, theta):
     Returns (M,) float64. Transforms are scored MAE_CHUNK at a time; each
     score is bit-identical to scoring its transform alone.
     """
+    rots = np.ascontiguousarray(rots, dtype=np.float64)
+    trans = np.ascontiguousarray(trans, dtype=np.float64)
+    src = np.ascontiguousarray(src, dtype=np.float64)
+    tgt = np.ascontiguousarray(tgt, dtype=np.float64)
+    theta = float(theta)
     out = np.empty(len(rots), dtype=np.float64)
     for lo in range(0, len(rots), MAE_CHUNK):
         hi = lo + MAE_CHUNK
@@ -158,15 +167,18 @@ def mae_scores_numpy(rots, trans, src, tgt, theta):
     return out
 
 
-def nms_select_numpy(points, order, radius, max_keep=-1):
+def nms_select(points, order, radius, max_keep=None):
     """Greedy non-maximum suppression over 3D points.
 
     order: candidate indices, highest priority first. A candidate is kept if
     no previously kept point lies within `radius`. The scan stops once
-    max_keep points are kept (no cap if negative); the kept points are the
-    first max_keep of the uncapped scan. Returns a boolean mask over the full
-    point set (True = kept local maximum).
+    max_keep points are kept (no cap if None); the kept points are the first
+    max_keep of the uncapped scan. Returns a boolean mask over the full point
+    set (True = kept local maximum).
     """
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    order = np.ascontiguousarray(order, dtype=np.int64)
+    radius = float(radius)
     n = len(points)
     keep = np.zeros(n, dtype=np.bool_)
     suppressed = np.zeros(n, dtype=np.bool_)
@@ -183,25 +195,3 @@ def nms_select_numpy(points, order, radius, max_keep=-1):
         close = d[:, 0] ** 2 + d[:, 1] ** 2 + d[:, 2] ** 2 <= r2
         suppressed |= close
     return keep
-
-
-def gamma_matrix(src, tgt, sigma_d):
-    src = np.ascontiguousarray(src, dtype=np.float64)
-    tgt = np.ascontiguousarray(tgt, dtype=np.float64)
-    return gamma_matrix_numpy(src, tgt, float(sigma_d))
-
-
-def mae_scores(rots, trans, src, tgt, theta):
-    rots = np.ascontiguousarray(rots, dtype=np.float64)
-    trans = np.ascontiguousarray(trans, dtype=np.float64)
-    src = np.ascontiguousarray(src, dtype=np.float64)
-    tgt = np.ascontiguousarray(tgt, dtype=np.float64)
-    return mae_scores_numpy(rots, trans, src, tgt, float(theta))
-
-
-def nms_select(points, order, radius, max_keep=None):
-    """Greedy NMS mask; with max_keep, the scan stops after that many picks."""
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    order = np.ascontiguousarray(order, dtype=np.int64)
-    return nms_select_numpy(points, order, float(radius),
-                            -1 if max_keep is None else int(max_keep))

@@ -1,8 +1,8 @@
-"""Registration and outlier-removal metrics, aggregation, and threshold sweeps."""
+"""Registration and outlier-removal metrics and their aggregation."""
 
 import time
-from dataclasses import dataclass, replace as dc_replace
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -116,37 +116,3 @@ def evaluate_scene(corrs: CorrSet, params: HgnnParams, cc: CompatConfig,
     return evaluate_pair(t_est, corrs, th, runtime_s=time.perf_counter() - t0,
                          hp_before=diag.get("hyperedge_precision_before"),
                          hp_after=diag.get("hyperedge_precision_after"))
-
-
-def run_suite(corrs_set: Sequence[CorrSet], params: HgnnParams,
-              cc: CompatConfig, pc: PipelineConfig,
-              th: MetricThresholds) -> List[PairResult]:
-    """Register and score every pair; failed pipelines count as failed pairs."""
-    return [evaluate_scene(corrs, params, cc, pc, th) for corrs in corrs_set]
-
-
-def sweep_theta(corrs_set: Sequence[CorrSet], params: HgnnParams,
-                sweep: Sequence[float], which: str,
-                cc: CompatConfig = CompatConfig(),
-                pc: PipelineConfig = PipelineConfig(),
-                th: MetricThresholds = MetricThresholds()) -> List[Dict]:
-    """Registration recall across a threshold sweep, as deltas against the
-    default row (dynamic theta_cmp, or the configured theta_inlier)."""
-    if which not in ("cmp", "inlier"):
-        raise ValueError("which must be 'cmp' or 'inlier'")
-    if not sweep:
-        raise ValueError("sweep must be non-empty")
-
-    base = aggregate(run_suite(corrs_set, params, cc, pc, th), th)
-    default_label = "dynamic" if which == "cmp" else pc.theta_inlier
-    rows = [{"which": which, "theta": default_label, "rr": base["rr"],
-             "delta_pp": 0.0}]
-    for theta in sweep:
-        if which == "cmp":
-            cc_i, pc_i = dc_replace(cc, theta_override=float(theta)), pc
-        else:
-            cc_i, pc_i = cc, dc_replace(pc, theta_inlier=float(theta))
-        agg = aggregate(run_suite(corrs_set, params, cc_i, pc_i, th), th)
-        rows.append({"which": which, "theta": float(theta), "rr": agg["rr"],
-                     "delta_pp": 100.0 * (agg["rr"] - base["rr"])})
-    return rows

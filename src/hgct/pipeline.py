@@ -23,7 +23,7 @@ from .errors import NoEdges, NoHypothesis
 from .geom import CorrSet, RigidTransform, kabsch_batch, pose_errors, residuals
 from .geom import kabsch_svd  # noqa: F401  (perfbench/layers.py wraps pipeline.kabsch_svd)
 from .hgnn import Handover, HgnnParams, forward
-from .hypergraph import Hypergraph, hyperedge_precision, init_hypergraph
+from .hypergraph import hyperedge_precision, init_hypergraph
 
 
 @dataclass(frozen=True)
@@ -62,15 +62,6 @@ class Hypothesis:
     seed_index: int
 
 
-def evaluate_hypothesis(transform: RigidTransform, corrs: CorrSet,
-                        theta_inlier: float) -> float:
-    """Truncated-residual fitness sum_i max(0, 1 - r_i/theta); higher is better."""
-    if theta_inlier <= 0:
-        raise ValueError("theta_inlier must be positive")
-    return float(kernels.mae_scores(transform.R[None], transform.t[None],
-                                    corrs.src, corrs.tgt, theta_inlier)[0])
-
-
 def _fit_and_score(corrs: CorrSet, subsets: np.ndarray, theta_inlier: float):
     """Fit every index row of `subsets` in one stack, then score the fits that
     are not rank-deficient. Returns (R, t, scores) of those fits, in row
@@ -81,9 +72,9 @@ def _fit_and_score(corrs: CorrSet, subsets: np.ndarray, theta_inlier: float):
     return rots, trans, scores, ok
 
 
-def gf_adjacency(hg: Hypergraph) -> np.ndarray:
-    """Mutual-consistency adjacency: A(i,j) = 1 iff H(i,j) = H(j,i) = 1."""
-    h = hg.h
+def gf_adjacency(h: np.ndarray) -> np.ndarray:
+    """Mutual-consistency adjacency of the incidence h: A(i,j) = 1 iff
+    H(i,j) = H(j,i) = 1."""
     return ((h > 0) & (h.T > 0)).astype(np.float64)
 
 
@@ -116,27 +107,11 @@ def nms_local_maxima(s_hat: np.ndarray, points: np.ndarray, radius: float,
     return [int(i) for i in order[keep[order]]]
 
 
-def standard_nms_seeds(s_hat: np.ndarray, points: np.ndarray, radius: float,
-                       n_seeds: int) -> List[int]:
-    """Confidence-only baseline: NMS local maxima ranked by score, remaining
-    slots filled by ascending index (suppressed scores count as zero)."""
-    n = len(s_hat)
-    n_seeds = min(n_seeds, n)
-    picks = nms_local_maxima(s_hat, points, radius, n_seeds)
-    if len(picks) < n_seeds:
-        chosen = set(picks)
-        for i in range(n):
-            if i not in chosen:
-                picks.append(i)
-                if len(picks) == n_seeds:
-                    break
-    return picks
-
-
-def gf_nms(hg: Hypergraph, s_hat: np.ndarray, corrs: CorrSet,
+def gf_nms(h: np.ndarray, s_hat: np.ndarray, corrs: CorrSet,
            cfg: PipelineConfig) -> List[int]:
     """Seed selection: N1 spatial-NMS confidence maxima, then the graph-filter
-    ranking tops the set up to N_s. Returns min(N_s, N) distinct indices."""
+    ranking over the incidence h tops the set up to N_s. Returns
+    min(N_s, N) distinct indices."""
     n = len(corrs)
     if n < cfg.minimal_size:
         raise ValueError("fewer correspondences than the minimal set size")
@@ -146,7 +121,7 @@ def gf_nms(hg: Hypergraph, s_hat: np.ndarray, corrs: CorrSet,
     seeds = nms_local_maxima(s_hat, corrs.src, cfg.nms_radius, n_1)
     chosen = set(seeds)
 
-    scores = gf_score(gf_adjacency(hg))
+    scores = gf_score(gf_adjacency(h))
     ranking = np.lexsort((np.arange(n), -scores))
     for idx in ranking:
         if len(seeds) >= n_s:
@@ -191,10 +166,11 @@ def initial_hypotheses(corrs: CorrSet, seeds: Sequence[int], x_final: np.ndarray
             for i in order[:n_init]]
 
 
-def refine_hypotheses(corrs: CorrSet, hg: Hypergraph,
+def refine_hypotheses(corrs: CorrSet, h: np.ndarray,
                       initial: Sequence[Hypothesis], cfg: PipelineConfig,
                       diagnostics: Optional[Dict] = None) -> List[Hypothesis]:
-    """Slide minimal sets along each seed hyperedge's residual-sorted members.
+    """Slide minimal sets along the residual-sorted members of each seed's
+    hyperedge, a column of the incidence h.
 
     Window k covers sorted offsets [step*k, step*k + minimal_size) while the
     window fits and k <= max_iters. The windows of all hypotheses are fitted
@@ -206,7 +182,7 @@ def refine_hypotheses(corrs: CorrSet, hg: Hypergraph,
     windows = [np.empty((0, cfg.minimal_size), dtype=np.intp)]
     owners = [np.empty(0, dtype=np.intp)]
     for hyp in initial:
-        members = np.flatnonzero(hg.h[:, hyp.seed_index] > 0)
+        members = np.flatnonzero(h[:, hyp.seed_index] > 0)
         if members.size < cfg.minimal_size:
             continue
         r = residuals(hyp.transform, corrs.src[members], corrs.tgt[members])
@@ -247,7 +223,7 @@ def register(corrs: CorrSet, params: HgnnParams, cc: CompatConfig,
     labels = corrs.labels
     if labels is not None:
         try:
-            precision_before = hyperedge_precision(hg0, labels)
+            precision_before = hyperedge_precision(hg0.h, labels)
         except NoEdges:  # an empty H^0: H^4, inside it, is empty too
             precision_before = None
     # forward drops W_H^0 after its last read and reuses the buffers of w_h0
@@ -257,19 +233,17 @@ def register(corrs: CorrSet, params: HgnnParams, cc: CompatConfig,
     t0 = time.perf_counter()
     with av.no_grad():
         trace = forward(corrs, hg0, w_h0, params, keep_layers=False)
-    # seeds, hypotheses and precision read only the incidence of H^4
-    hg_final = Hypergraph(h=trace.h_final, w_h=np.empty((0, 0)))
     timings["network_ms"] = 1000.0 * (time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    seeds = gf_nms(hg_final, trace.s_hat, corrs, pc)
+    seeds = gf_nms(trace.h_final, trace.s_hat, corrs, pc)
     timings["seeds_ms"] = 1000.0 * (time.perf_counter() - t0)
 
     t0 = time.perf_counter()
     initial = initial_hypotheses(corrs, seeds, trace.x_final, pc, diagnostics)
     if not initial:
         raise NoHypothesis("every seed subset was degenerate")
-    hypotheses = refine_hypotheses(corrs, hg_final, initial, pc, diagnostics)
+    hypotheses = refine_hypotheses(corrs, trace.h_final, initial, pc, diagnostics)
     timings["hypotheses_ms"] = 1000.0 * (time.perf_counter() - t0)
 
     scores = np.array([h.score for h in hypotheses])
@@ -295,39 +269,9 @@ def register(corrs: CorrSet, params: HgnnParams, cc: CompatConfig,
     if labels is not None:
         diagnostics["hyperedge_precision_before"] = precision_before
         diagnostics["hyperedge_precision_after"] = (
-            None if precision_before is None else hyperedge_precision(hg_final, labels))
+            None if precision_before is None else hyperedge_precision(trace.h_final, labels))
     if corrs.gt is not None:
         re, te = pose_errors(best.transform, corrs.gt)
         diagnostics["re_deg"] = re
         diagnostics["te_m"] = te
     return best.transform, diagnostics
-
-
-def ransac_baseline(corrs: CorrSet, budget: int, theta_inlier: float,
-                    seed: int) -> RigidTransform:
-    """Plain RANSAC: `budget` random 3-point subsets scored by the same
-    truncated-MAE fitness; deterministic for a given seed."""
-    n = len(corrs)
-    if n < 3:
-        raise ValueError("need at least 3 correspondences")
-    rng = np.random.default_rng(seed)
-    idx = np.array([rng.choice(n, size=3, replace=False) for _ in range(budget)],
-                   dtype=np.intp).reshape(-1, 3)
-    rots, trans, scores, ok = _fit_and_score(corrs, idx, theta_inlier)
-    if not ok.any():
-        raise NoHypothesis("all sampled subsets were degenerate")
-    best = int(np.lexsort((np.arange(len(scores)), -scores))[0])
-    return RigidTransform(rots[best], trans[best])
-
-
-def hypothesis_correctness(hypos: Sequence[Hypothesis], gt: RigidTransform,
-                           re_thresh: float, te_thresh: float) -> float:
-    """Fraction of hypotheses within both pose-error thresholds of gt."""
-    if not hypos:
-        raise ValueError("no hypotheses")
-    good = 0
-    for h in hypos:
-        re, te = pose_errors(h.transform, gt)
-        if re <= re_thresh and te <= te_thresh:
-            good += 1
-    return good / len(hypos)

@@ -10,7 +10,7 @@ weights against the inlier incidence).
 import csv
 import multiprocessing
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 import numpy as np
@@ -98,22 +98,6 @@ def gen_scene(cfg: SynthConfig) -> CorrSet:
                    labels=labels[order])
 
 
-def scene_batch(base: SynthConfig, count: int, seed0: int,
-                inlier_ratios: Optional[List[float]] = None) -> List[CorrSet]:
-    """Generate `count` scenes with per-scene seeds seed0, seed0+1, ...
-
-    When `inlier_ratios` is given, scene i uses ratios[i % len] (the training
-    curriculum draws from a ratio grid instead of a single value).
-    """
-    scenes = []
-    for i in range(count):
-        cfg = replace(base, seed=seed0 + i)
-        if inlier_ratios is not None:
-            cfg = replace(cfg, inlier_ratio=inlier_ratios[i % len(inlier_ratios)])
-        scenes.append(gen_scene(cfg))
-    return scenes
-
-
 # ---------------------------------------------------------------------------
 # losses (accept plain arrays or tape Vars; return float or Var accordingly)
 # ---------------------------------------------------------------------------
@@ -172,7 +156,7 @@ def joint_loss(trace: ForwardTrace, labels, params: HgnnParams):
     l_class = loss_class(trace.s_var, labels)
     sigma_f = av.exp(params.var("log_sigma_f"))
     l_match = loss_match(trace.x_vars[-1], labels, sigma_f)
-    l_graph = loss_graph(trace.wh_vars[-1], gt_hypergraph(labels).h)
+    l_graph = loss_graph(trace.wh_vars[-1], gt_hypergraph(labels))
     total = av.add(av.add(l_class, l_match), l_graph)
     components = {
         "class": float(l_class.value),

@@ -25,19 +25,18 @@ import pytest
 from scipy.stats import binomtest
 
 import oracles
+from baselines import (evaluate_hypothesis, ransac_baseline, run_suite, scene_batch,
+                       standard_nms_seeds, sweep_theta)
 from hgct import autodiff as av
-from hgct.compat import (CompatConfig, GraphOrder, build_compat_graph,
-                         dynamic_threshold, gamma_matrix)
+from hgct import kernels
+from hgct.compat import CompatConfig, GraphOrder, build_compat_graph, dynamic_threshold
 from hgct.geom import CorrSet, pose_errors
 from hgct.hgnn import forward, init_params, k2_schedule
-from hgct.hypergraph import (Hypergraph, gt_hypergraph, hyperedge_precision,
-                             init_hypergraph)
-from hgct.metrics import MetricThresholds, aggregate, run_suite, sweep_theta
-from hgct.pipeline import (PipelineConfig, evaluate_hypothesis, gf_nms,
-                           ransac_baseline, register, standard_nms_seeds)
+from hgct.hypergraph import gt_hypergraph, hyperedge_precision, init_hypergraph
+from hgct.metrics import MetricThresholds, aggregate
+from hgct.pipeline import PipelineConfig, gf_nms, register
 from hgct.train import (SynthConfig, TrainConfig, gen_scene, loss_class,
-                        loss_graph, loss_match, gradient_check, prepare_scene,
-                        scene_batch, train)
+                        loss_graph, loss_match, gradient_check, prepare_scene, train)
 
 CURRICULUM_RATIOS = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5]
 
@@ -80,7 +79,7 @@ def test_c1_oracle_equivalence():
                                    noise_sigma=0.02,
                                    seed=int(rng.integers(1 << 31))))
         sc = CorrSet(sc.src[:n], sc.tgt[:n])
-        gamma = gamma_matrix(sc, 0.3)
+        gamma = kernels.gamma_matrix(sc.src, sc.tgt, 0.3)
         assert np.max(np.abs(gamma - oracles.gamma_loop(sc.src, sc.tgt, 0.3))) < 1e-10
         assert abs(dynamic_threshold(gamma, 0.1)
                    - oracles.dynamic_threshold_loop(gamma, 0.1)) < 1e-10
@@ -211,9 +210,8 @@ def test_c4_heldout_hyperedge_precision(trained_model):
             tr.h_final, tr.wh_final, ps.labels))
         untrained.append(oracles.weighted_membership_precision(
             tr0.h_final, tr0.wh_final, ps.labels))
-        before.append(hyperedge_precision(ps.hg0, ps.labels))
-        after.append(hyperedge_precision(Hypergraph(h=tr.h_final, w_h=tr.wh_final),
-                                         ps.labels))
+        before.append(hyperedge_precision(ps.hg0.h, ps.labels))
+        after.append(hyperedge_precision(tr.h_final, ps.labels))
     mt, mu = float(np.mean(trained)), float(np.mean(untrained))
     wins = sum(1 for a, b in zip(trained, untrained) if a > b)
     losses = sum(1 for a, b in zip(trained, untrained) if a < b)
@@ -280,7 +278,7 @@ def test_c6_gfnms_vs_nms():
         hg0 = init_hypergraph(g.w_h0)
         with av.no_grad():
             tr = forward(sc, hg0, g.w_h0, params)
-        gf = gf_nms(Hypergraph(h=tr.h_final, w_h=tr.wh_final), s_hat, sc, pc)
+        gf = gf_nms(tr.h_final, s_hat, sc, pc)
         nms = standard_nms_seeds(s_hat, sc.src, pc.nms_radius, n_s)
         gf_in = int(sc.labels[gf].sum())
         nms_in = int(sc.labels[nms].sum())
@@ -336,7 +334,7 @@ def test_c8_invariant_suites():
     for _ in range(200):
         n = int(rng.integers(5, 14))
         sc = CorrSet(rng.uniform(-1, 1, (n, 3)), rng.uniform(-1, 1, (n, 3)))
-        gamma = gamma_matrix(sc, 0.5)
+        gamma = kernels.gamma_matrix(sc.src, sc.tgt, 0.5)
         assert np.array_equal(gamma, gamma.T)
         assert np.all((gamma >= 0) & (gamma <= 1)) and np.all(np.diag(gamma) == 0)
         try:
@@ -352,12 +350,12 @@ def test_c8_invariant_suites():
     for _ in range(200):
         n = int(rng.integers(4, 12))
         labels = rng.uniform(size=n) < 0.5
-        hg = gt_hypergraph(labels)
+        h = gt_hypergraph(labels)
         if np.any(labels):
-            assert hyperedge_precision(hg, labels) == 1.0
-        dv, de = oracles.degrees_loop(hg.h)
-        assert np.allclose(hg.h.sum(axis=1), dv)
-        assert np.allclose(hg.h.sum(axis=0), de)
+            assert hyperedge_precision(h, labels) == 1.0
+        dv, de = oracles.degrees_loop(h)
+        assert np.allclose(h.sum(axis=1), dv)
+        assert np.allclose(h.sum(axis=0), de)
         cases += 1
 
     # losses: nonnegativity, bounds, permutation invariance
@@ -367,7 +365,7 @@ def test_c8_invariant_suites():
         labels = rng.uniform(size=n) < 0.5
         x = rng.normal(size=(n, 4))
         w = rng.uniform(size=(n, n))
-        h_star = gt_hypergraph(labels).h
+        h_star = gt_hypergraph(labels)
         lc = loss_class(s, labels)
         lm = loss_match(x, labels, 1.0)
         lg = loss_graph(w, h_star)
@@ -411,11 +409,10 @@ def test_c8_invariant_suites():
         score = evaluate_hypothesis(sc.gt, sc, 0.1)
         assert 0.0 <= score <= n
         h = (rng.uniform(size=(n, n)) < 0.3).astype(float)
-        hg = Hypergraph(h=h, w_h=h.copy())
         s_hat = rng.uniform(size=n)
         pc = PipelineConfig()
-        seeds_a = gf_nms(hg, s_hat, sc, pc)
-        seeds_b = gf_nms(hg, s_hat, sc, pc)
+        seeds_a = gf_nms(h, s_hat, sc, pc)
+        seeds_b = gf_nms(h, s_hat, sc, pc)
         assert seeds_a == seeds_b
         assert len(set(seeds_a)) == len(seeds_a) == min(
             n, max(6, int(np.floor(0.2 * n + 0.5))))

@@ -286,12 +286,6 @@ class TestEngine:
         assert np.array_equal(y.value, [2.0, 2.0, 2.0])
         assert oracles.grad_enabled()
 
-    def test_operator_sugar(self):
-        x = av.param(np.array(3.0))
-        y = (x * 2.0 + 1.0) - x
-        assert float(y.value) == pytest.approx(4.0)
-        assert av.grad(y, [x])[0] == pytest.approx(1.0)
-
     def test_deep_chain_no_recursion_limit(self):
         x = av.param(np.array(1.0))
         y = x

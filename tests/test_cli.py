@@ -1,18 +1,20 @@
 import json
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
 import hgct.cli
+from baselines import run_suite
 from hgct import kernels
 from hgct.cli import main
 from hgct.config import parse_config
 from hgct.geom import CorrSet, RigidTransform
-from hgct.hgnn import init_params, save_checkpoint
-from hgct.metrics import aggregate, run_suite
-from hgct.sceneio import read_scene, write_scene
-from hgct.train import SynthConfig, gen_scene
+from hgct.hgnn import init_params, load_checkpoint, save_checkpoint
+from hgct.metrics import aggregate
+from hgct.sceneio import read_dataset, read_scene, write_scene
+from hgct.train import SynthConfig, gen_scene, train
 
 DEMO_SCENE = os.path.join(os.path.dirname(__file__), "..", "data", "demo_scene.txt")
 
@@ -247,6 +249,24 @@ class TestBench:
             hgct.cli._init_worker()
             assert get() == 1
 
+    def test_dead_worker_is_one_error_line(self, small_dataset, tmp_path, capsys,
+                                           monkeypatch):
+        parent = os.getpid()
+
+        def die(*args):
+            assert os.getpid() != parent, "scored in the test process"
+            os._exit(9)
+
+        monkeypatch.delenv("HGCT_THREADS", raising=False)
+        monkeypatch.setattr(hgct.cli, "evaluate_scene", die)
+        cfg = _write_config(tmp_path, "threads = 2\n")
+        assert main(["bench", "--config", cfg, small_dataset,
+                     "--out", str(tmp_path / "bench")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "bench worker process exited" in err[0]
+        assert multiprocessing.active_children() == []
+
     def test_hgct_threads_env_must_be_int(self, small_dataset, tmp_path,
                                           capsys, monkeypatch):
         monkeypatch.setenv("HGCT_THREADS", "two")
@@ -278,6 +298,20 @@ class TestTrain:
         lines = open(log).read().strip().splitlines()
         assert lines[0].startswith("epoch,mean_loss_class")
         assert len(lines) == 3
+
+    def test_train_builds_the_configured_graph(self, tmp_path, capsys):
+        text = ("n_scenes = 2\nn_corrs = 30\nepochs = 2\nbatch = 2\nchannels = 4\n"
+                "lr = 0.001\ngraph_order = fog\nk1_frac = 0.3\n")
+        cfg = _write_config(tmp_path, text)
+        data = str(tmp_path / "data")
+        main(["gen", "--config", cfg, "--out", data])
+        ckpt = str(tmp_path / "model.ckpt")
+        assert main(["train", "--config", cfg, data, "--out", ckpt]) == 0
+        run_cfg = parse_config(text)
+        want = train(read_dataset(data), run_cfg.train_config(),
+                     init_params(channels=run_cfg.channels, seed=run_cfg.seed),
+                     cc=run_cfg.compat_config())
+        assert np.array_equal(load_checkpoint(ckpt).flat(), want.flat())
 
     def test_register_with_checkpoint(self, small_dataset, tmp_path, capsys):
         ckpt = str(tmp_path / "m.ckpt")

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from hgct import kernels
 from hgct.compat import (CompatConfig, GraphOrder, build_compat_graph,
-                         dynamic_threshold, gamma_matrix, round_half_up)
+                         dynamic_threshold, round_half_up)
 from hgct.errors import EmptyGraph
 from hgct.geom import CorrSet
 from oracles import Correspondence, Point3, compat_score, rigid_distance
@@ -139,7 +140,7 @@ class TestBuildGraph:
 
     def test_gamma_matches_loop_oracle(self, rng):
         cs = _random_set(rng, n=10, scale=0.5)
-        got = gamma_matrix(cs, 0.3)
+        got = kernels.gamma_matrix(cs.src, cs.tgt, 0.3)
         expected = oracles.gamma_loop(cs.src, cs.tgt, 0.3)
         assert np.max(np.abs(got - expected)) < 1e-12
 
@@ -203,7 +204,7 @@ class TestBuildGraph:
         rot = random_rotation(rng)
         src = rng.uniform(-1, 1, (10, 3))
         cs = CorrSet(src, src @ rot.T + np.array([0.3, -0.2, 0.6]))
-        g = gamma_matrix(cs, 0.1)
+        g = kernels.gamma_matrix(cs.src, cs.tgt, 0.1)
         off = ~np.eye(10, dtype=bool)
         assert np.all(g[off] == 1.0)
 

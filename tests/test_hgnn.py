@@ -10,9 +10,8 @@ from hgct import autodiff as av
 from hgct import hgnn
 from hgct.errors import NonFinite
 from hgct.geom import CorrSet
-from hgct.hgnn import (Handover, LossGrads, _topk_retention, _update, backward, forward,
-                       init_params, k2_schedule, load_checkpoint, param_specs,
-                       save_checkpoint)
+from hgct.hgnn import (Handover, _topk_retention, _update, forward, init_params,
+                       k2_schedule, load_checkpoint, param_specs, save_checkpoint)
 from hgct.hypergraph import Hypergraph, init_hypergraph
 from hgct.train import SynthConfig, gen_scene, joint_loss, prepare_scene
 
@@ -25,6 +24,12 @@ def _prepared(n=10, seed=0, ratio=0.6, channels=8):
     ps = prepare_scene(scene, 0.1, 0.1)
     params = init_params(channels=channels, seed=seed)
     return ps, params
+
+
+def _s_hat_grads(trace, params, seed):
+    """Parameter gradients of seed . s_hat, by name, from the trace's tape."""
+    wrt = [params.var(name) for name in params.names]
+    return dict(zip(params.names, av.gradients([trace.s_var], [seed], wrt)))
 
 
 def _generic_instance(seed, n=12, channels=8, density=0.5):
@@ -340,13 +345,12 @@ class TestLeanForward:
         # H^0 is not overwritten with H^1..H^4
         ps, params = _prepared(n=12, seed=2, channels=8)
         seed = np.random.default_rng(0).normal(size=len(ps.corrs))
-        full = backward(forward(ps.corrs, ps.hg0, ps.w_h0, params), params,
-                        LossGrads(d_s_hat=seed))
+        full = _s_hat_grads(forward(ps.corrs, ps.hg0, ps.w_h0, params), params, seed)
         hg0 = Hypergraph(h=ps.hg0.h.copy(), w_h=ps.hg0.w_h.copy())
         lean = forward(ps.corrs, Handover(hg0), Handover(ps.w_h0.copy()), params,
                        keep_layers=False)
         assert np.array_equal(hg0.h, ps.hg0.h)
-        grads = backward(lean, params, LossGrads(d_s_hat=seed))
+        grads = _s_hat_grads(lean, params, seed)
         for name in params.names:
             assert np.array_equal(grads[name], full[name]), name
 
@@ -434,10 +438,10 @@ class TestBackward:
         ps, params = _prepared(n=8, channels=4)
         tr = forward(ps.corrs, ps.hg0, ps.w_h0, params)
         n = len(ps.corrs)
-        grads = backward(tr, params, LossGrads(d_s_hat=np.zeros(n)))
+        grads = _s_hat_grads(tr, params, np.zeros(n))
         assert all(np.all(g == 0) for g in grads.values())
-        grads = backward(tr, params, LossGrads())
-        assert all(np.all(g == 0) for g in grads.values())
+        grads = av.gradients([], [], [params.var(name) for name in params.names])
+        assert all(np.all(g == 0) for g in grads)
 
     def test_seeded_backward_matches_fd_spot(self):
         ps, params = _prepared(n=8, channels=4, seed=6)
@@ -445,7 +449,7 @@ class TestBackward:
         n = len(ps.corrs)
         seed_s = rng.normal(size=n)
         tr = forward(ps.corrs, ps.hg0, ps.w_h0, params)
-        grads = backward(tr, params, LossGrads(d_s_hat=seed_s))
+        grads = _s_hat_grads(tr, params, seed_s)
 
         def value():
             with av.no_grad():

@@ -87,19 +87,17 @@ class TestDegrees:
 
 class TestGtHypergraph:
     def test_all_inliers(self):
-        hg = gt_hypergraph([True] * 4)
-        assert np.array_equal(hg.h, np.ones((4, 4)))
+        assert np.array_equal(gt_hypergraph([True] * 4), np.ones((4, 4)))
 
     def test_no_inliers(self):
-        hg = gt_hypergraph([False] * 4)
-        assert np.array_equal(hg.h, np.zeros((4, 4)))
+        assert np.array_equal(gt_hypergraph([False] * 4), np.zeros((4, 4)))
 
     def test_mixed_block_pattern(self, rng):
         labels = np.array([True, False, True, False, True])
-        hg = gt_hypergraph(labels)
+        h = gt_hypergraph(labels)
         for i in range(5):
             for j in range(5):
-                assert hg.h[i, j] == float(labels[i] and labels[j])
+                assert h[i, j] == float(labels[i] and labels[j])
 
 
 class TestPrecision:
@@ -107,17 +105,15 @@ class TestPrecision:
         labels = [True, True, False]
         h = np.zeros((3, 3))
         h[0, 0] = h[1, 0] = h[1, 1] = h[0, 1] = 1.0
-        hg = Hypergraph(h=h, w_h=h.copy())
-        assert hyperedge_precision(hg, labels) == 1.0
-        assert excluded_edge_count(hg) == 1
+        assert hyperedge_precision(h, labels) == 1.0
+        assert excluded_edge_count(Hypergraph(h=h, w_h=h.copy())) == 1
 
     def test_half_inlier_edges(self):
         labels = [True, False, True, False]
         h = np.zeros((4, 4))
         h[0, 0] = h[1, 0] = 1.0
         h[2, 1] = h[3, 1] = 1.0
-        hg = Hypergraph(h=h, w_h=h.copy())
-        assert hyperedge_precision(hg, labels) == 0.5
+        assert hyperedge_precision(h, labels) == 0.5
 
     def test_matches_set_oracle(self, rng):
         for _ in range(30):
@@ -126,31 +122,29 @@ class TestPrecision:
             if not np.any(hg.h.sum(axis=0) > 0):
                 continue
             expected = oracles.hyperedge_precision_loop(hg.h, labels)
-            assert hyperedge_precision(hg, labels) == pytest.approx(expected, abs=1e-12)
+            assert hyperedge_precision(hg.h, labels) == pytest.approx(expected, abs=1e-12)
 
     def test_no_edges_raises(self):
-        hg = Hypergraph(h=np.zeros((3, 3)), w_h=np.zeros((3, 3)))
         with pytest.raises(NoEdges):
-            hyperedge_precision(hg, [True, True, True])
+            hyperedge_precision(np.zeros((3, 3)), [True, True, True])
 
     def test_gt_precision_is_one(self):
         labels = np.array([True, False, True, True, False])
-        hg = gt_hypergraph(labels)
-        assert hyperedge_precision(hg, labels) == 1.0
+        assert hyperedge_precision(gt_hypergraph(labels), labels) == 1.0
 
     def test_noise_free_zero_outlier_scene(self, rng):
         src = rng.uniform(-1, 1, (8, 3))
         cs = CorrSet(src, src + 0.7, labels=np.ones(8, dtype=bool))
         g = build_compat_graph(cs, CompatConfig(sigma_d=0.1))
         hg = init_hypergraph(g.w_h0)
-        assert hyperedge_precision(hg, cs.labels) == 1.0
+        assert hyperedge_precision(hg.h, cs.labels) == 1.0
 
 
 class TestWeightedMembershipPrecision:
     def test_gt_uniform_weights_is_one(self):
         labels = np.array([True, False, True, True, False])
-        hg = gt_hypergraph(labels)
-        assert oracles.weighted_membership_precision(hg.h, hg.w_h, labels) == 1.0
+        h = gt_hypergraph(labels)
+        assert oracles.weighted_membership_precision(h, h.copy(), labels) == 1.0
 
     def test_oracle_weighting_beats_anti_oracle(self):
         labels = np.array([True, True, False, False])

@@ -60,7 +60,7 @@ class TestContracts:
             (pts[:1], pts[:1], 0.1),
         ]
         for src, tgt, sigma_d in cases:
-            got = kernels.gamma_matrix_numpy(src, tgt, sigma_d)
+            got = kernels.gamma_matrix(src, tgt, sigma_d)
             ref = oracles.gamma_matrix_reference(src, tgt, sigma_d)
             assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
@@ -71,7 +71,7 @@ class TestContracts:
             src = rng.uniform(-1, 1, (n, 3))
             tgt = src + rng.normal(0.0, 0.05, (n, 3))
             tgt[::4] = rng.uniform(-1, 1, tgt[::4].shape)
-            got = kernels.gamma_matrix_numpy(src, tgt, 0.1)
+            got = kernels.gamma_matrix(src, tgt, 0.1)
             ref = oracles.gamma_matrix_reference(src, tgt, 0.1)
             assert np.array_equal(got.view(np.int64), ref.view(np.int64))
             assert np.array_equal(got, got.T)
@@ -82,7 +82,7 @@ class TestContracts:
         for m in (1, kernels.MAE_CHUNK - 1, kernels.MAE_CHUNK, kernels.MAE_CHUNK + 1, 50):
             rots = np.stack([random_rotation(rng, 10.0) for _ in range(m)])
             trans = rng.normal(0.0, 0.05, (m, 3))
-            got = kernels.mae_scores_numpy(rots, trans, src, tgt, 0.1)
+            got = kernels.mae_scores(rots, trans, src, tgt, 0.1)
             ref = oracles.mae_scores_loop(rots, trans, src, tgt, 0.1)
             assert np.array_equal(got, ref)
 
@@ -95,7 +95,7 @@ class TestContracts:
         m = 2 * kernels.MAE_CHUNK + 3
         rots = np.stack([random_rotation(rng, 30.0) for _ in range(m)])
         trans = rng.normal(0.0, 0.1 * scale, (m, 3))
-        got = kernels.mae_scores_numpy(rots, trans, src, tgt, 0.1 * scale)
+        got = kernels.mae_scores(rots, trans, src, tgt, 0.1 * scale)
         ref = oracles.mae_scores_loop(rots, trans, src, tgt, 0.1 * scale)
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
+from baselines import run_suite, scene_batch, sweep_theta
 from hgct.compat import CompatConfig
 from hgct.geom import CorrSet, RigidTransform, random_rotation
 from hgct.hgnn import init_params
 from hgct.metrics import (MetricThresholds, PairResult, aggregate,
-                          evaluate_pair, inlier_metrics, run_suite,
-                          sweep_theta)
+                          evaluate_pair, inlier_metrics)
 from hgct.pipeline import PipelineConfig
-from hgct.train import SynthConfig, gen_scene, scene_batch
+from hgct.train import SynthConfig, gen_scene
 
 
 def _pr(re, te, success, ip=0.5, ir=0.5, f1=0.5, runtime=0.1):

@@ -2,23 +2,18 @@ import numpy as np
 import pytest
 
 import oracles
+from baselines import (evaluate_hypothesis, hypothesis_correctness, ransac_baseline,
+                       standard_nms_seeds)
 from hgct import kernels
 from hgct.compat import CompatConfig, build_compat_graph
 from hgct.geom import (CorrSet, RigidTransform, pose_errors, random_rotation,
                        residuals)
 from hgct.hgnn import init_params
-from hgct.hypergraph import Hypergraph, hyperedge_precision, init_hypergraph
-from hgct.pipeline import (Hypothesis, HypothesisOrigin, PipelineConfig,
-                           evaluate_hypothesis, gf_adjacency, gf_nms, gf_score,
-                           hypothesis_correctness, initial_hypotheses,
-                           nms_local_maxima, ransac_baseline,
-                           refine_hypotheses, register, standard_nms_seeds)
+from hgct.hypergraph import hyperedge_precision, init_hypergraph
+from hgct.pipeline import (Hypothesis, HypothesisOrigin, PipelineConfig, gf_adjacency,
+                           gf_nms, gf_score, initial_hypotheses, nms_local_maxima,
+                           refine_hypotheses, register)
 from hgct.train import SynthConfig, gen_scene
-
-
-def _hg(h):
-    h = np.asarray(h, dtype=np.float64)
-    return Hypergraph(h=h, w_h=h.copy())
 
 
 def _perfect_scene(n=60, seed=0):
@@ -30,24 +25,24 @@ class TestGfAdjacency:
     def test_symmetric_h_unchanged(self, rng):
         h = (rng.uniform(size=(6, 6)) < 0.5).astype(float)
         h = np.triu(h) + np.triu(h, 1).T
-        assert np.array_equal(gf_adjacency(_hg(h)), h)
+        assert np.array_equal(gf_adjacency(h), h)
 
     def test_one_directional_edge_dropped(self):
         h = np.zeros((3, 3))
         h[1, 2] = 1.0
-        a = gf_adjacency(_hg(h))
+        a = gf_adjacency(h)
         assert a[1, 2] == 0.0 and a[2, 1] == 0.0
 
     def test_matches_elementwise_and(self, rng):
         h = (rng.uniform(size=(8, 8)) < 0.4).astype(float)
-        a = gf_adjacency(_hg(h))
+        a = gf_adjacency(h)
         expected = ((h > 0) & (h.T > 0)).astype(float)
         assert np.array_equal(a, expected)
 
     def test_idempotent(self, rng):
         h = (rng.uniform(size=(7, 7)) < 0.5).astype(float)
-        a = gf_adjacency(_hg(h))
-        assert np.array_equal(gf_adjacency(_hg(a)), a)
+        a = gf_adjacency(h)
+        assert np.array_equal(gf_adjacency(a), a)
 
 
 class TestGfScore:
@@ -111,9 +106,8 @@ class TestGfNms:
         n = 20
         pts = np.arange(n * 3, dtype=float).reshape(n, 3)  # well separated
         s = np.full(n, 0.5)
-        hg = _hg(np.zeros((n, n)))
         cfg = PipelineConfig(nms_radius=0.1)
-        seeds = gf_nms(hg, s, CorrSet(pts, pts), cfg)
+        seeds = gf_nms(np.zeros((n, n)), s, CorrSet(pts, pts), cfg)
         n_s = max(6, round(0.2 * n))
         assert seeds == list(range(n_s))
 
@@ -122,7 +116,7 @@ class TestGfNms:
             pts = rng.uniform(-1, 1, (n, 3))
             s = rng.uniform(size=n)
             h = (rng.uniform(size=(n, n)) < 0.3).astype(float)
-            seeds = gf_nms(_hg(h), s, CorrSet(pts, pts), PipelineConfig())
+            seeds = gf_nms(h, s, CorrSet(pts, pts), PipelineConfig())
             n_s = min(n, max(6, int(np.floor(0.2 * n + 0.5))))
             assert len(seeds) == n_s
             assert len(set(seeds)) == n_s
@@ -132,8 +126,8 @@ class TestGfNms:
         s = rng.uniform(size=30)
         h = (rng.uniform(size=(30, 30)) < 0.3).astype(float)
         cs = CorrSet(pts, pts)
-        a = gf_nms(_hg(h), s, cs, PipelineConfig())
-        b = gf_nms(_hg(h), s, cs, PipelineConfig())
+        a = gf_nms(h, s, cs, PipelineConfig())
+        b = gf_nms(h, s, cs, PipelineConfig())
         assert a == b
 
 
@@ -248,7 +242,7 @@ class TestRefine:
         sc = _perfect_scene(n=30, seed=7)
         h = np.zeros((30, 30))
         h[:6, 0] = 1.0
-        out = refine_hypotheses(sc, _hg(h), self._initial_for(sc, 0),
+        out = refine_hypotheses(sc, h, self._initial_for(sc, 0),
                                 PipelineConfig())
         refined = [x for x in out if x.origin is HypothesisOrigin.REFINED]
         assert len(refined) == 1
@@ -257,7 +251,7 @@ class TestRefine:
         sc = _perfect_scene(n=96, seed=8)
         h = np.zeros((96, 96))
         h[:, 0] = 1.0
-        out = refine_hypotheses(sc, _hg(h), self._initial_for(sc, 0),
+        out = refine_hypotheses(sc, h, self._initial_for(sc, 0),
                                 PipelineConfig())
         refined = [x for x in out if x.origin is HypothesisOrigin.REFINED]
         assert len(refined) == 31  # windows k = 0..30
@@ -266,7 +260,7 @@ class TestRefine:
         sc = _perfect_scene(n=30, seed=9)
         h = np.zeros((30, 30))
         h[:4, 0] = 1.0
-        out = refine_hypotheses(sc, _hg(h), self._initial_for(sc, 0),
+        out = refine_hypotheses(sc, h, self._initial_for(sc, 0),
                                 PipelineConfig())
         assert len(out) == 1  # never fewer than the initial set
 
@@ -274,7 +268,7 @@ class TestRefine:
         sc = _perfect_scene(n=40, seed=10)
         h = np.zeros((40, 40))
         h[:12, 0] = 1.0
-        out = refine_hypotheses(sc, _hg(h), self._initial_for(sc, 0),
+        out = refine_hypotheses(sc, h, self._initial_for(sc, 0),
                                 PipelineConfig())
         refined = [x for x in out if x.origin is HypothesisOrigin.REFINED]
         re, te = pose_errors(refined[0].transform, sc.gt)
@@ -284,7 +278,7 @@ class TestRefine:
         sc = gen_scene(SynthConfig(n_corrs=50, inlier_ratio=0.3, seed=11))
         h = (rng.uniform(size=(50, 50)) < 0.3).astype(float)
         initial = self._initial_for(sc, 5)
-        out = refine_hypotheses(sc, _hg(h), initial, PipelineConfig())
+        out = refine_hypotheses(sc, h, initial, PipelineConfig())
         assert len(out) >= len(initial)
 
     def test_windows_match_per_window_fits(self, rng):
@@ -301,7 +295,7 @@ class TestRefine:
                    for seed in (3, 11, 50)]
         cfg = PipelineConfig()
         diag = {}
-        out = refine_hypotheses(sc, _hg(h), initial, cfg, diagnostics=diag)
+        out = refine_hypotheses(sc, h, initial, cfg, diagnostics=diag)
 
         ref, degenerate = [], 0
         for hyp in initial:
@@ -443,7 +437,7 @@ class TestRegister:
                                        seed=seed))
             _, diag = register(sc, params, cc, PipelineConfig())
             hg0 = init_hypergraph(build_compat_graph(sc, cc).w_h0)
-            assert diag["hyperedge_precision_before"] == hyperedge_precision(hg0, sc.labels)
+            assert diag["hyperedge_precision_before"] == hyperedge_precision(hg0.h, sc.labels)
 
     def test_rigid_motion_invariance(self, rng):
         # moving both clouds by a global motion G leaves RE/TE against the

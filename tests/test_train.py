@@ -8,15 +8,16 @@ import time
 import numpy as np
 import pytest
 
+from baselines import scene_batch
 from hgct import autodiff as av
-from hgct.compat import gamma_matrix
+from hgct import kernels
 from hgct.errors import HgctError, NonFinite
 from hgct.geom import residuals
 from hgct.hgnn import init_params, forward
 from hgct.hypergraph import gt_hypergraph
 from hgct.train import (Adam, SynthConfig, TrainConfig, gen_scene,
                         gradient_check, joint_loss, loss_class, loss_graph,
-                        loss_match, prepare_scene, scene_batch, train)
+                        loss_match, prepare_scene, train)
 
 # the module: the package's `train` attribute is the function
 train_module = importlib.import_module("hgct.train")
@@ -60,7 +61,8 @@ class TestGenScene:
             sc = gen_scene(SynthConfig(n_corrs=50, inlier_ratio=0.2,
                                        noise_sigma=noise, seed=seed))
             idx = np.flatnonzero(sc.labels)
-            g = gamma_matrix(sc.permuted(idx), 6.0 * noise)
+            inliers = sc.permuted(idx)
+            g = kernels.gamma_matrix(inliers.src, inliers.tgt, 6.0 * noise)
             off = ~np.eye(len(idx), dtype=bool)
             if np.all(g[off] > 0):
                 ok += 1
@@ -136,7 +138,7 @@ class TestLossMatch:
 
 class TestLossGraph:
     def test_exact_match_hits_clamp_floor(self):
-        h_star = gt_hypergraph([True, False, True]).h
+        h_star = gt_hypergraph([True, False, True])
         val = loss_graph(h_star.copy(), h_star)
         assert 0 < val < 1.1e-7
 
