@@ -13,8 +13,7 @@ from .geom import (CorrSet, RigidTransform, kabsch_svd, residuals, rotation_erro
                    translation_error)
 from .hgnn import (ForwardTrace, HgnnParams, forward, init_params, load_checkpoint,
                    save_checkpoint)
-from .hypergraph import (Hypergraph, gt_hypergraph, hyperedge_precision,
-                         init_hypergraph)
+from .hypergraph import gt_hypergraph, hyperedge_precision, init_hypergraph
 from .metrics import MetricThresholds, PairResult, aggregate, inlier_metrics
 from .pipeline import Hypothesis, PipelineConfig, gf_nms, register
 from .train import (SynthConfig, TrainConfig, gen_scene, joint_loss, loss_class,
@@ -30,7 +29,7 @@ __all__ = [
     "translation_error",
     "ForwardTrace", "HgnnParams", "forward", "init_params", "load_checkpoint",
     "save_checkpoint",
-    "Hypergraph", "gt_hypergraph", "hyperedge_precision", "init_hypergraph",
+    "gt_hypergraph", "hyperedge_precision", "init_hypergraph",
     "MetricThresholds", "PairResult", "aggregate", "inlier_metrics",
     "Hypothesis", "PipelineConfig", "gf_nms", "register",
     "SynthConfig", "TrainConfig", "gen_scene", "joint_loss", "loss_class",

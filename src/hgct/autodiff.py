@@ -36,10 +36,6 @@ class Var:
         self._parents: Tuple["Var", ...] = ()
         self._vjp = None
 
-    @property
-    def shape(self):
-        return self.value.shape
-
 
 def param(value) -> Var:
     """A leaf Var that participates in differentiation."""

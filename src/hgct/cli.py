@@ -158,7 +158,7 @@ def cmd_gradcheck(args) -> int:
 
     cfg = _load_run_config(args)
     report = gradient_check(n=cfg.gradcheck_n, channels=cfg.gradcheck_channels,
-                            step=cfg.gradcheck_step)
+                            seed=cfg.seed, step=cfg.gradcheck_step)
     ok = report["max_rel_err"] < cfg.gradcheck_tol
     status = "PASS" if ok else "FAIL"
     print(f"{status} max_rel_err={report['max_rel_err']:.3e} "

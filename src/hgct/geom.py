@@ -23,32 +23,11 @@ class RigidTransform:
         object.__setattr__(self, "R", np.asarray(self.R, dtype=np.float64).reshape(3, 3))
         object.__setattr__(self, "t", np.asarray(self.t, dtype=np.float64).reshape(3))
 
-    @staticmethod
-    def identity() -> "RigidTransform":
-        return RigidTransform(np.eye(3), np.zeros(3))
-
-    def apply(self, pts: np.ndarray) -> np.ndarray:
-        """Apply to an (N, 3) array (or a single 3-vector)."""
-        pts = np.asarray(pts, dtype=np.float64)
-        return pts @ self.R.T + self.t
-
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """Apply `other` first, then `self`."""
-        return RigidTransform(self.R @ other.R, self.R @ other.t + self.t)
-
-    def inverse(self) -> "RigidTransform":
-        return RigidTransform(self.R.T, -self.R.T @ self.t)
-
     def matrix4(self) -> np.ndarray:
         m = np.eye(4)
         m[:3, :3] = self.R
         m[:3, 3] = self.t
         return m
-
-    def is_valid(self, tol: float = 1e-9) -> bool:
-        ortho = np.max(np.abs(self.R.T @ self.R - np.eye(3))) <= tol
-        det = abs(np.linalg.det(self.R) - 1.0) <= tol
-        return bool(ortho and det and np.all(np.isfinite(self.t)))
 
 
 class CorrSet:
@@ -78,13 +57,6 @@ class CorrSet:
 
     def __len__(self) -> int:
         return len(self.src)
-
-    def permuted(self, perm) -> "CorrSet":
-        perm = np.asarray(perm)
-        return CorrSet(self.src[perm], self.tgt[perm],
-                       None if self.feat is None else self.feat[perm],
-                       self.gt,
-                       None if self.labels is None else self.labels[perm])
 
 
 def _as_points(pts) -> np.ndarray:

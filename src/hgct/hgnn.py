@@ -7,6 +7,8 @@ Architecture (channel width C, 5 convolution layers, 4 structure updates):
     Yhat = De^-1 H^T X            (1/0 -> 0 for empty hyperedges)
     Y^t  = l2norm(mlp1_t([Y^{t-1} | Yhat]))        Y^{-1} is all zeros
     Xhat = Dv^-1 H We Y^t         We = column sums of W_H^t
+    (H^0 = hypergraph.init_hypergraph(w_h0); W_H^0, w_h0 with 1 wherever
+    H^0's diagonal is 1, is never built, only summed: see forward)
     X    = relu(X^t + mlp2_t(Xhat))
     X^{t+1} = l2norm(nonlocal_t(X, W_nl))          W_nl = initial weight matrix
   between layers (t = 0..3):
@@ -22,8 +24,9 @@ retained sigmoid magnitudes only.
 
 Memory: `forward(..., keep_layers=False)`, which `pipeline.register` uses,
 keeps only X^5, Y^4, H^4 and s_hat in the trace and drops or reuses every
-N x N array after its last read (see `forward`). The update writes W_H^{t+1}
-into its score array, and top-K retention runs in row blocks.
+N x N array after its last read (see `forward`). No N x N array holds W_H^0.
+The update writes W_H^{t+1} into its score array, and top-K retention runs
+in row blocks.
 
 Checkpoint format: ASCII magic line b"HGCT-CKPT v1\n", then three
 little-endian uint32 (channels, layer count, total parameter count), then all
@@ -43,7 +46,6 @@ from . import autodiff as av
 from .compat import round_half_up
 from .errors import NonFinite
 from .geom import CorrSet
-from .hypergraph import Hypergraph
 
 N_LAYERS = 5
 N_UPDATES = 4
@@ -92,10 +94,6 @@ class HgnnParams:
 
     def value(self, name: str) -> np.ndarray:
         return self.tensors[name].value
-
-    @property
-    def sigma_f(self) -> float:
-        return float(np.exp(self.tensors["log_sigma_f"].value))
 
     def n_params(self) -> int:
         return sum(v.value.size for v in self.tensors.values())
@@ -168,13 +166,12 @@ class ForwardTrace:
 
     A trace made with keep_layers=False holds only the last entry of xs, ys
     and hs (X^5, Y^4, H^4) and of x_vars and y_vars, no W_H (whs and
-    wh_vars are empty, so wh_final raises IndexError) and an empty (0, 0)
-    w_nonlocal."""
+    wh_vars are empty) and an empty (0, 0) w_nonlocal."""
 
     xs: List[np.ndarray]        # X^0 .. X^5, each (N, C)
     ys: List[np.ndarray]        # Y^0 .. Y^4
-    hs: List[np.ndarray]        # H^0 .. H^4, binary; H^0 is hg0.h itself
-    whs: List[np.ndarray]       # W_H^0 .. W_H^4
+    hs: List[np.ndarray]        # H^0 .. H^4, binary; H^0 is hg0 itself
+    whs: List[np.ndarray]       # W_H^1 .. W_H^4 (W_H^0 is never built)
     s_hat: np.ndarray           # (N,) confidence in (0, 1)
     w_nonlocal: np.ndarray      # attention bias source (initial weights)
     x_vars: List[av.Var]
@@ -189,10 +186,6 @@ class ForwardTrace:
     @property
     def h_final(self) -> np.ndarray:
         return self.hs[-1]
-
-    @property
-    def wh_final(self) -> np.ndarray:
-        return self.whs[-1]
 
 
 def _affine(x: av.Var, params: HgnnParams, prefix: str) -> av.Var:
@@ -292,7 +285,7 @@ class Handover:
     """An argument handed over to `forward`, which empties the holder as it
     reads it. CPython keeps a call's arguments alive until the call returns,
     so only through a holder can forward drop the last reference to an
-    N x N input (hg0, w_h0) as soon as it has read it."""
+    N x N input (H^0, w_h0) as soon as it has read it."""
 
     __slots__ = ("value",)
 
@@ -308,23 +301,37 @@ def _received(arg):
     return arg
 
 
-def forward(corrs: CorrSet, hg0: Hypergraph, w_h0: np.ndarray,
+def _initial_edge_weights(w: np.ndarray, h0: np.ndarray) -> np.ndarray:
+    """Column sums of W_H^0 from w, an array holding w_h0, which is left as
+    it was. W_H^0 is w_h0 with 1 on the self-memberships (the diagonal of
+    H^0): they are written into w for the sum and restored after it. For a
+    C-contiguous w (a copy, or the graph build's w_h0) the sums are those of
+    a W_H^0 array, bit for bit."""
+    self_members = np.flatnonzero(h0.diagonal())
+    diagonal = w[self_members, self_members]
+    w[self_members, self_members] = 1.0
+    sums = w.sum(axis=0)
+    w[self_members, self_members] = diagonal
+    return sums
+
+
+def forward(corrs: CorrSet, hg0: np.ndarray, w_h0: np.ndarray,
             params: HgnnParams, keep_layers: bool = True) -> ForwardTrace:
     """Run the network on one correspondence set.
 
-    hg0 is the initial hypergraph; w_h0 is the raw initial weight matrix used
-    as the NonLocal attention bias. Either may come in a Handover, which
-    forward empties. Records the autodiff tape unless called under
-    autodiff.no_grad(). With keep_layers=False the per-layer lists of the
-    trace hold only the last layer (xs = [X^5], ys = [Y^4], hs = [H^4], the
-    same for x_vars and y_vars; whs and wh_vars are empty) and w_nonlocal is
-    empty, and every N x N array is dropped after its last read: w_h0 once
-    the log bias exists, W_H^t once its column sums are taken, H^t once
-    H^{t+1} exists. A handed-over w_h0 then becomes the log bias in place,
-    and a handed-over H^0 holds H^1, then H^2 and on, unless a tape (which
-    reads H^t) is recorded. Plain arguments are never modified. Every layer
-    is checked for non-finite values as it is computed, so NonFinite
-    names the first bad one.
+    hg0 is the incidence H^0 of the initial hypergraph (init_hypergraph of
+    w_h0); w_h0 is the raw initial weight matrix, the NonLocal attention bias,
+    from which the layer-0 hyperedge weights are summed. Either may come in a
+    Handover, which forward empties. Records the autodiff tape unless called
+    under autodiff.no_grad(). With keep_layers=False the per-layer lists of
+    the trace hold only the last layer (xs = [X^5], ys = [Y^4], hs = [H^4],
+    the same for x_vars and y_vars; whs and wh_vars are empty) and w_nonlocal
+    is empty, and every N x N array is dropped after its last read: W_H^t
+    once its column sums are taken, H^t once H^{t+1} exists. A handed-over
+    w_h0 then becomes the log bias in place, and a handed-over H^0 holds H^1,
+    then H^2 and on, unless a tape (which reads H^t) is recorded. Plain
+    arguments are never modified. Every layer is checked for non-finite
+    values as it is computed, so NonFinite names the first bad one.
     """
     n = len(corrs)
     if n < 3:
@@ -332,16 +339,15 @@ def forward(corrs: CorrSet, hg0: Hypergraph, w_h0: np.ndarray,
     c = params.channels
     # an argument handed over to a lean pass is forward's own to overwrite
     own_w, own_h = (isinstance(a, Handover) and not keep_layers for a in (w_h0, hg0))
+    h = _received(hg0)
+    del hg0
     w_h0 = np.asarray(_received(w_h0), dtype=np.float64)
     log_bias = w_h0 if own_w else w_h0.copy()
+    we = av.wrap(_initial_edge_weights(log_bias, h))
     log_bias += NONLOCAL_EPS
     np.log(log_bias, out=log_bias)
     w_nonlocal = w_h0 if keep_layers else np.empty((0, 0))
     del w_h0
-    hg0 = _received(hg0)
-    h = hg0.h
-    wh: Optional[av.Var] = av.wrap(hg0.w_h)
-    del hg0
     k2s = k2_schedule(n)
 
     x_vars: List[av.Var] = []
@@ -360,7 +366,7 @@ def forward(corrs: CorrSet, hg0: Hypergraph, w_h0: np.ndarray,
     y = av.wrap(np.zeros((n, c)))   # Y^{-1}
     keep(x_vars, x, "X^0")
     keep(hs, h)
-    keep(wh_vars, wh, "W_H^0")
+    _check_finite("W_H^0", we.value)
 
     for t in range(N_LAYERS):
         de_inv = _safe_inv(h.sum(axis=0))
@@ -368,10 +374,6 @@ def forward(corrs: CorrSet, hg0: Hypergraph, w_h0: np.ndarray,
         y = av.l2norm_rows(_mlp(av.concat_cols(y, yhat), params, f"mlp1.{t}"))
         keep(y_vars, y, f"Y^{t}")
 
-        we = av.vsum(wh, axis=0)
-        if t < N_UPDATES or not keep_layers:
-            wh = None  # read only for we; the update makes W_H^{t+1}, and
-            # only the full trace keeps W_H^4
         dv_inv = _safe_inv(h.sum(axis=1))
         xhat = av.mul(av.matmul(av.wrap(h), av.mul(av.reshape(we, (n, 1)), y)),
                       dv_inv[:, None])
@@ -385,6 +387,8 @@ def forward(corrs: CorrSet, hg0: Hypergraph, w_h0: np.ndarray,
             own_h = not keep_layers
             keep(hs, h)
             keep(wh_vars, wh, f"W_H^{t + 1}")
+            we = av.vsum(wh, axis=0)
+            del wh  # read only for we; the full trace keeps it in wh_vars
 
     s_hat = av.reshape(av.sigmoid(_affine(x, params, "conf")), (n,))
     _check_finite("s_hat", s_hat.value)
@@ -395,4 +399,3 @@ def forward(corrs: CorrSet, hg0: Hypergraph, w_h0: np.ndarray,
                         hs=hs, whs=[v.value for v in wh_vars], s_hat=s_hat.value,
                         w_nonlocal=w_nonlocal, x_vars=x_vars,
                         y_vars=y_vars, wh_vars=wh_vars, s_var=s_hat)
-

@@ -1,42 +1,30 @@
-"""Hypergraph incidence structure and the hyperedge-precision metric.
+"""The initial hypergraph's incidence and the hyperedge-precision metric.
 
 Vertices and hyperedges are both indexed by correspondence index: hyperedge j
 collects the vertices whose initial weight to j is positive, plus j itself, so
-the incidence matrix is square (N x N, row = vertex, column = hyperedge).
+the incidence matrix is square (N x N, row = vertex, column = hyperedge). The
+initial hyperedge weights W_H^0 are never stored: they equal the initial
+weights w_h0 except for a 1 on the diagonal of every vertex in its own
+hyperedge, and the network reads them only as column sums (see hgnn.forward).
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoEdges
 
 
-@dataclass(frozen=True)
-class Hypergraph:
-    h: np.ndarray     # (N, N) binary incidence, float64 holding {0, 1}
-    w_h: np.ndarray   # (N, N) nonnegative weights, zero where h is zero
+def init_hypergraph(w_h0: np.ndarray) -> np.ndarray:
+    """The (N, N) float64 incidence H^0: the positive support of the initial
+    weights w_h0 (a CompatGraph's), plus self-membership.
 
-    @property
-    def n(self) -> int:
-        return self.h.shape[0]
-
-
-def init_hypergraph(w_h0: np.ndarray) -> Hypergraph:
-    """Incidence from the positive support of the initial weights w_h0 (a
-    CompatGraph's), plus self-membership.
-
-    Every non-isolated vertex i is added to its own hyperedge with weight 1 so
-    that hypothesis sampling over e_i always contains the seed. Isolated
-    vertices keep an all-zero row and column.
+    Every non-isolated vertex i is added to its own hyperedge so that
+    hypothesis sampling over e_i always contains the seed. Isolated vertices
+    keep an all-zero row and column.
     """
     h = (w_h0 > 0).astype(np.float64)
-    w_h = w_h0.copy()
-    non_isolated = h.sum(axis=1) > 0
-    idx = np.flatnonzero(non_isolated)
+    idx = np.flatnonzero(h.sum(axis=1) > 0)
     h[idx, idx] = 1.0
-    w_h[idx, idx] = 1.0
-    return Hypergraph(h=h, w_h=w_h)
+    return h
 
 
 def gt_hypergraph(labels) -> np.ndarray:

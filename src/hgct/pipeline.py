@@ -218,21 +218,21 @@ def register(corrs: CorrSet, params: HgnnParams, cc: CompatConfig,
     g = build_compat_graph(corrs, cc)
     w_h0, theta_cmp = g.w_h0, g.theta_cmp
     del g  # frees w_gamma, which nothing below reads
-    hg0 = init_hypergraph(w_h0)
+    h0 = init_hypergraph(w_h0)
     timings["graph_ms"] = 1000.0 * (time.perf_counter() - t0)
     labels = corrs.labels
     if labels is not None:
         try:
-            precision_before = hyperedge_precision(hg0.h, labels)
+            precision_before = hyperedge_precision(h0, labels)
         except NoEdges:  # an empty H^0: H^4, inside it, is empty too
             precision_before = None
-    # forward drops W_H^0 after its last read and reuses the buffers of w_h0
-    # (as the log bias) and H^0 (as H^1..H^4)
-    hg0, w_h0 = Handover(hg0), Handover(w_h0)
+    # forward reuses the buffers of w_h0 (as the log bias) and H^0 (as
+    # H^1..H^4)
+    h0, w_h0 = Handover(h0), Handover(w_h0)
 
     t0 = time.perf_counter()
     with av.no_grad():
-        trace = forward(corrs, hg0, w_h0, params, keep_layers=False)
+        trace = forward(corrs, h0, w_h0, params, keep_layers=False)
     timings["network_ms"] = 1000.0 * (time.perf_counter() - t0)
 
     t0 = time.perf_counter()

@@ -20,7 +20,7 @@ from .compat import CompatConfig, build_compat_graph, round_half_up
 from .errors import HgctError, NonFinite
 from .geom import CorrSet, RigidTransform, inlier_labels, random_rotation
 from .hgnn import ForwardTrace, HgnnParams, forward, init_params
-from .hypergraph import Hypergraph, gt_hypergraph, init_hypergraph
+from .hypergraph import gt_hypergraph, init_hypergraph
 from .kernels import blas_threads, worker_count
 
 PROB_EPS = 1e-7  # clamp bound for probabilities inside BCE terms
@@ -196,7 +196,7 @@ class Adam:
 @dataclass
 class PreparedScene:
     corrs: CorrSet
-    hg0: Hypergraph
+    hg0: np.ndarray     # the incidence H^0
     w_h0: np.ndarray
     labels: np.ndarray
 

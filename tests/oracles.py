@@ -7,10 +7,13 @@ with the implementation under test. The exceptions:
 the package; `nonlocal_apply`, a test entry point into the network's
 attention block; the `*_reference` and `*_chain` helpers, which keep the
 allocating numpy expressions and unfused tape ops that the package's in-place
-kernels must equal bit for bit; the test-only views of a Hypergraph (degrees,
-weights, empty-edge count, a debug listing); the per-correspondence types
-and scalar functions (Point3, Correspondence, rigid_distance, compat_score,
-residual), which the package works without; and the tape-level row softmax
+kernels must equal bit for bit; the initial hyperedge weights W_H^0, which
+the package never builds, and the test-only views of a hypergraph's
+incidence h and weights w_h (degrees, weights, empty-edge count, a debug
+listing); the per-correspondence types and scalar functions (Point3,
+Correspondence, rigid_distance, compat_score, residual) and the rigid-motion
+and permutation helpers (identity, apply, compose, inverse, is_valid,
+permuted), which the package works without; and the tape-level row softmax
 and grad-mode query at the end (softmax_rows, grad_enabled), which are
 built on the package's kernels and which the network does not call.
 """
@@ -21,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from hgct import autodiff as av
+from hgct.geom import CorrSet, RigidTransform
 from hgct.hgnn import NONLOCAL_EPS, _nonlocal
 
 
@@ -320,34 +324,45 @@ def gamma_matrix_reference(src, tgt, sigma_d):
     return g
 
 
-# test-only views of a Hypergraph
+# the initial hyperedge weights, and test-only views of an incidence h and
+# hyperedge weights w_h
 
-def vertex_degrees(hg):
+def initial_weights(w_h0):
+    """W_H^0: the initial weights w_h0 with weight 1 on the diagonal of every
+    non-isolated vertex, the self-membership that init_hypergraph adds to
+    H^0."""
+    w_h = w_h0.copy()
+    idx = np.flatnonzero((w_h0 > 0).sum(axis=1) > 0)
+    w_h[idx, idx] = 1.0
+    return w_h
+
+
+def vertex_degrees(h):
     """D(v_i): number of hyperedges containing vertex i (row sums)."""
-    return hg.h.sum(axis=1)
+    return h.sum(axis=1)
 
 
-def hyperedge_degrees(hg):
+def hyperedge_degrees(h):
     """D(e_j): number of vertices in hyperedge j (column sums)."""
-    return hg.h.sum(axis=0)
+    return h.sum(axis=0)
 
 
-def hyperedge_weights(hg):
+def hyperedge_weights(w_h):
     """W(e_j): total weight mass of hyperedge j (column sums of w_h)."""
-    return hg.w_h.sum(axis=0)
+    return w_h.sum(axis=0)
 
 
-def excluded_edge_count(hg):
+def excluded_edge_count(h):
     """Number of empty hyperedges left out of the precision mean."""
-    return int(np.sum(hg.h.sum(axis=0) == 0))
+    return int(np.sum(h.sum(axis=0) == 0))
 
 
-def dump(hg):
+def dump(h, w_h):
     """Debug listing: one line per hyperedge with sorted members and weights."""
     lines = []
-    for j in range(hg.n):
-        members = np.flatnonzero(hg.h[:, j] > 0)
-        weights = " ".join(format(hg.w_h[i, j], ".6g") for i in members)
+    for j in range(h.shape[1]):
+        members = np.flatnonzero(h[:, j] > 0)
+        weights = " ".join(format(w_h[i, j], ".6g") for i in members)
         vs = " ".join(str(i) for i in members)
         lines.append(f"edge {j}: v=[{vs}] w=[{weights}]")
     return "\n".join(lines)
@@ -400,6 +415,42 @@ def residual(transform, c: Correspondence) -> float:
     """Euclidean reprojection distance ||R p_src + t - p_tgt|| in meters."""
     p = transform.R @ c.src.as_array() + transform.t - c.tgt.as_array()
     return float(np.sqrt(p @ p))
+
+
+# rigid-motion and permutation helpers
+
+def identity():
+    return RigidTransform(np.eye(3), np.zeros(3))
+
+
+def apply(g, pts):
+    """g applied to an (N, 3) array (or a single 3-vector)."""
+    pts = np.asarray(pts, dtype=np.float64)
+    return pts @ g.R.T + g.t
+
+
+def compose(g, other):
+    """Apply `other` first, then `g`."""
+    return RigidTransform(g.R @ other.R, g.R @ other.t + g.t)
+
+
+def inverse(g):
+    return RigidTransform(g.R.T, -g.R.T @ g.t)
+
+
+def is_valid(g, tol=1e-9):
+    ortho = np.max(np.abs(g.R.T @ g.R - np.eye(3))) <= tol
+    det = abs(np.linalg.det(g.R) - 1.0) <= tol
+    return bool(ortho and det and np.all(np.isfinite(g.t)))
+
+
+def permuted(cs, perm):
+    """cs with its rows (points, features, labels) in the order perm."""
+    perm = np.asarray(perm)
+    return CorrSet(cs.src[perm], cs.tgt[perm],
+                   None if cs.feat is None else cs.feat[perm],
+                   cs.gt,
+                   None if cs.labels is None else cs.labels[perm])
 
 
 # tape-level ops the network reaches only through av.scaled_scores

@@ -108,22 +108,23 @@ def test_c1_oracle_equivalence():
         with av.no_grad():
             tr = forward(ps.corrs, ps.hg0, ps.w_h0, params)
         k2s = k2_schedule(n)
+        whs = [oracles.initial_weights(ps.w_h0)] + tr.whs
         y_prev = np.zeros((n, c))
         for t in range(5):
             dv, de = oracles.degrees_loop(tr.hs[t])
             assert np.allclose(tr.hs[t].sum(axis=1), dv, atol=1e-10)
             assert np.allclose(tr.hs[t].sum(axis=0), de, atol=1e-10)
-            we = oracles.edge_weights_loop(tr.whs[t])
-            assert np.max(np.abs(tr.whs[t].sum(axis=0) - we)) < 1e-10
+            we = oracles.edge_weights_loop(whs[t])
+            assert np.max(np.abs(whs[t].sum(axis=0) - we)) < 1e-10
             x_next, y = oracles.conv_block_loop(tr.xs[t], y_prev, tr.hs[t],
-                                                tr.whs[t], ps.w_h0, params, t, c)
+                                                whs[t], ps.w_h0, params, t, c)
             assert np.max(np.abs(tr.xs[t + 1] - x_next)) < 1e-10
             assert np.max(np.abs(tr.ys[t] - y)) < 1e-10
             if t < 4:
                 h_new, w_new = oracles.update_block_loop(
                     tr.xs[t + 1], tr.ys[t], tr.hs[t], params, t, k2s[t], c)
                 assert np.array_equal(tr.hs[t + 1], h_new)
-                assert np.max(np.abs(tr.whs[t + 1] - w_new)) < 1e-10
+                assert np.max(np.abs(whs[t + 1] - w_new)) < 1e-10
             y_prev = y
         full_depth += 1
 
@@ -207,10 +208,10 @@ def test_c4_heldout_hyperedge_precision(trained_model):
             tr0 = forward(ps.corrs, ps.hg0, ps.w_h0,
                           trained_model["init_params"])
         trained.append(oracles.weighted_membership_precision(
-            tr.h_final, tr.wh_final, ps.labels))
+            tr.h_final, tr.whs[-1], ps.labels))
         untrained.append(oracles.weighted_membership_precision(
-            tr0.h_final, tr0.wh_final, ps.labels))
-        before.append(hyperedge_precision(ps.hg0.h, ps.labels))
+            tr0.h_final, tr0.whs[-1], ps.labels))
+        before.append(hyperedge_precision(ps.hg0, ps.labels))
         after.append(hyperedge_precision(tr.h_final, ps.labels))
     mt, mu = float(np.mean(trained)), float(np.mean(untrained))
     wins = sum(1 for a, b in zip(trained, untrained) if a > b)
@@ -275,9 +276,8 @@ def test_c6_gfnms_vs_nms():
                                    noise_sigma=0.01, seed=300 + seed))
         s_hat = sc.labels.astype(float)  # oracle confidences
         g = build_compat_graph(sc, cc)
-        hg0 = init_hypergraph(g.w_h0)
         with av.no_grad():
-            tr = forward(sc, hg0, g.w_h0, params)
+            tr = forward(sc, init_hypergraph(g.w_h0), g.w_h0, params)
         gf = gf_nms(tr.h_final, s_hat, sc, pc)
         nms = standard_nms_seeds(s_hat, sc.src, pc.nms_radius, n_s)
         gf_in = int(sc.labels[gf].sum())

@@ -201,7 +201,7 @@ class TestScaledScores:
         ref = oracles.scaled_scores_reference(q, k, 0.37, None, activation)
         assert np.array_equal(_bits(out.value), _bits(ref))
         if track:
-            g = rng.normal(size=out.shape)
+            g = rng.normal(size=out.value.shape)
             qc, kc = av.param(q), av.param(k)
             chain = oracles.scaled_scores_chain(qc, kc, 0.37, None, activation)
             assert np.array_equal(_bits(out.value), _bits(chain.value))
@@ -299,7 +299,7 @@ class TestEngine:
         x = av.param(rng.normal(size=(4, 4)))
         c = rng.normal(size=(4, 4))
         for out in (op(x, c), op(c, x)):
-            pairs = out._vjp(np.ones(out.shape))
+            pairs = out._vjp(np.ones(out.value.shape))
             assert len(pairs) == 1 and pairs[0][0] is x
         y = av.param(rng.normal(size=(4, 4)))
         pairs = op(x, y)._vjp(np.ones((4, 4)))

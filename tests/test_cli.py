@@ -1,3 +1,4 @@
+import importlib
 import json
 import multiprocessing
 import os
@@ -6,11 +7,12 @@ import numpy as np
 import pytest
 
 import hgct.cli
+import oracles
 from baselines import run_suite
 from hgct import kernels
 from hgct.cli import main
 from hgct.config import parse_config
-from hgct.geom import CorrSet, RigidTransform
+from hgct.geom import CorrSet
 from hgct.hgnn import init_params, load_checkpoint, save_checkpoint
 from hgct.metrics import aggregate
 from hgct.sceneio import read_dataset, read_scene, write_scene
@@ -134,7 +136,7 @@ class TestBench:
         src = np.zeros((10, 3))
         src[:, 0] = np.linspace(0.0, 1.0, 10)
         broken = CorrSet(src, rng.uniform(40, 50, (10, 3)),
-                         gt=RigidTransform.identity())
+                         gt=oracles.identity())
         good = gen_scene(SynthConfig(n_corrs=60, inlier_ratio=1.0,
                                      noise_sigma=0.0, seed=3))
         data = tmp_path / "data"
@@ -324,10 +326,29 @@ class TestTrain:
 
 class TestGradcheck:
     def test_pass_line(self, tmp_path, capsys):
-        cfg = _write_config(tmp_path, "gradcheck_n = 8\ngradcheck_channels = 2\n")
+        # seed 3, the check's own default: at 2 channels, seeds 0 and 5 put a
+        # row of X^3 at zero, where l2norm_rows has a jump
+        cfg = _write_config(tmp_path, "gradcheck_n = 8\ngradcheck_channels = 2\n"
+                                      "seed = 3\n")
         assert main(["gradcheck", "--config", cfg]) == 0
         out = capsys.readouterr().out
         assert out.startswith("PASS max_rel_err=")
+
+    @pytest.mark.parametrize("argv, config, seed", [
+        (["--seed", "5"], "", 5), ([], "seed = 2\n", 2)])
+    def test_seed_reaches_the_check(self, tmp_path, capsys, monkeypatch,
+                                    argv, config, seed):
+        seen = {}
+
+        def spy(**kwargs):
+            seen.update(kwargs)
+            return {"max_rel_err": 0.0, "worst_param": "conf.b[0]", "n_params": 1}
+
+        # by module path: the package re-exports the function train.train
+        monkeypatch.setattr(importlib.import_module("hgct.train"), "gradient_check", spy)
+        cfg = _write_config(tmp_path, config)
+        assert main(["gradcheck", "--config", cfg] + argv) == 0
+        assert seen["seed"] == seed
 
 
 class TestDefaults:

@@ -59,8 +59,8 @@ class TestKabsch:
             tgt = rng.uniform(-1, 1, (8, 3))
             base = kabsch_svd(src, tgt)
             g = RigidTransform(random_rotation(rng), rng.normal(size=3))
-            moved = kabsch_svd(src, g.apply(tgt))
-            comp = g.compose(base)
+            moved = kabsch_svd(src, oracles.apply(g, tgt))
+            comp = oracles.compose(g, base)
             assert np.max(np.abs(moved.R - comp.R)) < 1e-8
             assert np.linalg.norm(moved.t - comp.t) < 1e-8
 
@@ -96,14 +96,14 @@ class TestKabsch:
         # 3 points are always planar; rank-2 covariance must not be rejected
         pts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
         t = kabsch_svd(pts, pts)
-        assert t.is_valid()
+        assert oracles.is_valid(t)
 
     def test_reflection_fixed(self, rng):
         for _ in range(20):
             src = rng.uniform(-1, 1, (6, 3))
             tgt = rng.uniform(-1, 1, (6, 3))
             est = kabsch_svd(src, tgt)
-            assert est.is_valid(tol=1e-8)
+            assert oracles.is_valid(est, tol=1e-8)
 
 
 class TestKabschBatch:
@@ -187,11 +187,11 @@ class TestCorrSetFinite:
 class TestResidual:
     def test_zero_for_identity_match(self):
         c = _corr([0.3, -0.2, 1.0], [0.3, -0.2, 1.0])
-        assert residual(RigidTransform.identity(), c) == 0.0
+        assert residual(oracles.identity(), c) == 0.0
 
     def test_3_4_5(self):
         c = _corr([0, 0, 0], [0, 3, 4])
-        assert residual(RigidTransform.identity(), c) == pytest.approx(5.0, abs=1e-14)
+        assert residual(oracles.identity(), c) == pytest.approx(5.0, abs=1e-14)
 
     def test_matches_hand_expansion(self, rng):
         rot = random_rotation(rng)
@@ -207,7 +207,7 @@ class TestResidual:
     @settings(max_examples=200, deadline=None)
     def test_nonnegative(self, vals):
         c = _corr(vals[:3], vals[3:])
-        assert residual(RigidTransform.identity(), c) >= 0.0
+        assert residual(oracles.identity(), c) >= 0.0
 
 
 class TestPoseErrors:
@@ -255,6 +255,6 @@ class TestCorrSet:
         labels = rng.uniform(size=6) > 0.5
         cs = CorrSet(src, tgt, labels=labels)
         perm = rng.permutation(6)
-        ps = cs.permuted(perm)
+        ps = oracles.permuted(cs, perm)
         assert np.array_equal(ps.src, src[perm])
         assert np.array_equal(ps.labels, labels[perm])

@@ -12,7 +12,7 @@ from hgct.errors import NonFinite
 from hgct.geom import CorrSet
 from hgct.hgnn import (Handover, _topk_retention, _update, forward, init_params,
                        k2_schedule, load_checkpoint, param_specs, save_checkpoint)
-from hgct.hypergraph import Hypergraph, init_hypergraph
+from hgct.hypergraph import init_hypergraph
 from hgct.train import SynthConfig, gen_scene, joint_loss, prepare_scene
 
 
@@ -44,9 +44,8 @@ def _generic_instance(seed, n=12, channels=8, density=0.5):
         cols = {tuple(row) for row in (w > 0).T}
         if len(cols) == n and np.all((w > 0).sum(axis=0) > 0):
             break
-    hg0 = init_hypergraph(w)
     params = init_params(channels=channels, seed=seed + 50)
-    return corrs, hg0, w, params
+    return corrs, init_hypergraph(w), w, params
 
 
 class TestShapes:
@@ -56,7 +55,7 @@ class TestShapes:
         n = len(ps.corrs)
         assert len(tr.xs) == 6 and all(x.shape == (n, 8) for x in tr.xs)
         assert len(tr.ys) == 5 and all(y.shape == (n, 8) for y in tr.ys)
-        assert len(tr.hs) == 5 and len(tr.whs) == 5
+        assert len(tr.hs) == 5 and len(tr.whs) == 4  # W_H^1..W_H^4
         assert tr.s_hat.shape == (n,)
         assert np.all((tr.s_hat > 0) & (tr.s_hat < 1))
 
@@ -137,7 +136,7 @@ class TestTopkRetention:
         assert np.any(np.count_nonzero(tr.hs[0], axis=1) > k2)
         assert np.array_equal(h_new, h_ref)
         assert np.max(np.abs(w_new.value - w_ref)) < 1e-10
-        assert np.array_equal(h_new, tr.hs[1]) and np.array_equal(w_new.value, tr.whs[1])
+        assert np.array_equal(h_new, tr.hs[1]) and np.array_equal(w_new.value, tr.whs[0])
 
 
 class TestUpdate:
@@ -164,8 +163,8 @@ class TestUpdate:
             assert w_new.track
             assert np.array_equal(h_new, h_ref) and np.any(h_ref == 0)
             assert np.array_equal(w_new.value, w_ref.value)
-            assert np.array_equal(w_new.value, tr.whs[t + 1])
-            g = rng.standard_normal(w_new.shape)
+            assert np.array_equal(w_new.value, tr.whs[t])
+            g = rng.standard_normal(w_new.value.shape)
             for got, want in zip(av.gradients([w_new], [g], [x, y]),
                                  av.gradients([w_ref], [g], [x, y])):
                 assert np.array_equal(got, want)
@@ -187,12 +186,12 @@ class TestConventions:
                 if i != j:
                     w[i, j] = 1.0
         w[4, 0] = w[0, 4] = 0.5
-        hg = init_hypergraph(w)
-        assert np.all(hg.h[3] == 0)
+        h0 = init_hypergraph(w)
+        assert np.all(h0[3] == 0)
         rng = np.random.default_rng(0)
         corrs = CorrSet(rng.normal(size=(5, 3)), rng.normal(size=(5, 3)))
         params = init_params(channels=4, seed=1)
-        tr = forward(corrs, hg, w, params)
+        tr = forward(corrs, h0, w, params)
         for h in tr.hs:
             assert np.all(h[3] == 0)
 
@@ -216,7 +215,7 @@ class TestConventions:
     def test_wh_support_consistent(self):
         ps, params = _prepared(n=10, channels=8)
         tr = forward(ps.corrs, ps.hg0, ps.w_h0, params)
-        for h, wh in zip(tr.hs[1:], tr.whs[1:]):
+        for h, wh in zip(tr.hs[1:], tr.whs):
             assert np.array_equal(wh > 0, h > 0)
             assert np.all((wh >= 0) & (wh <= 1))
 
@@ -234,14 +233,12 @@ class TestConventions:
         # hyperedge features, so top-K selection has no exact ties and the
         # whole trace must commute with vertex relabeling
         for seed in range(5):
-            corrs, hg0, w0, params = _generic_instance(seed, n=12, channels=8)
-            tr = forward(corrs, hg0, w0, params)
+            corrs, h0, w0, params = _generic_instance(seed, n=12, channels=8)
+            tr = forward(corrs, h0, w0, params)
             rng = np.random.default_rng(seed + 100)
             perm = rng.permutation(12)
-            pc = corrs.permuted(perm)
-            phg = Hypergraph(h=hg0.h[np.ix_(perm, perm)],
-                             w_h=hg0.w_h[np.ix_(perm, perm)])
-            ptr = forward(pc, phg, w0[np.ix_(perm, perm)], params)
+            pc = oracles.permuted(corrs, perm)
+            ptr = forward(pc, h0[np.ix_(perm, perm)], w0[np.ix_(perm, perm)], params)
             assert np.allclose(ptr.s_hat, tr.s_hat[perm], atol=1e-9)
             assert np.array_equal(ptr.h_final, tr.h_final[np.ix_(perm, perm)])
             assert np.allclose(ptr.x_final, tr.x_final[perm], atol=1e-9)
@@ -251,6 +248,15 @@ class TestConventions:
         params.var("input_lift.w").value[0, 0] = np.nan
         with pytest.raises(NonFinite):
             forward(ps.corrs, ps.hg0, ps.w_h0, params)
+
+    @pytest.mark.parametrize("keep_layers", [True, False])
+    def test_nonfinite_initial_weights_name_w_h0(self, keep_layers):
+        # W_H^0 is never built, but its column sums are checked under its name
+        ps, params = _prepared(n=10, channels=8)
+        w0 = ps.w_h0.copy()
+        w0[0, 1] = w0[1, 0] = np.inf
+        with av.no_grad(), pytest.raises(NonFinite, match=r"W_H\^0"):
+            forward(ps.corrs, ps.hg0, w0, params, keep_layers=keep_layers)
 
 
 class TestLeanForward:
@@ -284,16 +290,16 @@ class TestLeanForward:
         ps = prepare_scene(scene, 0.1, 0.1)
         params = init_params(channels=8, seed=0)
         full, lean = self._both(ps.corrs, ps.hg0, ps.w_h0, params)
-        assert np.any(np.diff(np.sort(full.whs[4][full.hs[4] > 0])) == 0)
+        assert np.any(np.diff(np.sort(full.whs[3][full.hs[4] > 0])) == 0)
         self._assert_last_layer_equal(full, lean)
 
     def test_prepared_scene_twice_unchanged_and_equal(self):
         ps, params = _prepared(n=12, seed=1, channels=8)
-        before = (ps.hg0.h.copy(), ps.hg0.w_h.copy(), ps.w_h0.copy())
+        before = (ps.hg0.copy(), ps.w_h0.copy())
         with av.no_grad():
             first = forward(ps.corrs, ps.hg0, ps.w_h0, params, keep_layers=False)
             second = forward(ps.corrs, ps.hg0, ps.w_h0, params, keep_layers=False)
-        for arr, copy in zip((ps.hg0.h, ps.hg0.w_h, ps.w_h0), before):
+        for arr, copy in zip((ps.hg0, ps.w_h0), before):
             assert np.array_equal(arr, copy)
         for name in ("xs", "ys", "hs"):
             assert np.array_equal(getattr(first, name)[0], getattr(second, name)[0]), name
@@ -301,16 +307,14 @@ class TestLeanForward:
         assert first.w_nonlocal.shape == (0, 0)
 
     def test_handed_over_inputs_die_after_their_last_read(self, monkeypatch):
-        # W_H^0 is dead by the first update; w_h0's buffer is the log bias of
-        # every attention, and H^0's buffer holds H^{t+1} after update t;
-        # nothing else of the inputs survives
+        # w_h0's buffer is the log bias of every attention, and H^0's buffer
+        # holds H^{t+1} after update t; nothing else of the inputs survives
         ps, params = _prepared(n=12, seed=1, channels=8)
         with av.no_grad():
             plain = forward(ps.corrs, ps.hg0, ps.w_h0, params)
-        hg0 = Hypergraph(h=ps.hg0.h.copy(), w_h=ps.hg0.w_h.copy())
+        h0 = ps.hg0.copy()
         w0 = ps.w_h0.copy()
-        refs = {"H^0": weakref.ref(hg0.h), "W_H^0": weakref.ref(hg0.w_h),
-                "w_h0": weakref.ref(w0)}
+        refs = {"H^0": weakref.ref(h0), "w_h0": weakref.ref(w0)}
         alive, biases, supports = [], [], []
 
         def spy_update(x, y, h, *args):
@@ -327,8 +331,8 @@ class TestLeanForward:
         attention = hgnn._nonlocal
         monkeypatch.setattr(hgnn, "_update", spy_update)
         monkeypatch.setattr(hgnn, "_nonlocal", spy_nonlocal)
-        holders = (Handover(hg0), Handover(w0))
-        del hg0, w0
+        holders = (Handover(h0), Handover(w0))
+        del h0, w0
         with av.no_grad():
             got = forward(ps.corrs, holders[0], holders[1], params, keep_layers=False)
         assert holders[0].value is None and holders[1].value is None
@@ -346,20 +350,20 @@ class TestLeanForward:
         ps, params = _prepared(n=12, seed=2, channels=8)
         seed = np.random.default_rng(0).normal(size=len(ps.corrs))
         full = _s_hat_grads(forward(ps.corrs, ps.hg0, ps.w_h0, params), params, seed)
-        hg0 = Hypergraph(h=ps.hg0.h.copy(), w_h=ps.hg0.w_h.copy())
-        lean = forward(ps.corrs, Handover(hg0), Handover(ps.w_h0.copy()), params,
+        h0 = ps.hg0.copy()
+        lean = forward(ps.corrs, Handover(h0), Handover(ps.w_h0.copy()), params,
                        keep_layers=False)
-        assert np.array_equal(hg0.h, ps.hg0.h)
+        assert np.array_equal(h0, ps.hg0)
         grads = _s_hat_grads(lean, params, seed)
         for name in params.names:
             assert np.array_equal(grads[name], full[name]), name
 
     def test_input_hypergraph_left_unchanged(self):
-        corrs, hg0, w0, params = _generic_instance(3)
-        h, w_h = hg0.h.copy(), hg0.w_h.copy()
+        corrs, h0, w0, params = _generic_instance(3)
+        h, w = h0.copy(), w0.copy()
         with av.no_grad():
-            forward(corrs, hg0, w0, params, keep_layers=False)
-        assert np.array_equal(hg0.h, h) and np.array_equal(hg0.w_h, w_h)
+            forward(corrs, h0, w0, params, keep_layers=False)
+        assert np.array_equal(h0, h) and np.array_equal(w0, w)
 
     @pytest.mark.parametrize("keep_layers", [True, False])
     def test_poisoned_intermediate_layer_raises(self, keep_layers):
@@ -409,7 +413,8 @@ class TestLayerOracle:
         tr = forward(ps.corrs, ps.hg0, ps.w_h0, params)
         x0 = tr.xs[0]
         y_prev = np.zeros_like(x0)
-        x1, y0 = oracles.conv_block_loop(x0, y_prev, tr.hs[0], tr.whs[0],
+        x1, y0 = oracles.conv_block_loop(x0, y_prev, tr.hs[0],
+                                         oracles.initial_weights(ps.w_h0),
                                          ps.w_h0, params, 0, 8)
         assert np.max(np.abs(tr.ys[0] - y0)) < 1e-10
         assert np.max(np.abs(tr.xs[1] - x1)) < 1e-10
@@ -419,17 +424,18 @@ class TestLayerOracle:
         tr = forward(ps.corrs, ps.hg0, ps.w_h0, params)
         n = len(ps.corrs)
         k2s = k2_schedule(n)
+        whs = [oracles.initial_weights(ps.w_h0)] + tr.whs
         y_prev = np.zeros((n, 4))
         for t in range(5):
             x_next, y = oracles.conv_block_loop(tr.xs[t], y_prev, tr.hs[t],
-                                                tr.whs[t], ps.w_h0, params, t, 4)
+                                                whs[t], ps.w_h0, params, t, 4)
             assert np.max(np.abs(tr.xs[t + 1] - x_next)) < 1e-10
             assert np.max(np.abs(tr.ys[t] - y)) < 1e-10
             if t < 4:
                 h_new, w_new = oracles.update_block_loop(
                     tr.xs[t + 1], tr.ys[t], tr.hs[t], params, t, k2s[t], 4)
                 assert np.array_equal(tr.hs[t + 1], h_new)
-                assert np.max(np.abs(tr.whs[t + 1] - w_new)) < 1e-10
+                assert np.max(np.abs(whs[t + 1] - w_new)) < 1e-10
             y_prev = y
 
 
@@ -530,4 +536,4 @@ class TestCheckpoint:
 
     def test_sigma_f_accessor(self):
         params = init_params(channels=4, seed=0, sigma_f0=2.0)
-        assert params.sigma_f == pytest.approx(2.0)
+        assert np.exp(params.value("log_sigma_f")) == pytest.approx(2.0)

@@ -5,84 +5,83 @@ import oracles
 from hgct.compat import CompatConfig, build_compat_graph
 from hgct.errors import NoEdges
 from hgct.geom import CorrSet
-from hgct.hypergraph import (Hypergraph, gt_hypergraph, hyperedge_precision,
-                             init_hypergraph)
+from hgct.hypergraph import gt_hypergraph, hyperedge_precision, init_hypergraph
 from oracles import (dump, excluded_edge_count, hyperedge_degrees,
-                     hyperedge_weights, vertex_degrees)
+                     hyperedge_weights, initial_weights, vertex_degrees)
 
 
 def _random_hypergraph(rng, n=10, density=0.4):
+    """(incidence, weights) of a random hypergraph."""
     h = (rng.uniform(size=(n, n)) < density).astype(np.float64)
-    w = h * rng.uniform(size=(n, n))
-    return Hypergraph(h=h, w_h=w)
+    return h, h * rng.uniform(size=(n, n))
 
 
 class TestInit:
     def test_three_clique(self):
         w = np.ones((3, 3)) - np.eye(3)
-        hg = init_hypergraph(w)
+        h = init_hypergraph(w)
         # every hyperedge contains all three vertices (self-membership added)
-        assert np.array_equal(hg.h, np.ones((3, 3)))
-        assert np.array_equal(hyperedge_degrees(hg), [3, 3, 3])
-        assert np.allclose(np.diag(hg.w_h), 1.0)
+        assert h.dtype == np.float64 and np.array_equal(h, np.ones((3, 3)))
+        assert np.array_equal(hyperedge_degrees(h), [3, 3, 3])
+        assert np.allclose(np.diag(initial_weights(w)), 1.0)
 
     def test_isolated_vertex(self):
         w = np.zeros((4, 4))
         w[0, 1] = w[1, 0] = 0.5
-        hg = init_hypergraph(w)
-        assert np.all(hg.h[2] == 0) and np.all(hg.h[:, 2] == 0)
-        assert vertex_degrees(hg)[2] == 0
+        h = init_hypergraph(w)
+        assert np.all(h[2] == 0) and np.all(h[:, 2] == 0)
+        assert vertex_degrees(h)[2] == 0
+        assert initial_weights(w)[2, 2] == 0.0
 
     def test_support_is_w_plus_diagonal(self, rng):
         for _ in range(20):
             w = rng.uniform(size=(8, 8)) * (rng.uniform(size=(8, 8)) < 0.3)
             w = np.triu(w, 1)
             w = w + w.T
-            hg = init_hypergraph(w)
+            h = init_hypergraph(w)
             for i in range(8):
                 for j in range(8):
                     if i == j:
                         expected = 1.0 if np.any(w[i] > 0) else 0.0
                     else:
                         expected = 1.0 if w[i, j] > 0 else 0.0
-                    assert hg.h[i, j] == expected
+                    assert h[i, j] == expected
 
     def test_initial_symmetry(self, rng):
         w = rng.uniform(size=(6, 6)) * (rng.uniform(size=(6, 6)) < 0.5)
         w = np.triu(w, 1)
         w = w + w.T
-        hg = init_hypergraph(w)
-        assert np.array_equal(hg.h, hg.h.T)
-        assert np.array_equal(hg.w_h, hg.w_h.T)
+        h = init_hypergraph(w)
+        assert np.array_equal(h, h.T)
+        assert np.array_equal(initial_weights(w), initial_weights(w).T)
 
     def test_from_real_compat_graph(self, rng):
         src = rng.uniform(-1, 1, (8, 3))
         cs = CorrSet(src, src + 1.0)
         g = build_compat_graph(cs, CompatConfig(sigma_d=0.1))
-        hg = init_hypergraph(g.w_h0)
-        assert np.all((hg.w_h > 0) <= (hg.h > 0))
+        h = init_hypergraph(g.w_h0)
+        assert np.all((initial_weights(g.w_h0) > 0) <= (h > 0))
 
 
 class TestDegrees:
     def test_empty(self):
-        hg = Hypergraph(h=np.zeros((3, 3)), w_h=np.zeros((3, 3)))
-        assert np.all(vertex_degrees(hg) == 0)
-        assert np.all(hyperedge_degrees(hg) == 0)
-        assert np.all(hyperedge_weights(hg) == 0)
+        h = w_h = np.zeros((3, 3))
+        assert np.all(vertex_degrees(h) == 0)
+        assert np.all(hyperedge_degrees(h) == 0)
+        assert np.all(hyperedge_weights(w_h) == 0)
 
     def test_complete(self):
-        hg = Hypergraph(h=np.ones((4, 4)), w_h=np.ones((4, 4)))
-        assert np.all(vertex_degrees(hg) == 4)
-        assert np.all(hyperedge_degrees(hg) == 4)
+        h = np.ones((4, 4))
+        assert np.all(vertex_degrees(h) == 4)
+        assert np.all(hyperedge_degrees(h) == 4)
 
     def test_matches_loop_oracle(self, rng):
         for _ in range(20):
-            hg = _random_hypergraph(rng)
-            dv, de = oracles.degrees_loop(hg.h)
-            assert np.allclose(vertex_degrees(hg), dv)
-            assert np.allclose(hyperedge_degrees(hg), de)
-            assert np.allclose(hyperedge_weights(hg),
-                               oracles.edge_weights_loop(hg.w_h))
+            h, w_h = _random_hypergraph(rng)
+            dv, de = oracles.degrees_loop(h)
+            assert np.allclose(vertex_degrees(h), dv)
+            assert np.allclose(hyperedge_degrees(h), de)
+            assert np.allclose(hyperedge_weights(w_h), oracles.edge_weights_loop(w_h))
 
 
 class TestGtHypergraph:
@@ -106,7 +105,7 @@ class TestPrecision:
         h = np.zeros((3, 3))
         h[0, 0] = h[1, 0] = h[1, 1] = h[0, 1] = 1.0
         assert hyperedge_precision(h, labels) == 1.0
-        assert excluded_edge_count(Hypergraph(h=h, w_h=h.copy())) == 1
+        assert excluded_edge_count(h) == 1
 
     def test_half_inlier_edges(self):
         labels = [True, False, True, False]
@@ -117,12 +116,12 @@ class TestPrecision:
 
     def test_matches_set_oracle(self, rng):
         for _ in range(30):
-            hg = _random_hypergraph(rng)
+            h, _ = _random_hypergraph(rng)
             labels = rng.uniform(size=10) < 0.5
-            if not np.any(hg.h.sum(axis=0) > 0):
+            if not np.any(h.sum(axis=0) > 0):
                 continue
-            expected = oracles.hyperedge_precision_loop(hg.h, labels)
-            assert hyperedge_precision(hg.h, labels) == pytest.approx(expected, abs=1e-12)
+            expected = oracles.hyperedge_precision_loop(h, labels)
+            assert hyperedge_precision(h, labels) == pytest.approx(expected, abs=1e-12)
 
     def test_no_edges_raises(self):
         with pytest.raises(NoEdges):
@@ -136,8 +135,7 @@ class TestPrecision:
         src = rng.uniform(-1, 1, (8, 3))
         cs = CorrSet(src, src + 0.7, labels=np.ones(8, dtype=bool))
         g = build_compat_graph(cs, CompatConfig(sigma_d=0.1))
-        hg = init_hypergraph(g.w_h0)
-        assert hyperedge_precision(hg.h, cs.labels) == 1.0
+        assert hyperedge_precision(init_hypergraph(g.w_h0), cs.labels) == 1.0
 
 
 class TestWeightedMembershipPrecision:
@@ -177,7 +175,7 @@ class TestDump:
         h = np.zeros((3, 3))
         h[0, 0] = h[1, 0] = 1.0
         w = h * 0.5
-        lines = dump(Hypergraph(h=h, w_h=w)).splitlines()
+        lines = dump(h, w).splitlines()
         assert lines[0] == "edge 0: v=[0 1] w=[0.5 0.5]"
         assert lines[1] == "edge 1: v=[] w=[]"
         assert len(lines) == 3

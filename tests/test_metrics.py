@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from baselines import run_suite, scene_batch, sweep_theta
 from hgct.compat import CompatConfig
 from hgct.geom import CorrSet, RigidTransform, random_rotation
@@ -38,7 +39,7 @@ class TestInlierMetrics:
         tgt = src.copy()
         tgt[2:4, 1] = 0.05   # true inliers 0,1 plus borderline 2,3
         tgt[4:, 1] = 10.0    # 4,5 outliers under both transforms
-        cs = CorrSet(src, tgt, gt=RigidTransform.identity())
+        cs = CorrSet(src, tgt, gt=oracles.identity())
         shifted = RigidTransform(np.eye(3), np.array([0.0, 0.05, 0.0]))
         # under gt (theta 0.04): true inliers {0,1}; under shifted: {2,3}
         ip, ir, f1 = inlier_metrics(shifted, cs, cs.gt, 0.04)
@@ -145,14 +146,14 @@ class TestSuiteAndSweep:
     def test_evaluate_pair_needs_gt(self):
         cs = CorrSet(np.zeros((4, 3)), np.zeros((4, 3)))
         with pytest.raises(ValueError):
-            evaluate_pair(RigidTransform.identity(), cs, MetricThresholds())
+            evaluate_pair(oracles.identity(), cs, MetricThresholds())
 
     def test_pipeline_failures_count_as_misses(self, rng):
         # a scene whose compatibility graph is empty registers as a failure
         src = np.zeros((10, 3))
         src[:, 0] = np.linspace(0.0, 1.0, 10)
         broken = CorrSet(src, rng.uniform(40, 50, (10, 3)),
-                         gt=RigidTransform.identity())
+                         gt=oracles.identity())
         good = gen_scene(SynthConfig(n_corrs=60, inlier_ratio=1.0,
                                      noise_sigma=0.0, seed=3))
         params = init_params(channels=8, seed=0)

@@ -138,11 +138,11 @@ class TestEvaluate:
 
     def test_boundary_residual_contributes_zero(self):
         cs = CorrSet(np.zeros((1, 3)), np.array([[0.1, 0.0, 0.0]]))
-        assert evaluate_hypothesis(RigidTransform.identity(), cs, 0.1) == 0.0
+        assert evaluate_hypothesis(oracles.identity(), cs, 0.1) == 0.0
 
     def test_half_residual_contributes_half(self):
         cs = CorrSet(np.zeros((1, 3)), np.array([[0.05, 0.0, 0.0]]))
-        assert evaluate_hypothesis(RigidTransform.identity(), cs, 0.1) == (
+        assert evaluate_hypothesis(oracles.identity(), cs, 0.1) == (
             pytest.approx(0.5, abs=1e-12))
 
     def test_score_bounds_and_monotonicity(self, rng):
@@ -436,8 +436,8 @@ class TestRegister:
             sc = gen_scene(SynthConfig(n_corrs=150, inlier_ratio=0.2 + 0.1 * seed,
                                        seed=seed))
             _, diag = register(sc, params, cc, PipelineConfig())
-            hg0 = init_hypergraph(build_compat_graph(sc, cc).w_h0)
-            assert diag["hyperedge_precision_before"] == hyperedge_precision(hg0.h, sc.labels)
+            h0 = init_hypergraph(build_compat_graph(sc, cc).w_h0)
+            assert diag["hyperedge_precision_before"] == hyperedge_precision(h0, sc.labels)
 
     def test_rigid_motion_invariance(self, rng):
         # moving both clouds by a global motion G leaves RE/TE against the
@@ -447,8 +447,8 @@ class TestRegister:
         cc, pc = CompatConfig(sigma_d=0.1), PipelineConfig()
         t1, _ = register(sc, params, cc, pc)
         g = RigidTransform(random_rotation(rng), rng.normal(size=3))
-        moved = CorrSet(g.apply(sc.src), g.apply(sc.tgt),
-                        gt=g.compose(sc.gt).compose(g.inverse()),
+        moved = CorrSet(oracles.apply(g, sc.src), oracles.apply(g, sc.tgt),
+                        gt=oracles.compose(oracles.compose(g, sc.gt), oracles.inverse(g)),
                         labels=sc.labels)
         t2, _ = register(moved, params, cc, pc)
         re1, te1 = pose_errors(t1, sc.gt)

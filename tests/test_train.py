@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+import oracles
 from baselines import scene_batch
 from hgct import autodiff as av
 from hgct import kernels
@@ -50,7 +51,7 @@ class TestGenScene:
 
     def test_gt_is_valid_rigid(self):
         sc = gen_scene(SynthConfig(n_corrs=20, seed=5))
-        assert sc.gt.is_valid(tol=1e-12)
+        assert oracles.is_valid(sc.gt, tol=1e-12)
 
     def test_inlier_pairs_compatible_monte_carlo(self):
         # with sigma_d = 6 * noise_sigma, inlier pairs stay compatible
@@ -61,7 +62,7 @@ class TestGenScene:
             sc = gen_scene(SynthConfig(n_corrs=50, inlier_ratio=0.2,
                                        noise_sigma=noise, seed=seed))
             idx = np.flatnonzero(sc.labels)
-            inliers = sc.permuted(idx)
+            inliers = oracles.permuted(sc, idx)
             g = kernels.gamma_matrix(inliers.src, inliers.tgt, 6.0 * noise)
             off = ~np.eye(len(idx), dtype=bool)
             if np.all(g[off] > 0):
@@ -171,6 +172,24 @@ class TestJointLoss:
             assert comps[key] >= 0 and np.isfinite(comps[key])
         assert comps["total"] == pytest.approx(
             comps["class"] + comps["match"] + comps["graph"], abs=1e-12)
+
+
+class TestPrepareScene:
+    def test_holds_two_square_arrays(self):
+        # a prepared scene keeps H^0 and w_h0 and nothing else of size N x N:
+        # W_H^0 is never built
+        import tracemalloc
+        n = 600
+        sc = gen_scene(SynthConfig(n_corrs=n, inlier_ratio=0.3, seed=1))
+        prepare_scene(sc, 0.1, 0.1)  # warm-up outside the measurement
+        tracemalloc.start()
+        try:
+            ps = prepare_scene(sc, 0.1, 0.1)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ps.hg0.shape == ps.w_h0.shape == (n, n)
+        assert held / (8.0 * n * n) <= 2.05
 
 
 class TestAdam:
