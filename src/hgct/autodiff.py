@@ -201,23 +201,21 @@ def clip(a, lo: float, hi: float) -> Var:
     return _result(np.clip(a.value, lo, hi), (a,), vjp)
 
 
-def vsum(a, axis=None, keepdims=False) -> Var:
+def vsum(a, axis=None) -> Var:
     a = wrap(a)
     shape = a.value.shape
 
     def vjp(g):
-        if axis is None:
-            return ((a, np.broadcast_to(g, shape).copy()),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None else np.expand_dims(g, axis)
         return ((a, np.broadcast_to(gg, shape).copy()),)
 
-    return _result(a.value.sum(axis=axis, keepdims=keepdims), (a,), vjp)
+    return _result(a.value.sum(axis=axis), (a,), vjp)
 
 
-def vmean(a, axis=None, keepdims=False) -> Var:
+def vmean(a) -> Var:
+    """Mean over every entry."""
     a = wrap(a)
-    n = a.value.size if axis is None else a.value.shape[axis]
-    return mul(vsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    return mul(vsum(a), 1.0 / a.value.size)
 
 
 def l2norm_rows(a) -> Var:

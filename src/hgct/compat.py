@@ -6,6 +6,7 @@ top-K score statistics of the whole set, so the graph density adapts to the
 inlier ratio instead of relying on a fixed cutoff.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -22,16 +23,24 @@ class GraphOrder(str, Enum):
     SOG = "sog"  # second order: gamma reinforced through shared neighbors
 
 
+def check_positive(cfg, *names: str) -> None:
+    """Raise ValueError unless every named field of cfg is a finite number
+    above 0 (so NaN and infinities fail too)."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class CompatConfig:
     sigma_d: float = 0.1          # meters; sensitivity to distance difference
     k1_frac: float = 0.1          # top-K fraction feeding the dynamic threshold
-    order: GraphOrder = GraphOrder.SOG
-    theta_override: Optional[float] = None  # fixed theta_cmp for robustness sweeps
+    graph_order: GraphOrder = GraphOrder.SOG
+    theta_cmp_override: Optional[float] = None  # fixed theta_cmp for robustness sweeps
 
     def __post_init__(self):
-        if self.sigma_d <= 0:
-            raise ValueError("sigma_d must be positive")
+        check_positive(self, "sigma_d")
         if not (0.0 < self.k1_frac <= 1.0):
             raise ValueError("k1_frac must be in (0, 1]")
 
@@ -41,7 +50,6 @@ class CompatGraph:
     w_gamma: np.ndarray   # (N, N) thresholded compatibility scores
     w_h0: np.ndarray      # (N, N) initial hyperedge weights
     theta_cmp: float      # the threshold actually applied
-    order: GraphOrder
 
 
 def round_half_up(x: float) -> int:
@@ -108,8 +116,8 @@ def build_compat_graph(corrs: CorrSet, cfg: CompatConfig) -> CompatGraph:
     if n < 3:
         raise ValueError("need at least 3 correspondences")
     gamma = kernels.gamma_matrix(corrs.src, corrs.tgt, cfg.sigma_d)
-    if cfg.theta_override is not None:
-        theta = float(cfg.theta_override)
+    if cfg.theta_cmp_override is not None:
+        theta = float(cfg.theta_cmp_override)
     else:
         theta = dynamic_threshold(gamma, cfg.k1_frac)
     w_gamma = gamma  # thresholded in place; a NaN theta keeps nothing
@@ -118,9 +126,9 @@ def build_compat_graph(corrs: CorrSet, cfg: CompatConfig) -> CompatGraph:
     if not np.any(w_gamma > 0):
         raise EmptyGraph("no compatible correspondence pair survives theta_cmp"
                          f"={theta:.6g}")
-    if cfg.order is GraphOrder.SOG:
+    if cfg.graph_order is GraphOrder.SOG:
         w_h0 = _symmetric_square(w_gamma)
         w_h0 *= w_gamma
     else:
         w_h0 = w_gamma.copy()
-    return CompatGraph(w_gamma=w_gamma, w_h0=w_h0, theta_cmp=theta, order=cfg.order)
+    return CompatGraph(w_gamma=w_gamma, w_h0=w_h0, theta_cmp=theta)

@@ -17,10 +17,6 @@ from .metrics import MetricThresholds
 from .pipeline import PipelineConfig
 from .train import SynthConfig, TrainConfig
 
-# flat keys that differ from the name of the stage field they set
-_RENAMES = {"order": "graph_order", "theta_override": "theta_cmp_override",
-            "re_deg": "re_thresh_deg", "te_m": "te_thresh"}
-
 # nms_radius unset means sigma_d (see pipeline_config)
 _OVERRIDES = {"nms_radius": (Optional[float], None)}
 
@@ -45,13 +41,12 @@ def _flat_fields():
             continue
         hints = typing.get_type_hints(item)
         for f in fields(item):
-            keys.setdefault(_RENAMES.get(f.name, f.name),
-                            _OVERRIDES.get(f.name, (hints[f.name], f.default)))
+            keys.setdefault(f.name, _OVERRIDES.get(f.name, (hints[f.name], f.default)))
     return [(key, tp, field(default=default)) for key, (tp, default) in keys.items()]
 
 
 def _stage_kwargs(cfg, cls) -> dict:
-    return {f.name: getattr(cfg, _RENAMES.get(f.name, f.name)) for f in fields(cls)}
+    return {f.name: getattr(cfg, f.name) for f in fields(cls)}
 
 
 def _converter(cls):

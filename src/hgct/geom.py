@@ -66,14 +66,13 @@ def _as_points(pts) -> np.ndarray:
     return pts
 
 
-def kabsch_svd(src, tgt, weights=None) -> RigidTransform:
-    """Weighted least-squares rigid fit mapping src points onto tgt points.
+def kabsch_svd(src, tgt) -> RigidTransform:
+    """Least-squares rigid fit mapping src points onto tgt points.
 
     The single-fit form of `kabsch_batch` (same arithmetic, bit for bit).
 
     Input:
         - src, tgt: (K, 3) paired points, K >= 3
-        - weights: optional (K,) nonnegative, >= 3 strictly positive entries
     Raises:
         DegenerateInput if the centered cross-covariance has rank < 2.
     """
@@ -81,32 +80,20 @@ def kabsch_svd(src, tgt, weights=None) -> RigidTransform:
     tgt = _as_points(tgt)
     if src.shape != tgt.shape:
         raise ValueError("src/tgt shape mismatch")
-    k = len(src)
-    if k < 3:
-        raise DegenerateInput(f"need >= 3 point pairs, got {k}")
-    w = None
-    if weights is not None:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (k,) or np.any(w < 0):
-            raise ValueError("weights must be a nonnegative (K,) vector")
-        if np.count_nonzero(w > 0) < 3:
-            raise DegenerateInput("need >= 3 strictly positive weights")
-        w = (w / np.sum(w))[None]
-    rots, trans, ok = kabsch_batch(src[None], tgt[None], w)
+    rots, trans, ok = kabsch_batch(src[None], tgt[None])
     if not ok[0]:
         raise DegenerateInput("cross-covariance rank < 2 (collinear or coincident points)")
     return RigidTransform(rots[0], trans[0])
 
 
-def kabsch_batch(src, tgt, weights=None):
+def kabsch_batch(src, tgt):
     """Rigid fits of a stack of paired point sets, one SVD call for all.
 
-    Per fit: weighted centroids, 3x3 cross-covariance, SVD; if
-    det(U V^T) < 0 the last singular column is negated (reflection fix).
+    Per fit: centroids, 3x3 cross-covariance, SVD; if det(U V^T) < 0 the
+    last singular column is negated (reflection fix).
 
     Input:
         - src, tgt: (M, K, 3) paired point sets, K >= 3
-        - weights: optional (M, K), each row summing to 1; uniform 1/K if None
     Returns:
         (R (M, 3, 3), t (M, 3), ok (M,) bool). ok is False where the
         centered cross-covariance has rank < 2 (collinear or coincident
@@ -121,7 +108,7 @@ def kabsch_batch(src, tgt, weights=None):
         raise DegenerateInput(f"need >= 3 point pairs, got {k}")
     if m == 0:
         return np.empty((0, 3, 3)), np.empty((0, 3)), np.empty(0, dtype=bool)
-    w = np.full((m, k), 1.0 / k) if weights is None else np.asarray(weights, np.float64)
+    w = np.full((m, k), 1.0 / k)
 
     c_src = np.matmul(w[:, None, :], src)  # (M, 1, 3)
     c_tgt = np.matmul(w[:, None, :], tgt)

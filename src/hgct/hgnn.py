@@ -106,13 +106,13 @@ class HgnnParams:
         return HgnnParams(self.channels, tensors)
 
 
-def init_params(channels: int = 32, seed: int = 0, sigma_f0: float = 1.0) -> HgnnParams:
-    """He-initialized weights, zero biases, sigma_f stored as its log."""
+def init_params(channels: int = 32, seed: int = 0) -> HgnnParams:
+    """He-initialized weights, zero biases, sigma_f = 1 stored as its log."""
     rng = np.random.default_rng(seed)
     tensors: Dict[str, av.Var] = {}
     for name, shape in param_specs(channels):
         if name == "log_sigma_f":
-            tensors[name] = av.param(np.log(sigma_f0))
+            tensors[name] = av.param(0.0)
         elif name.endswith(".b"):
             tensors[name] = av.param(np.zeros(shape))
         else:

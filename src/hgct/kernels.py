@@ -167,14 +167,14 @@ def mae_scores(rots, trans, src, tgt, theta):
     return out
 
 
-def nms_select(points, order, radius, max_keep=None):
+def nms_select(points, order, radius, max_keep: int):
     """Greedy non-maximum suppression over 3D points.
 
     order: candidate indices, highest priority first. A candidate is kept if
     no previously kept point lies within `radius`. The scan stops once
-    max_keep points are kept (no cap if None); the kept points are the first
-    max_keep of the uncapped scan. Returns a boolean mask over the full point
-    set (True = kept local maximum).
+    max_keep points are kept; the kept points are the first max_keep of an
+    uncapped scan. Returns a boolean mask over the full point set (True =
+    kept local maximum).
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     order = np.ascontiguousarray(order, dtype=np.int64)

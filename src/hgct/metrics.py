@@ -6,7 +6,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .compat import CompatConfig
+from .compat import CompatConfig, check_positive
 from .errors import HgctError
 from .geom import CorrSet, RigidTransform, pose_errors, residuals
 from .hgnn import HgnnParams
@@ -15,13 +15,12 @@ from .pipeline import PipelineConfig, register
 
 @dataclass(frozen=True)
 class MetricThresholds:
-    re_deg: float = 5.0
-    te_m: float = 0.05
-    theta_inlier: float = 0.1
+    re_thresh_deg: float = 5.0
+    te_thresh: float = 0.05       # meters
+    theta_inlier: float = 0.1     # meters
 
     def __post_init__(self):
-        if min(self.re_deg, self.te_m, self.theta_inlier) <= 0:
-            raise ValueError("thresholds must be positive")
+        check_positive(self, "re_thresh_deg", "te_thresh", "theta_inlier")
 
 
 @dataclass
@@ -62,7 +61,7 @@ def evaluate_pair(t_est: RigidTransform, corrs: CorrSet, th: MetricThresholds,
     re, te = pose_errors(t_est, corrs.gt)
     ip, ir, f1 = inlier_metrics(t_est, corrs, corrs.gt, th.theta_inlier)
     return PairResult(re_deg=re, te_m=te,
-                      success=bool(re <= th.re_deg and te <= th.te_m),
+                      success=bool(re <= th.re_thresh_deg and te <= th.te_thresh),
                       ip=ip, ir=ir, f1=f1, runtime_s=runtime_s,
                       hyperedge_precision_before=hp_before,
                       hyperedge_precision_after=hp_after)
@@ -84,7 +83,7 @@ def aggregate(results: Sequence[PairResult], th: MetricThresholds) -> Dict:
         "mean_ir": float(np.mean([r.ir for r in results])),
         "mean_f1": float(np.mean([r.f1 for r in results])),
         "mean_runtime_s": float(np.mean([r.runtime_s for r in results])),
-        "thresholds": {"re_deg": th.re_deg, "te_m": th.te_m,
+        "thresholds": {"re_deg": th.re_thresh_deg, "te_m": th.te_thresh,
                        "theta_inlier": th.theta_inlier},
     }
     hp_b = [r.hyperedge_precision_before for r in results

@@ -12,13 +12,13 @@ argmax wins.
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from . import autodiff as av
 from . import kernels
-from .compat import CompatConfig, build_compat_graph, round_half_up
+from .compat import CompatConfig, build_compat_graph, check_positive, round_half_up
 from .errors import NoEdges, NoHypothesis
 from .geom import CorrSet, RigidTransform, kabsch_batch, pose_errors, residuals
 from .geom import kabsch_svd  # noqa: F401  (perfbench/layers.py wraps pipeline.kabsch_svd)
@@ -47,6 +47,7 @@ class PipelineConfig:
             v = getattr(self, name)
             if not (0.0 < v <= 1.0):
                 raise ValueError(f"{name} must be in (0, 1]")
+        check_positive(self, "theta_inlier", "nms_radius")
 
 
 class HypothesisOrigin(Enum):
@@ -107,6 +108,11 @@ def nms_local_maxima(s_hat: np.ndarray, points: np.ndarray, radius: float,
     return [int(i) for i in order[keep[order]]]
 
 
+def seed_budget(n: int, cfg: PipelineConfig) -> int:
+    """N_s, the number of seeds of an n-correspondence set."""
+    return min(n, max(cfg.minimal_size, round_half_up(cfg.ns_frac * n)))
+
+
 def gf_nms(h: np.ndarray, s_hat: np.ndarray, corrs: CorrSet,
            cfg: PipelineConfig) -> List[int]:
     """Seed selection: N1 spatial-NMS confidence maxima, then the graph-filter
@@ -115,7 +121,7 @@ def gf_nms(h: np.ndarray, s_hat: np.ndarray, corrs: CorrSet,
     n = len(corrs)
     if n < cfg.minimal_size:
         raise ValueError("fewer correspondences than the minimal set size")
-    n_s = min(n, max(cfg.minimal_size, round_half_up(cfg.ns_frac * n)))
+    n_s = seed_budget(n, cfg)
     n_1 = max(1, round_half_up(cfg.n1_frac * n_s))
 
     seeds = nms_local_maxima(s_hat, corrs.src, cfg.nms_radius, n_1)
@@ -134,10 +140,10 @@ def gf_nms(h: np.ndarray, s_hat: np.ndarray, corrs: CorrSet,
 
 
 def initial_hypotheses(corrs: CorrSet, seeds: Sequence[int], x_final: np.ndarray,
-                       cfg: PipelineConfig,
-                       diagnostics: Optional[Dict] = None) -> List[Hypothesis]:
+                       cfg: PipelineConfig, diagnostics: Dict) -> List[Hypothesis]:
     """One candidate per seed from its feature-space KNN subset; the
-    best-scoring N_init are kept. Degenerate subsets are skipped.
+    best-scoring N_init are kept. Degenerate subsets are skipped and counted
+    in `diagnostics`.
 
     The subset is the k nearest rows in feature distance, ties to the lower
     index, in (distance, index) order; all subsets are fitted in one stack.
@@ -155,11 +161,9 @@ def initial_hypotheses(corrs: CorrSet, seeds: Sequence[int], x_final: np.ndarray
         subsets[j] = near[np.lexsort((near, dist[near]))][:k]
     rots, trans, scores, ok = _fit_and_score(corrs, subsets, cfg.theta_inlier)
     seeds = seeds[ok]
-    if diagnostics is not None:
-        diagnostics["n_seed_candidates"] = len(seeds)
-        diagnostics["n_degenerate_seeds"] = int(np.count_nonzero(~ok))
-    n_s = max(cfg.minimal_size, round_half_up(cfg.ns_frac * n))
-    n_init = max(1, round_half_up(cfg.ninit_frac * n_s))
+    diagnostics["n_seed_candidates"] = len(seeds)
+    diagnostics["n_degenerate_seeds"] = int(np.count_nonzero(~ok))
+    n_init = max(1, round_half_up(cfg.ninit_frac * seed_budget(n, cfg)))
     order = np.lexsort((np.arange(len(scores)), -scores))
     return [Hypothesis(RigidTransform(rots[i], trans[i]), float(scores[i]),
                        HypothesisOrigin.INITIAL, int(seeds[i]))
@@ -168,14 +172,15 @@ def initial_hypotheses(corrs: CorrSet, seeds: Sequence[int], x_final: np.ndarray
 
 def refine_hypotheses(corrs: CorrSet, h: np.ndarray,
                       initial: Sequence[Hypothesis], cfg: PipelineConfig,
-                      diagnostics: Optional[Dict] = None) -> List[Hypothesis]:
+                      diagnostics: Dict) -> List[Hypothesis]:
     """Slide minimal sets along the residual-sorted members of each seed's
     hyperedge, a column of the incidence h.
 
     Window k covers sorted offsets [step*k, step*k + minimal_size) while the
     window fits and k <= max_iters. The windows of all hypotheses are fitted
     in one stack. Returns the initial hypotheses plus every non-degenerate
-    window solution, in hypothesis then window order.
+    window solution, in hypothesis then window order, and counts the
+    windows in `diagnostics`.
     """
     if not initial:
         raise ValueError("refine_hypotheses needs at least one initial hypothesis")
@@ -197,9 +202,8 @@ def refine_hypotheses(corrs: CorrSet, h: np.ndarray,
     refined = [Hypothesis(RigidTransform(rots[i], trans[i]), float(scores[i]),
                           HypothesisOrigin.REFINED, int(owners[i]))
                for i in range(len(scores))]
-    if diagnostics is not None:
-        diagnostics["n_refined"] = len(refined)
-        diagnostics["n_degenerate_windows"] = int(np.count_nonzero(~ok))
+    diagnostics["n_refined"] = len(refined)
+    diagnostics["n_degenerate_windows"] = int(np.count_nonzero(~ok))
     return list(initial) + refined
 
 

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Optional
 import numpy as np
 
 from . import autodiff as av
-from .compat import CompatConfig, build_compat_graph, round_half_up
+from .compat import CompatConfig, build_compat_graph, check_positive, round_half_up
 from .errors import HgctError, NonFinite
 from .geom import CorrSet, RigidTransform, inlier_labels, random_rotation
 from .hgnn import ForwardTrace, HgnnParams, forward, init_params
@@ -65,6 +65,7 @@ class TrainConfig:
             raise ValueError("batch and epochs must be >= 1")
         if self.threads < 0:
             raise ValueError("threads must be >= 0")
+        check_positive(self, "theta_inlier", "sigma_d")
 
 
 def gen_scene(cfg: SynthConfig) -> CorrSet:
@@ -99,12 +100,8 @@ def gen_scene(cfg: SynthConfig) -> CorrSet:
 
 
 # ---------------------------------------------------------------------------
-# losses (accept plain arrays or tape Vars; return float or Var accordingly)
+# losses (tape Vars in, scalar Vars out)
 # ---------------------------------------------------------------------------
-
-def _maybe_item(out: av.Var, was_array: bool):
-    return float(out.value) if was_array else out
-
 
 def _bce_mean(p: av.Var, target: np.ndarray) -> av.Var:
     p = av.clip(p, PROB_EPS, 1.0 - PROB_EPS)
@@ -113,42 +110,33 @@ def _bce_mean(p: av.Var, target: np.ndarray) -> av.Var:
     return av.mul(av.vmean(av.add(pos, neg)), -1.0)
 
 
-def loss_class(s_hat, labels) -> float:
+def loss_class(s_hat: av.Var, labels) -> av.Var:
     """Mean binary cross-entropy of confidences against inlier labels."""
-    was_array = not isinstance(s_hat, av.Var)
-    target = np.asarray(labels, dtype=np.float64)
-    return _maybe_item(_bce_mean(av.wrap(s_hat), target), was_array)
+    return _bce_mean(s_hat, np.asarray(labels, dtype=np.float64))
 
 
-def loss_match(x_final, labels, sigma_f) -> float:
+def loss_match(x: av.Var, labels, sigma_f: av.Var) -> av.Var:
     """Spectral matching loss between feature compatibilities and labels.
 
     eta_ij = max(0, 1 - ||X_i - X_j||^2 / sigma_f^2) compared against the
     both-inlier indicator (diagonal included: eta_ii = 1, eta*_ii = labels_i),
     averaged over all N^2 pairs.
     """
-    was_array = not isinstance(x_final, av.Var)
-    x = av.wrap(x_final)
     lab = np.asarray(labels, dtype=np.float64)
     n = x.value.shape[0]
 
     sq = av.vsum(av.mul(x, x), axis=1)
     dist = av.relu(av.sub(av.add(av.reshape(sq, (n, 1)), av.reshape(sq, (1, n))),
                           av.mul(av.matmul(x, av.transpose(x)), 2.0)))
-    if isinstance(sigma_f, av.Var):
-        inv_sig2 = av.exp(av.mul(av.log(sigma_f), -2.0))
-    else:
-        inv_sig2 = av.wrap(1.0 / float(sigma_f) ** 2)
+    inv_sig2 = av.exp(av.mul(av.log(sigma_f), -2.0))
     eta = av.relu(av.sub(1.0, av.mul(dist, inv_sig2)))
     diff = av.sub(eta, np.outer(lab, lab))
-    return _maybe_item(av.vmean(av.mul(diff, diff)), was_array)
+    return av.vmean(av.mul(diff, diff))
 
 
-def loss_graph(w_h_final, h_star) -> float:
+def loss_graph(w_h_final: av.Var, h_star) -> av.Var:
     """Per-row mean BCE of the final hyperedge weights against the inlier incidence."""
-    was_array = not isinstance(w_h_final, av.Var)
-    target = np.asarray(h_star, dtype=np.float64)
-    return _maybe_item(_bce_mean(av.wrap(w_h_final), target), was_array)
+    return _bce_mean(w_h_final, np.asarray(h_star, dtype=np.float64))
 
 
 def joint_loss(trace: ForwardTrace, labels, params: HgnnParams):
@@ -172,25 +160,27 @@ def joint_loss(trace: ForwardTrace, labels, params: HgnnParams):
 # ---------------------------------------------------------------------------
 
 class Adam:
-    """Standard Adam (beta1=0.9, beta2=0.999, eps=1e-8)."""
+    """Standard Adam."""
 
-    def __init__(self, params: HgnnParams, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params: HgnnParams):
         self.t = 0
         self.m = {n: np.zeros_like(params.value(n)) for n in params.names}
         self.v = {n: np.zeros_like(params.value(n)) for n in params.names}
 
     def step(self, params: HgnnParams, grads: Dict[str, np.ndarray], lr: float):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         for name in params.names:
             g = grads[name]
             self.m[name] = b1 * self.m[name] + (1 - b1) * g
             self.v[name] = b2 * self.v[name] + (1 - b2) * (g * g)
             m_hat = self.m[name] / (1 - b1 ** self.t)
             v_hat = self.v[name] / (1 - b2 ** self.t)
-            params.var(name).value -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            params.var(name).value -= lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 @dataclass
@@ -333,7 +323,7 @@ def train(scenes: Iterable[CorrSet], tc: TrainConfig, params_init: HgnnParams,
     Each batch is computed by `tc.threads` processes (see _process_count),
     each with one BLAS thread; gradients and losses are summed in batch order,
     so the result is bit-identical for any process count.
-    Emits per-epoch mean losses to `log_csv` (path or file-like) when given;
+    Writes per-epoch mean losses to the CSV file at path `log_csv` when given;
     when `history` is a list it also receives one mean-loss dict per epoch.
     """
     scenes = list(scenes)
@@ -346,14 +336,9 @@ def train(scenes: Iterable[CorrSet], tc: TrainConfig, params_init: HgnnParams,
     rng = np.random.default_rng(tc.seed)
     names = params.names
 
-    close_log = False
-    writer = None
+    fh = writer = None
     if log_csv is not None:
-        if hasattr(log_csv, "write"):
-            fh = log_csv
-        else:
-            fh = open(log_csv, "w", newline="")
-            close_log = True
+        fh = open(log_csv, "w", newline="")
         writer = csv.writer(fh)
         writer.writerow(["epoch", "mean_loss_class", "mean_loss_match",
                          "mean_loss_graph", "mean_loss_total", "wall_seconds"])
@@ -389,7 +374,7 @@ def train(scenes: Iterable[CorrSet], tc: TrainConfig, params_init: HgnnParams,
     finally:
         for worker in workers:
             worker.stop()
-        if close_log:
+        if fh is not None:
             fh.close()
     return params
 
@@ -399,20 +384,18 @@ def train(scenes: Iterable[CorrSet], tc: TrainConfig, params_init: HgnnParams,
 # ---------------------------------------------------------------------------
 
 def gradient_check(n: int = 8, channels: int = 8, seed: int = 3,
-                   step: float = 1e-5, inlier_ratio: float = 0.5,
-                   noise_sigma: float = 0.01, sigma_d: float = 0.1,
-                   theta_inlier: float = 0.1) -> Dict:
+                   step: float = 1e-5) -> Dict:
     """Compare every analytic parameter gradient of the joint loss against
-    central finite differences on an N-correspondence instance.
+    central finite differences on an N-correspondence instance (half of
+    them inliers, 0.01 m noise, sigma_d = theta_inlier = 0.1 m).
 
     Relative error uses |fd - an| / max(|fd|, |an|, 1e-6); the floor keeps
     near-zero gradients from amplifying finite-difference round-off.
     """
-    scene = gen_scene(SynthConfig(n_corrs=max(n, 10), inlier_ratio=inlier_ratio,
-                                  noise_sigma=noise_sigma, seed=seed))
+    scene = gen_scene(SynthConfig(n_corrs=max(n, 10), inlier_ratio=0.5, seed=seed))
     scene = CorrSet(scene.src[:n], scene.tgt[:n], gt=scene.gt,
                     labels=scene.labels[:n])
-    ps = prepare_scene(scene, sigma_d, theta_inlier)
+    ps = prepare_scene(scene, sigma_d=0.1, theta_inlier=0.1)
     params = init_params(channels=channels, seed=seed)
     names = params.names
     wrt = [params.var(nm) for nm in names]

@@ -105,7 +105,7 @@ def sweep_theta(corrs_set: Sequence[CorrSet], params: HgnnParams,
              "delta_pp": 0.0}]
     for theta in sweep:
         if which == "cmp":
-            cc_i, pc_i = replace(cc, theta_override=float(theta)), pc
+            cc_i, pc_i = replace(cc, theta_cmp_override=float(theta)), pc
         else:
             cc_i, pc_i = cc, replace(pc, theta_inlier=float(theta))
         agg = aggregate(run_suite(corrs_set, params, cc_i, pc_i, th), th)

@@ -366,13 +366,14 @@ def test_c8_invariant_suites():
         x = rng.normal(size=(n, 4))
         w = rng.uniform(size=(n, n))
         h_star = gt_hypergraph(labels)
-        lc = loss_class(s, labels)
-        lm = loss_match(x, labels, 1.0)
-        lg = loss_graph(w, h_star)
+        one = av.wrap(1.0)
+        lc = loss_class(av.wrap(s), labels).value
+        lm = loss_match(av.wrap(x), labels, one).value
+        lg = loss_graph(av.wrap(w), h_star).value
         assert lc >= 0 and lm >= 0 and lg >= 0
         perm = rng.permutation(n)
-        assert abs(lc - loss_class(s[perm], labels[perm])) < 1e-10
-        assert abs(lm - loss_match(x[perm], labels[perm], 1.0)) < 1e-10
+        assert abs(lc - loss_class(av.wrap(s[perm]), labels[perm]).value) < 1e-10
+        assert abs(lm - loss_match(av.wrap(x[perm]), labels[perm], one).value) < 1e-10
         cases += 1
 
     # network: support shrinkage, row norms, confidence range, determinism
@@ -433,7 +434,7 @@ def test_c9_fog_sog_parity(trained_model, robustness_suite):
     th = MetricThresholds()
     rr = {}
     for order in (GraphOrder.SOG, GraphOrder.FOG):
-        cc = CompatConfig(sigma_d=0.1, order=order)
+        cc = CompatConfig(sigma_d=0.1, graph_order=order)
         rr[order] = aggregate(run_suite(robustness_suite, params, cc, pc, th),
                               th)["rr"]
     delta = 100.0 * abs(rr[GraphOrder.FOG] - rr[GraphOrder.SOG])

@@ -1,11 +1,15 @@
 """Every top-level name of src/hgct, and every member of its classes, is
-one that the program reads.
+one that the program reads, and every optional parameter of its functions
+is one that the program passes.
 
 The program is src/hgct itself, its CLI included, and perfbench/, which
 wraps functions by name (for example "kabsch_svd"), so a string constant
-there counts as a read. Helpers only tests need live under tests/. The scan
-goes by name: a member counts as read when any attribute or name of the
-program has its name.
+there counts as a read. Helpers only tests need live under tests/. The scans
+go by name: a member counts as read when any attribute or name of the
+program has its name, and a call passes a parameter when it calls a function
+of that name (`Class(...)` calls `Class.__init__`) and passes the parameter
+by keyword, by position, or through `*` or `**`. A parameter value that only
+tests select (a None mode, say) is not a name, and no scan sees it.
 """
 
 import ast
@@ -101,6 +105,82 @@ def unread_names():
     return unread
 
 
+# cli.main's argv: the seam through which tests drive the CLI
+PARAMETERS_ONLY_TESTS_PASS = {"cli.main.argv"}
+
+
+def optional_parameters(tree: ast.Module):
+    """(callable name, dotted path, parameter, position) for every parameter
+    with a default of every function in the tree, nested ones and methods
+    included. A method's callable name is its own, or its class's for
+    `__init__`, and its positions skip `self`; position is None for a
+    keyword-only parameter. Dataclass fields have no `def` and are not
+    listed."""
+    out = []
+
+    def visit(node, path, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, path + [child.name], True)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                offset = 1 if in_class else 0
+                name = path[-1] if in_class and child.name == "__init__" else child.name
+                dotted = ".".join(path + [child.name])
+                first = len(positional) - len(args.defaults)
+                for i, arg in enumerate(positional[first:], start=first):
+                    out.append((name, dotted, arg.arg, i - offset))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        out.append((name, dotted, arg.arg, None))
+                visit(child, path + [child.name], False)
+            else:
+                visit(child, path, in_class)
+
+    visit(tree, [], False)
+    return out
+
+
+def calls(tree: ast.Module):
+    """(called name, positional count, keyword names, starred, double-starred)
+    for every call in the tree whose callee is a name or an attribute."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name is None:
+            continue
+        keywords = {k.arg for k in node.keywords if k.arg is not None}
+        out.append((name, len(node.args), keywords,
+                    any(isinstance(a, ast.Starred) for a in node.args),
+                    any(k.arg is None for k in node.keywords)))
+    return out
+
+
+def passes(call, name: str, param: str, position) -> bool:
+    called, n_positional, keywords, starred, double_starred = call
+    if called != name:
+        return False
+    if param in keywords or double_starred:
+        return True
+    return position is not None and (starred or position < n_positional)
+
+
+def unpassed_parameters(modules, program_trees):
+    """Sorted "module.function.parameter" of the optional parameters of
+    `modules` ({name: tree}) that no call in `program_trees` passes."""
+    program_calls = [c for tree in program_trees for c in calls(tree)]
+    unpassed = []
+    for module, tree in modules.items():
+        for name, dotted, param, position in optional_parameters(tree):
+            if not any(passes(c, name, param, position) for c in program_calls):
+                unpassed.append(f"{module}.{dotted}.{param}")
+    return sorted(unpassed)
+
+
 def test_every_top_level_name_is_read_by_the_program():
     assert (SRC / "pipeline.py").is_file() and (PERFBENCH / "layers.py").is_file()
     assert unread_names() == {}
@@ -132,3 +212,29 @@ def test_the_scan_sees_class_members():
                      "def top():\n    pass\n")
     assert defined_members(tree) == {("K", "x"), ("K", "y"), ("K", "z"), ("K", "p"),
                                      ("K", "m"), ("E", "f")}
+
+
+def test_every_optional_parameter_is_passed_by_the_program():
+    modules = {path.stem: _parse(path) for path in sorted(SRC.glob("*.py"))}
+    program = list(modules.values()) + [_parse(path) for path in PERFBENCH.glob("*.py")
+                                        if not path.name.startswith("test_")]
+    unpassed = set(unpassed_parameters(modules, program))
+    assert PARAMETERS_ONLY_TESTS_PASS <= unpassed
+    assert unpassed - PARAMETERS_ONLY_TESTS_PASS == set()
+
+
+def test_the_scan_sees_unpassed_parameters():
+    lib = ast.parse("def f(a, b=1, c=2, *, d=3):\n    pass\n"
+                    "def g(x=0, y=1):\n    pass\n"
+                    "def h(x=0):\n    def inner(z=1):\n        pass\n    inner()\n"
+                    "class K:\n"
+                    "    def __init__(self, p=1, q=2):\n        pass\n"
+                    "    def m(self, r=1):\n        pass\n")
+    program = ast.parse("f(0, 5)\n"
+                        "f(0, d=4)\n"
+                        "g(*args)\n"
+                        "h(**kw)\n"
+                        "K(1)\n"
+                        "obj.m()\n")
+    assert unpassed_parameters({"lib": lib}, [lib, program]) == [
+        "lib.K.__init__.q", "lib.K.m.r", "lib.f.c", "lib.h.inner.z"]

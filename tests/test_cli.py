@@ -101,6 +101,13 @@ class TestErrors:
         self._expect_error(["register", "--config", cfg, DEMO_SCENE], capsys,
                            "sigma_d must be positive")
 
+    @pytest.mark.parametrize("setting", ["theta_inlier = -0.1", "theta_inlier = nan",
+                                         "nms_radius = -1"])
+    def test_distance_setting_not_positive(self, tmp_path, capsys, setting):
+        cfg = _write_config(tmp_path, setting + "\n")
+        self._expect_error(["register", "--config", cfg, DEMO_SCENE], capsys,
+                           setting.split()[0] + " must be positive")
+
     def test_checkpoint_bad_magic(self, tmp_path, capsys):
         ckpt = tmp_path / "bad.ckpt"
         ckpt.write_bytes(b"NOT-A-CHECKPOINT" + bytes(64))

@@ -146,7 +146,7 @@ class TestBuildGraph:
 
     def test_fog_keeps_gamma_weights(self, rng):
         cs = _random_set(rng, n=8, scale=0.4)
-        fog = build_compat_graph(cs, CompatConfig(sigma_d=0.5, order=GraphOrder.FOG))
+        fog = build_compat_graph(cs, CompatConfig(sigma_d=0.5, graph_order=GraphOrder.FOG))
         assert np.array_equal(fog.w_h0, fog.w_gamma)
 
     def test_fog_sog_support_on_dense_clique(self):
@@ -155,7 +155,7 @@ class TestBuildGraph:
         src = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]])
         cs = CorrSet(src, src + 0.5)
         sog = build_compat_graph(cs, CompatConfig(sigma_d=0.1))
-        fog = build_compat_graph(cs, CompatConfig(sigma_d=0.1, order=GraphOrder.FOG))
+        fog = build_compat_graph(cs, CompatConfig(sigma_d=0.1, graph_order=GraphOrder.FOG))
         assert np.array_equal(sog.w_h0 > 0, fog.w_h0 > 0)
 
     def test_symmetry_exact(self, rng):
@@ -180,7 +180,7 @@ class TestBuildGraph:
         for theta in (0.1, 0.4, 0.7):
             try:
                 g = build_compat_graph(cs, CompatConfig(sigma_d=0.5,
-                                                        theta_override=theta))
+                                                        theta_cmp_override=theta))
             except EmptyGraph:
                 break
             support = g.w_gamma > 0
@@ -216,7 +216,7 @@ class TestBuildGraph:
 
     def test_theta_recorded(self, rng):
         cs = _random_set(rng, n=8, scale=0.3)
-        g = build_compat_graph(cs, CompatConfig(sigma_d=0.5, theta_override=0.05))
+        g = build_compat_graph(cs, CompatConfig(sigma_d=0.5, theta_cmp_override=0.05))
         assert g.theta_cmp == 0.05
 
 

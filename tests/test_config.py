@@ -108,12 +108,13 @@ class TestDerivedConfigs:
 
     def test_compat_config_override(self):
         cfg = parse_config("theta_cmp_override = 0.8\n")
-        assert cfg.compat_config().theta_override == 0.8
-        assert parse_config("").compat_config().theta_override is None
+        assert cfg.compat_config().theta_cmp_override == 0.8
+        assert parse_config("").compat_config().theta_cmp_override is None
 
     def test_graph_order_enum(self):
         from hgct.compat import GraphOrder
-        assert parse_config("graph_order = fog\n").compat_config().order is GraphOrder.FOG
+        cc = parse_config("graph_order = fog\n").compat_config()
+        assert cc.graph_order is GraphOrder.FOG
 
     def test_train_and_synth_configs(self):
         cfg = parse_config("epochs = 3\nlr = 0.01\nn_corrs = 42\nseed = 5\n")
@@ -133,7 +134,7 @@ class TestDerivedConfigs:
         for f in dataclasses.fields(RunConfig):
             assert getattr(cfg, f.name) != f.default, f.name
         assert cfg.compat_config() == CompatConfig(
-            sigma_d=0.25, k1_frac=0.3, order=GraphOrder.FOG, theta_override=0.7)
+            sigma_d=0.25, k1_frac=0.3, graph_order=GraphOrder.FOG, theta_cmp_override=0.7)
         assert cfg.pipeline_config() == PipelineConfig(
             ns_frac=0.4, ninit_frac=0.5, knn_k=12, minimal_size=4, max_iters=9,
             step=2, theta_inlier=0.2, nms_radius=0.15, n1_frac=0.6)
@@ -143,7 +144,7 @@ class TestDerivedConfigs:
         assert cfg.synth_config() == SynthConfig(
             n_corrs=50, inlier_ratio=0.5, noise_sigma=0.02, scene_extent=2.0,
             rot_max_deg=90.0, trans_max=0.5, seed=7)
-        assert cfg.thresholds() == MetricThresholds(re_deg=10.0, te_m=0.1,
+        assert cfg.thresholds() == MetricThresholds(re_thresh_deg=10.0, te_thresh=0.1,
                                                     theta_inlier=0.2)
         assert (cfg.channels, cfg.threads, cfg.checkpoint, cfg.n_scenes) == \
             (16, 3, "model.ckpt", 4)
@@ -157,3 +158,14 @@ class TestDerivedConfigs:
         assert cfg.train_config() == TrainConfig()
         assert cfg.synth_config() == SynthConfig()
         assert cfg.thresholds() == MetricThresholds()
+
+
+@pytest.mark.parametrize("cls, name", [
+    (CompatConfig, "sigma_d"), (PipelineConfig, "theta_inlier"),
+    (PipelineConfig, "nms_radius"), (TrainConfig, "theta_inlier"),
+    (TrainConfig, "sigma_d"), (MetricThresholds, "re_thresh_deg"),
+    (MetricThresholds, "te_thresh"), (MetricThresholds, "theta_inlier")])
+@pytest.mark.parametrize("value", [-0.1, 0.0, float("nan"), float("inf")])
+def test_thresholds_must_be_positive_and_finite(cls, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        cls(**{name: value})

@@ -41,17 +41,6 @@ class TestKabsch:
             assert np.max(np.abs(est.R - rot)) < 1e-9
             assert np.linalg.norm(est.t - tr) < 1e-9
 
-    def test_weighted_ignores_zero_weight_outlier(self, rng):
-        rot = random_rotation(rng)
-        tr = rng.normal(size=3)
-        src = rng.uniform(-1, 1, (5, 3))
-        tgt = src @ rot.T + tr
-        src = np.vstack([src, [10.0, -3.0, 2.0]])
-        tgt = np.vstack([tgt, [-7.0, 1.0, 0.5]])
-        w = np.array([1.0, 1, 1, 1, 1, 0])
-        est = kabsch_svd(src, tgt, weights=w)
-        assert np.max(np.abs(est.R - rot)) < 1e-9
-
     def test_left_invariance(self, rng):
         # applying a rigid motion G to all targets composes exactly
         for _ in range(10):
@@ -86,11 +75,6 @@ class TestKabsch:
         src = np.array([[0.0, 0, 0], [1, 0, 0]])
         with pytest.raises(DegenerateInput):
             kabsch_svd(src, src)
-
-    def test_too_few_positive_weights_raises(self):
-        pts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        with pytest.raises(DegenerateInput):
-            kabsch_svd(pts, pts, weights=np.array([1.0, 1, 0, 0]))
 
     def test_planar_points_ok(self):
         # 3 points are always planar; rank-2 covariance must not be rejected

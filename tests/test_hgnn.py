@@ -535,5 +535,5 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_sigma_f_accessor(self):
-        params = init_params(channels=4, seed=0, sigma_f0=2.0)
-        assert np.exp(params.value("log_sigma_f")) == pytest.approx(2.0)
+        params = init_params(channels=4, seed=0)
+        assert np.exp(params.value("log_sigma_f")) == 1.0

@@ -29,12 +29,12 @@ class TestContracts:
     def test_nms_first_in_order_always_kept(self, rng):
         pts = rng.uniform(-1, 1, (30, 3))
         order = rng.permutation(30)
-        keep = kernels.nms_select(pts, order, 0.5)
+        keep = kernels.nms_select(pts, order, 0.5, len(pts))
         assert keep[order[0]]
 
     def test_nms_no_two_kept_within_radius(self, rng):
         pts = rng.uniform(-1, 1, (50, 3))
-        keep = kernels.nms_select(pts, np.arange(50), 0.4)
+        keep = kernels.nms_select(pts, np.arange(50), 0.4, len(pts))
         kept = np.flatnonzero(keep)
         for a in range(len(kept)):
             for b in range(a + 1, len(kept)):
@@ -43,7 +43,7 @@ class TestContracts:
     def test_nms_cap_is_uncapped_prefix(self, rng):
         pts = rng.uniform(-1, 1, (80, 3))
         order = rng.permutation(80)
-        full = kernels.nms_select(pts, order, 0.3)
+        full = kernels.nms_select(pts, order, 0.3, len(pts))
         picks = [i for i in order if full[i]]
         for cap in range(len(picks) + 2):
             keep = kernels.nms_select(pts, order, 0.3, max_keep=cap)

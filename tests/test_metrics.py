@@ -98,13 +98,13 @@ class TestAggregate:
     def test_rr_monotone_in_thresholds(self):
         results = [_pr(1.0, 0.01, None) for _ in range(5)]
         # recompute success under two threshold settings
-        tight = MetricThresholds(re_deg=0.5, te_m=0.005)
-        loose = MetricThresholds(re_deg=2.0, te_m=0.02)
+        tight = MetricThresholds(re_thresh_deg=0.5, te_thresh=0.005)
+        loose = MetricThresholds(re_thresh_deg=2.0, te_thresh=0.02)
         for r in results:
-            r.success = r.re_deg <= tight.re_deg and r.te_m <= tight.te_m
+            r.success = r.re_deg <= tight.re_thresh_deg and r.te_m <= tight.te_thresh
         rr_tight = aggregate(results, tight)["rr"]
         for r in results:
-            r.success = r.re_deg <= loose.re_deg and r.te_m <= loose.te_m
+            r.success = r.re_deg <= loose.re_thresh_deg and r.te_m <= loose.te_thresh
         rr_loose = aggregate(results, loose)["rr"]
         assert rr_loose >= rr_tight
 

@@ -95,7 +95,7 @@ class TestNms:
         pts = rng.uniform(-1, 1, (120, 3))
         s = np.round(rng.uniform(size=120), 1)  # tied scores go to the lower index
         order = np.lexsort((np.arange(120), -s))
-        full = kernels.nms_select(pts, order, 0.2)
+        full = kernels.nms_select(pts, order, 0.2, len(pts))
         picks = [int(i) for i in order if full[i]]
         for cap in range(len(picks) + 2):
             assert nms_local_maxima(s, pts, 0.2, cap) == picks[:cap]
@@ -157,7 +157,7 @@ class TestInitialHypotheses:
     def test_perfect_data_recovers_gt(self):
         sc = _perfect_scene(n=50, seed=2)
         x = np.random.default_rng(0).normal(size=(50, 8))
-        hypos = initial_hypotheses(sc, list(range(10)), x, PipelineConfig())
+        hypos = initial_hypotheses(sc, list(range(10)), x, PipelineConfig(), {})
         assert hypos
         for h in hypos:
             re, te = pose_errors(h.transform, sc.gt)
@@ -166,7 +166,7 @@ class TestInitialHypotheses:
     def test_knn_clamped_to_whole_set(self):
         sc = _perfect_scene(n=10, seed=3)
         x = np.random.default_rng(1).normal(size=(10, 4))
-        hypos = initial_hypotheses(sc, [0], x, PipelineConfig(knn_k=50))
+        hypos = initial_hypotheses(sc, [0], x, PipelineConfig(knn_k=50), {})
         assert len(hypos) == 1
 
     def test_retains_best_by_rescoring_oracle(self, rng):
@@ -193,7 +193,7 @@ class TestInitialHypotheses:
     def test_n_init_count(self):
         sc = _perfect_scene(n=100, seed=6)
         x = np.random.default_rng(2).normal(size=(100, 8))
-        hypos = initial_hypotheses(sc, list(range(20)), x, PipelineConfig())
+        hypos = initial_hypotheses(sc, list(range(20)), x, PipelineConfig(), {})
         # N_s = 20, N_init = round(0.1 * 20) = 2
         assert len(hypos) == 2
         assert all(h.origin is HypothesisOrigin.INITIAL for h in hypos)
@@ -243,7 +243,7 @@ class TestRefine:
         h = np.zeros((30, 30))
         h[:6, 0] = 1.0
         out = refine_hypotheses(sc, h, self._initial_for(sc, 0),
-                                PipelineConfig())
+                                PipelineConfig(), {})
         refined = [x for x in out if x.origin is HypothesisOrigin.REFINED]
         assert len(refined) == 1
 
@@ -252,7 +252,7 @@ class TestRefine:
         h = np.zeros((96, 96))
         h[:, 0] = 1.0
         out = refine_hypotheses(sc, h, self._initial_for(sc, 0),
-                                PipelineConfig())
+                                PipelineConfig(), {})
         refined = [x for x in out if x.origin is HypothesisOrigin.REFINED]
         assert len(refined) == 31  # windows k = 0..30
 
@@ -261,7 +261,7 @@ class TestRefine:
         h = np.zeros((30, 30))
         h[:4, 0] = 1.0
         out = refine_hypotheses(sc, h, self._initial_for(sc, 0),
-                                PipelineConfig())
+                                PipelineConfig(), {})
         assert len(out) == 1  # never fewer than the initial set
 
     def test_noise_free_first_window_recovers_gt(self):
@@ -269,7 +269,7 @@ class TestRefine:
         h = np.zeros((40, 40))
         h[:12, 0] = 1.0
         out = refine_hypotheses(sc, h, self._initial_for(sc, 0),
-                                PipelineConfig())
+                                PipelineConfig(), {})
         refined = [x for x in out if x.origin is HypothesisOrigin.REFINED]
         re, te = pose_errors(refined[0].transform, sc.gt)
         assert re < 1e-7 and te < 1e-9
@@ -278,7 +278,7 @@ class TestRefine:
         sc = gen_scene(SynthConfig(n_corrs=50, inlier_ratio=0.3, seed=11))
         h = (rng.uniform(size=(50, 50)) < 0.3).astype(float)
         initial = self._initial_for(sc, 5)
-        out = refine_hypotheses(sc, h, initial, PipelineConfig())
+        out = refine_hypotheses(sc, h, initial, PipelineConfig(), {})
         assert len(out) >= len(initial)
 
     def test_windows_match_per_window_fits(self, rng):

@@ -1,5 +1,4 @@
 import importlib
-import io
 import multiprocessing
 import os
 import signal
@@ -80,38 +79,39 @@ class TestLossClass:
     def test_half_everywhere_is_ln2(self):
         s = np.full(10, 0.5)
         labels = np.array([True] * 4 + [False] * 6)
-        assert loss_class(s, labels) == pytest.approx(np.log(2), abs=1e-12)
+        assert loss_class(av.wrap(s), labels).value == pytest.approx(np.log(2), abs=1e-12)
 
     def test_perfect_prediction_hits_clamp_floor(self):
         labels = np.array([True, False, True])
         s = labels.astype(float)
-        val = loss_class(s, labels)
+        val = loss_class(av.wrap(s), labels).value
         assert 0 < val < 1.1e-7  # -log(1 - 1e-7) per term
 
     def test_matches_scalar_loop(self, rng):
         s = rng.uniform(0.01, 0.99, 20)
         labels = rng.uniform(size=20) < 0.4
-        assert loss_class(s, labels) == pytest.approx(
+        assert loss_class(av.wrap(s), labels).value == pytest.approx(
             _bce_loop(s, labels.astype(float)), abs=1e-12)
 
     def test_permutation_invariant(self, rng):
         s = rng.uniform(0.01, 0.99, 15)
         labels = rng.uniform(size=15) < 0.5
         perm = rng.permutation(15)
-        assert loss_class(s, labels) == pytest.approx(
-            loss_class(s[perm], labels[perm]), abs=1e-12)
+        assert loss_class(av.wrap(s), labels).value == pytest.approx(
+            loss_class(av.wrap(s[perm]), labels[perm]).value, abs=1e-12)
 
 
 class TestLossMatch:
     def test_identical_features_all_inliers(self):
         x = np.tile([0.3, 0.4], (5, 1))
-        assert loss_match(x, np.ones(5, dtype=bool), 1.0) == 0.0
+        assert loss_match(av.wrap(x), np.ones(5, dtype=bool), av.wrap(1.0)).value == 0.0
 
     def test_identical_features_all_outliers(self):
         # eta = 1 everywhere, eta* = 0 everywhere (diagonal included since
         # labels are false) -> every one of the N^2 terms is 1
         x = np.tile([0.3, 0.4], (2, 1))
-        assert loss_match(x, np.zeros(2, dtype=bool), 1.0) == pytest.approx(1.0)
+        assert loss_match(av.wrap(x), np.zeros(2, dtype=bool),
+                          av.wrap(1.0)).value == pytest.approx(1.0)
 
     def test_matches_double_loop(self, rng):
         x = rng.normal(size=(7, 4))
@@ -125,7 +125,8 @@ class TestLossMatch:
                 eta = max(0.0, 1.0 - d2 / sigma ** 2)
                 eta_star = 1.0 if (labels[i] and labels[j]) else 0.0
                 acc += (eta - eta_star) ** 2
-        assert loss_match(x, labels, sigma) == pytest.approx(acc / n ** 2, abs=1e-12)
+        assert loss_match(av.wrap(x), labels, av.wrap(sigma)).value == pytest.approx(
+            acc / n ** 2, abs=1e-12)
 
     def test_eta_bounds_and_symmetry(self, rng):
         # reconstruct eta inside the loss by comparing against a direct eval
@@ -140,25 +141,26 @@ class TestLossMatch:
 class TestLossGraph:
     def test_exact_match_hits_clamp_floor(self):
         h_star = gt_hypergraph([True, False, True])
-        val = loss_graph(h_star.copy(), h_star)
+        val = loss_graph(av.wrap(h_star.copy()), h_star).value
         assert 0 < val < 1.1e-7
 
     def test_half_everywhere_is_ln2(self, rng):
         h_star = (rng.uniform(size=(5, 5)) < 0.5).astype(float)
         w = np.full((5, 5), 0.5)
-        assert loss_graph(w, h_star) == pytest.approx(np.log(2), abs=1e-12)
+        assert loss_graph(av.wrap(w), h_star).value == pytest.approx(np.log(2), abs=1e-12)
 
     def test_matches_loop(self, rng):
         w = rng.uniform(size=(6, 6))
         h_star = (rng.uniform(size=(6, 6)) < 0.3).astype(float)
-        assert loss_graph(w, h_star) == pytest.approx(_bce_loop(w, h_star), abs=1e-12)
+        assert loss_graph(av.wrap(w), h_star).value == pytest.approx(_bce_loop(w, h_star),
+                                                                     abs=1e-12)
 
     def test_row_mean_equals_total_mean(self, rng):
         # per-row mean BCE averaged over rows == grand mean for square input
         w = rng.uniform(size=(4, 4))
         h_star = (rng.uniform(size=(4, 4)) < 0.5).astype(float)
         rows = [_bce_loop(w[i], h_star[i]) for i in range(4)]
-        assert loss_graph(w, h_star) == pytest.approx(np.mean(rows), abs=1e-12)
+        assert loss_graph(av.wrap(w), h_star).value == pytest.approx(np.mean(rows), abs=1e-12)
 
 
 class TestJointLoss:
@@ -236,12 +238,12 @@ class TestTrainLoop:
         train(scenes, tc, init_params(channels=8, seed=1), history=hist)
         assert hist[-1]["total"] < hist[0]["total"]
 
-    def test_csv_log_schema(self):
+    def test_csv_log_schema(self, tmp_path):
         scenes = self._scenes(n_scenes=2)
-        buf = io.StringIO()
+        log = tmp_path / "train.csv"
         tc = TrainConfig(epochs=2, lr=1e-3, batch=2, seed=0)
-        train(scenes, tc, init_params(channels=4, seed=1), log_csv=buf)
-        lines = buf.getvalue().strip().splitlines()
+        train(scenes, tc, init_params(channels=4, seed=1), log_csv=log)
+        lines = log.read_text().strip().splitlines()
         assert lines[0] == ("epoch,mean_loss_class,mean_loss_match,"
                             "mean_loss_graph,mean_loss_total,wall_seconds")
         assert len(lines) == 3
