@@ -16,6 +16,7 @@ import json
 import os
 import sys
 
+from .compat import require_positive
 from .config import RunConfig, default_config_text, load_config
 from .errors import HgctError
 from .hgnn import init_params, load_checkpoint, save_checkpoint
@@ -157,6 +158,7 @@ def cmd_gradcheck(args) -> int:
     from .train import gradient_check
 
     cfg = _load_run_config(args)
+    require_positive("gradcheck_tol", cfg.gradcheck_tol)
     report = gradient_check(n=cfg.gradcheck_n, channels=cfg.gradcheck_channels,
                             seed=cfg.seed, step=cfg.gradcheck_step)
     ok = report["max_rel_err"] < cfg.gradcheck_tol

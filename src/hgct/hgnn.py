@@ -22,11 +22,12 @@ The top-K selection is treated as constant support during differentiation:
 gradients (autodiff.gradients over the recorded tape) flow through the
 retained sigmoid magnitudes only.
 
-Memory: `forward(..., keep_layers=False)`, which `pipeline.register` uses,
-keeps only X^5, Y^4, H^4 and s_hat in the trace and drops or reuses every
-N x N array after its last read (see `forward`). No N x N array holds W_H^0.
-The update writes W_H^{t+1} into its score array, and top-K retention runs
-in row blocks.
+Memory: the inference pass, `forward(..., inference=True)`, which
+`pipeline.register` runs, reuses its inputs: the w_h0 buffer becomes the
+attention's log bias and the H^0 buffer holds H^1..H^4. Its trace keeps only
+X^5, Y^4, H^4 and s_hat, and every other N x N array is dropped after its
+last read. No N x N array holds W_H^0. The update writes W_H^{t+1} into its
+score array, and top-K retention runs in row blocks.
 
 Checkpoint format: ASCII magic line b"HGCT-CKPT v1\n", then three
 little-endian uint32 (channels, layer count, total parameter count), then all
@@ -108,6 +109,8 @@ class HgnnParams:
 
 def init_params(channels: int = 32, seed: int = 0) -> HgnnParams:
     """He-initialized weights, zero biases, sigma_f = 1 stored as its log."""
+    if channels < 1:
+        raise ValueError(f"channels must be >= 1, got {channels}")
     rng = np.random.default_rng(seed)
     tensors: Dict[str, av.Var] = {}
     for name, shape in param_specs(channels):
@@ -164,9 +167,9 @@ def load_checkpoint(path) -> HgnnParams:
 class ForwardTrace:
     """Per-layer states plus tape handles sufficient for backpropagation.
 
-    A trace made with keep_layers=False holds only the last entry of xs, ys
-    and hs (X^5, Y^4, H^4) and of x_vars and y_vars, no W_H (whs and
-    wh_vars are empty) and an empty (0, 0) w_nonlocal."""
+    An inference pass's trace holds only the last entry of xs, ys and hs
+    (X^5, Y^4, H^4) and of x_vars and y_vars, no W_H (whs and wh_vars are
+    empty) and an empty (0, 0) w_nonlocal."""
 
     xs: List[np.ndarray]        # X^0 .. X^5, each (N, C)
     ys: List[np.ndarray]        # Y^0 .. Y^4
@@ -281,26 +284,6 @@ def _update(x: av.Var, y: av.Var, h: np.ndarray, params: HgnnParams, t: int,
     return retention, s_full
 
 
-class Handover:
-    """An argument handed over to `forward`, which empties the holder as it
-    reads it. CPython keeps a call's arguments alive until the call returns,
-    so only through a holder can forward drop the last reference to an
-    N x N input (H^0, w_h0) as soon as it has read it."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-
-def _received(arg):
-    """arg itself, or the value of a Handover, which is emptied."""
-    if isinstance(arg, Handover):
-        value, arg.value = arg.value, None
-        return value
-    return arg
-
-
 def _initial_edge_weights(w: np.ndarray, h0: np.ndarray) -> np.ndarray:
     """Column sums of W_H^0 from w, an array holding w_h0, which is left as
     it was. W_H^0 is w_h0 with 1 on the self-memberships (the diagonal of
@@ -316,38 +299,39 @@ def _initial_edge_weights(w: np.ndarray, h0: np.ndarray) -> np.ndarray:
 
 
 def forward(corrs: CorrSet, hg0: np.ndarray, w_h0: np.ndarray,
-            params: HgnnParams, keep_layers: bool = True) -> ForwardTrace:
+            params: HgnnParams, inference: bool = False) -> ForwardTrace:
     """Run the network on one correspondence set.
 
     hg0 is the incidence H^0 of the initial hypergraph (init_hypergraph of
     w_h0); w_h0 is the raw initial weight matrix, the NonLocal attention bias,
-    from which the layer-0 hyperedge weights are summed. Either may come in a
-    Handover, which forward empties. Records the autodiff tape unless called
-    under autodiff.no_grad(). With keep_layers=False the per-layer lists of
-    the trace hold only the last layer (xs = [X^5], ys = [Y^4], hs = [H^4],
-    the same for x_vars and y_vars; whs and wh_vars are empty) and w_nonlocal
-    is empty, and every N x N array is dropped after its last read: W_H^t
-    once its column sums are taken, H^t once H^{t+1} exists. A handed-over
-    w_h0 then becomes the log bias in place, and a handed-over H^0 holds H^1,
-    then H^2 and on, unless a tape (which reads H^t) is recorded. Plain
-    arguments are never modified. Every layer is checked for non-finite
-    values as it is computed, so NonFinite names the first bad one.
+    from which the layer-0 hyperedge weights are summed. The default pass
+    records the autodiff tape unless called under autodiff.no_grad(), keeps
+    every layer and never modifies its arguments. An inference pass
+    (inference=True) overwrites them: w_h0 becomes the log bias and hg0 holds
+    H^1, then H^2 and on. Its trace holds only the last layer (xs = [X^5],
+    ys = [Y^4], hs = [H^4], which is hg0, the same for x_vars and y_vars;
+    whs and wh_vars are empty) and an empty w_nonlocal, and each W_H^t is
+    dropped once its column sums are taken. A tape's backward pass reads the
+    H^t that it overwrites, so under a tape it raises ValueError before it
+    touches its arguments. Every layer is checked for non-finite values as it
+    is computed, so NonFinite names the first bad one.
     """
     n = len(corrs)
     if n < 3:
         raise ValueError("need at least 3 correspondences")
     c = params.channels
-    # an argument handed over to a lean pass is forward's own to overwrite
-    own_w, own_h = (isinstance(a, Handover) and not keep_layers for a in (w_h0, hg0))
-    h = _received(hg0)
-    del hg0
-    w_h0 = np.asarray(_received(w_h0), dtype=np.float64)
-    log_bias = w_h0 if own_w else w_h0.copy()
+    inp = np.concatenate([corrs.src, corrs.tgt], axis=1)
+    x = av.l2norm_rows(_affine(av.wrap(inp), params, "input_lift"))
+    if inference and x.track:
+        raise ValueError("an inference pass records no tape: run it under "
+                         "autodiff.no_grad()")
+    h = hg0
+    w_h0 = np.asarray(w_h0, dtype=np.float64)
+    log_bias = w_h0 if inference else w_h0.copy()
     we = av.wrap(_initial_edge_weights(log_bias, h))
     log_bias += NONLOCAL_EPS
     np.log(log_bias, out=log_bias)
-    w_nonlocal = w_h0 if keep_layers else np.empty((0, 0))
-    del w_h0
+    w_nonlocal = np.empty((0, 0)) if inference else w_h0
     k2s = k2_schedule(n)
 
     x_vars: List[av.Var] = []
@@ -358,11 +342,9 @@ def forward(corrs: CorrSet, hg0: np.ndarray, w_h0: np.ndarray,
     def keep(layers: list, item, name: Optional[str] = None) -> None:
         if name is not None:
             _check_finite(name, item.value)
-        if keep_layers:
+        if not inference:
             layers.append(item)
 
-    inp = np.concatenate([corrs.src, corrs.tgt], axis=1)
-    x = av.l2norm_rows(_affine(av.wrap(inp), params, "input_lift"))
     y = av.wrap(np.zeros((n, c)))   # Y^{-1}
     keep(x_vars, x, "X^0")
     keep(hs, h)
@@ -382,9 +364,7 @@ def forward(corrs: CorrSet, hg0: np.ndarray, w_h0: np.ndarray,
         keep(x_vars, x, f"X^{t + 1}")
 
         if t < N_UPDATES:
-            # a tape reads H^t in the conv's backward pass
-            h, wh = _update(x, y, h, params, t, k2s[t], own_h and not x.track)
-            own_h = not keep_layers
+            h, wh = _update(x, y, h, params, t, k2s[t], inference)
             keep(hs, h)
             keep(wh_vars, wh, f"W_H^{t + 1}")
             we = av.vsum(wh, axis=0)
@@ -393,7 +373,7 @@ def forward(corrs: CorrSet, hg0: np.ndarray, w_h0: np.ndarray,
     s_hat = av.reshape(av.sigmoid(_affine(x, params, "conf")), (n,))
     _check_finite("s_hat", s_hat.value)
 
-    if not keep_layers:
+    if inference:
         x_vars, y_vars, hs, wh_vars = [x], [y], [h], []
     return ForwardTrace(xs=[v.value for v in x_vars], ys=[v.value for v in y_vars],
                         hs=hs, whs=[v.value for v in wh_vars], s_hat=s_hat.value,

@@ -22,7 +22,7 @@ from .compat import CompatConfig, build_compat_graph, check_positive, round_half
 from .errors import NoEdges, NoHypothesis
 from .geom import CorrSet, RigidTransform, kabsch_batch, pose_errors, residuals
 from .geom import kabsch_svd  # noqa: F401  (perfbench/layers.py wraps pipeline.kabsch_svd)
-from .hgnn import Handover, HgnnParams, forward
+from .hgnn import HgnnParams, forward
 from .hypergraph import hyperedge_precision, init_hypergraph
 
 
@@ -125,18 +125,10 @@ def gf_nms(h: np.ndarray, s_hat: np.ndarray, corrs: CorrSet,
     n_1 = max(1, round_half_up(cfg.n1_frac * n_s))
 
     seeds = nms_local_maxima(s_hat, corrs.src, cfg.nms_radius, n_1)
-    chosen = set(seeds)
-
     scores = gf_score(gf_adjacency(h))
     ranking = np.lexsort((np.arange(n), -scores))
-    for idx in ranking:
-        if len(seeds) >= n_s:
-            break
-        i = int(idx)
-        if i not in chosen:
-            seeds.append(i)
-            chosen.add(i)
-    return seeds[:n_s]
+    fill = ranking[~np.isin(ranking, seeds)][:n_s - len(seeds)]
+    return seeds + [int(i) for i in fill]
 
 
 def initial_hypotheses(corrs: CorrSet, seeds: Sequence[int], x_final: np.ndarray,
@@ -230,13 +222,11 @@ def register(corrs: CorrSet, params: HgnnParams, cc: CompatConfig,
             precision_before = hyperedge_precision(h0, labels)
         except NoEdges:  # an empty H^0: H^4, inside it, is empty too
             precision_before = None
-    # forward reuses the buffers of w_h0 (as the log bias) and H^0 (as
-    # H^1..H^4)
-    h0, w_h0 = Handover(h0), Handover(w_h0)
 
     t0 = time.perf_counter()
     with av.no_grad():
-        trace = forward(corrs, h0, w_h0, params, keep_layers=False)
+        trace = forward(corrs, h0, w_h0, params, inference=True)
+    del w_h0  # now the log bias; h0 holds H^4, which the trace keeps
     timings["network_ms"] = 1000.0 * (time.perf_counter() - t0)
 
     t0 = time.perf_counter()

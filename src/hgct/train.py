@@ -16,7 +16,8 @@ from typing import Dict, Iterable, List, Optional
 import numpy as np
 
 from . import autodiff as av
-from .compat import CompatConfig, build_compat_graph, check_positive, round_half_up
+from .compat import (CompatConfig, build_compat_graph, check_positive, require_positive,
+                     round_half_up)
 from .errors import HgctError, NonFinite
 from .geom import CorrSet, RigidTransform, inlier_labels, random_rotation
 from .hgnn import ForwardTrace, HgnnParams, forward, init_params
@@ -193,9 +194,12 @@ class PreparedScene:
 
 def prepare_scene(corrs: CorrSet, sigma_d: float, theta_inlier: float,
                   cc: Optional[CompatConfig] = None) -> PreparedScene:
-    """Precompute the parameter-free per-scene inputs (graph, labels)."""
+    """Precompute the parameter-free per-scene inputs (graph, labels). A
+    given cc must carry the same sigma_d."""
     if cc is None:
         cc = CompatConfig(sigma_d=sigma_d)
+    elif cc.sigma_d != sigma_d:
+        raise ValueError(f"cc.sigma_d = {cc.sigma_d} differs from sigma_d = {sigma_d}")
     g = build_compat_graph(corrs, cc)
     hg0 = init_hypergraph(g.w_h0)
     if corrs.gt is not None:
@@ -392,6 +396,7 @@ def gradient_check(n: int = 8, channels: int = 8, seed: int = 3,
     Relative error uses |fd - an| / max(|fd|, |an|, 1e-6); the floor keeps
     near-zero gradients from amplifying finite-difference round-off.
     """
+    require_positive("step", step)
     scene = gen_scene(SynthConfig(n_corrs=max(n, 10), inlier_ratio=0.5, seed=seed))
     scene = CorrSet(scene.src[:n], scene.tgt[:n], gt=scene.gt,
                     labels=scene.labels[:n])

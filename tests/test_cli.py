@@ -108,6 +108,19 @@ class TestErrors:
         self._expect_error(["register", "--config", cfg, DEMO_SCENE], capsys,
                            setting.split()[0] + " must be positive")
 
+    @pytest.mark.parametrize("command, setting, fragment", [
+        ("register", "channels = 0", "channels must be >= 1"),
+        ("gradcheck", "gradcheck_channels = 0", "channels must be >= 1"),
+        ("gradcheck", "gradcheck_step = 0", "step must be positive"),
+        ("gradcheck", "gradcheck_step = inf", "step must be positive"),
+        ("gradcheck", "gradcheck_tol = nan", "gradcheck_tol must be positive"),
+    ])
+    def test_network_and_gradcheck_keys(self, tmp_path, capsys, command, setting,
+                                        fragment):
+        cfg = _write_config(tmp_path, setting + "\n")
+        argv = [command, "--config", cfg] + ([DEMO_SCENE] if command == "register" else [])
+        self._expect_error(argv, capsys, fragment)
+
     def test_checkpoint_bad_magic(self, tmp_path, capsys):
         ckpt = tmp_path / "bad.ckpt"
         ckpt.write_bytes(b"NOT-A-CHECKPOINT" + bytes(64))

@@ -10,7 +10,7 @@ from hgct import autodiff as av
 from hgct import hgnn
 from hgct.errors import NonFinite
 from hgct.geom import CorrSet
-from hgct.hgnn import (Handover, _topk_retention, _update, forward, init_params,
+from hgct.hgnn import (_topk_retention, _update, forward, init_params,
                        k2_schedule, load_checkpoint, param_specs, save_checkpoint)
 from hgct.hypergraph import init_hypergraph
 from hgct.train import SynthConfig, gen_scene, joint_loss, prepare_scene
@@ -249,25 +249,25 @@ class TestConventions:
         with pytest.raises(NonFinite):
             forward(ps.corrs, ps.hg0, ps.w_h0, params)
 
-    @pytest.mark.parametrize("keep_layers", [True, False])
-    def test_nonfinite_initial_weights_name_w_h0(self, keep_layers):
+    @pytest.mark.parametrize("inference", [False, True])
+    def test_nonfinite_initial_weights_name_w_h0(self, inference):
         # W_H^0 is never built, but its column sums are checked under its name
         ps, params = _prepared(n=10, channels=8)
         w0 = ps.w_h0.copy()
         w0[0, 1] = w0[1, 0] = np.inf
         with av.no_grad(), pytest.raises(NonFinite, match=r"W_H\^0"):
-            forward(ps.corrs, ps.hg0, w0, params, keep_layers=keep_layers)
+            forward(ps.corrs, ps.hg0, w0, params, inference=inference)
 
 
 class TestLeanForward:
-    """keep_layers=False keeps only the last layer, without W_H^4, with the
+    """The inference pass keeps only the last layer, without W_H^4, with the
     same values."""
 
     @staticmethod
     def _both(corrs, hg0, w0, params):
         with av.no_grad():
             full = forward(corrs, hg0, w0, params)
-            lean = forward(corrs, hg0, w0, params, keep_layers=False)
+            lean = forward(corrs, hg0.copy(), w0.copy(), params, inference=True)
         return full, lean
 
     def _assert_last_layer_equal(self, full, lean):
@@ -293,32 +293,19 @@ class TestLeanForward:
         assert np.any(np.diff(np.sort(full.whs[3][full.hs[4] > 0])) == 0)
         self._assert_last_layer_equal(full, lean)
 
-    def test_prepared_scene_twice_unchanged_and_equal(self):
-        ps, params = _prepared(n=12, seed=1, channels=8)
-        before = (ps.hg0.copy(), ps.w_h0.copy())
-        with av.no_grad():
-            first = forward(ps.corrs, ps.hg0, ps.w_h0, params, keep_layers=False)
-            second = forward(ps.corrs, ps.hg0, ps.w_h0, params, keep_layers=False)
-        for arr, copy in zip((ps.hg0, ps.w_h0), before):
-            assert np.array_equal(arr, copy)
-        for name in ("xs", "ys", "hs"):
-            assert np.array_equal(getattr(first, name)[0], getattr(second, name)[0]), name
-        assert np.array_equal(first.s_hat, second.s_hat)
-        assert first.w_nonlocal.shape == (0, 0)
-
     def test_handed_over_inputs_die_after_their_last_read(self, monkeypatch):
         # w_h0's buffer is the log bias of every attention, and H^0's buffer
-        # holds H^{t+1} after update t; nothing else of the inputs survives
+        # holds H^{t+1} after update t and is H^4 in the trace; nothing else
+        # of the inputs survives the trace
         ps, params = _prepared(n=12, seed=1, channels=8)
         with av.no_grad():
             plain = forward(ps.corrs, ps.hg0, ps.w_h0, params)
         h0 = ps.hg0.copy()
         w0 = ps.w_h0.copy()
         refs = {"H^0": weakref.ref(h0), "w_h0": weakref.ref(w0)}
-        alive, biases, supports = [], [], []
+        biases, supports = [], []
 
         def spy_update(x, y, h, *args):
-            alive.append({name for name, ref in refs.items() if ref() is not None})
             supports.append(h is refs["H^0"]())
             out = _update(x, y, h, *args)
             supports.append(out[0] is h)
@@ -331,46 +318,42 @@ class TestLeanForward:
         attention = hgnn._nonlocal
         monkeypatch.setattr(hgnn, "_update", spy_update)
         monkeypatch.setattr(hgnn, "_nonlocal", spy_nonlocal)
-        holders = (Handover(h0), Handover(w0))
-        del h0, w0
         with av.no_grad():
-            got = forward(ps.corrs, holders[0], holders[1], params, keep_layers=False)
-        assert holders[0].value is None and holders[1].value is None
-        assert alive == [{"H^0", "w_h0"}] * 4
+            got = forward(ps.corrs, h0, w0, params, inference=True)
+        del h0, w0
         assert supports == [True] * 8 and biases == [True] * 5
+        assert refs["w_h0"]() is None
         assert got.hs[0] is refs["H^0"]()
+        assert got.w_nonlocal.shape == (0, 0)
         assert np.array_equal(got.hs[0], plain.hs[4])
         assert np.array_equal(got.s_hat, plain.s_hat)
         del got
-        assert all(ref() is None for ref in refs.values())
+        assert refs["H^0"]() is None
 
-    def test_taped_lean_pass_keeps_the_gradients(self):
-        # the conv's backward pass reads H^t, so under a tape a handed-over
-        # H^0 is not overwritten with H^1..H^4
+    def test_taped_inference_pass_raises(self):
+        # the conv's backward pass reads the H^t that an inference pass
+        # overwrites; the inputs are left as they were
         ps, params = _prepared(n=12, seed=2, channels=8)
-        seed = np.random.default_rng(0).normal(size=len(ps.corrs))
-        full = _s_hat_grads(forward(ps.corrs, ps.hg0, ps.w_h0, params), params, seed)
-        h0 = ps.hg0.copy()
-        lean = forward(ps.corrs, Handover(h0), Handover(ps.w_h0.copy()), params,
-                       keep_layers=False)
-        assert np.array_equal(h0, ps.hg0)
-        grads = _s_hat_grads(lean, params, seed)
-        for name in params.names:
-            assert np.array_equal(grads[name], full[name]), name
+        h0, w0 = ps.hg0.copy(), ps.w_h0.copy()
+        with pytest.raises(ValueError, match="no_grad"):
+            forward(ps.corrs, h0, w0, params, inference=True)
+        assert np.array_equal(h0, ps.hg0) and np.array_equal(w0, ps.w_h0)
 
     def test_input_hypergraph_left_unchanged(self):
+        # the default pass, taped or not, never modifies its arguments
         corrs, h0, w0, params = _generic_instance(3)
         h, w = h0.copy(), w0.copy()
+        forward(corrs, h0, w0, params)
         with av.no_grad():
-            forward(corrs, h0, w0, params, keep_layers=False)
+            forward(corrs, h0, w0, params)
         assert np.array_equal(h0, h) and np.array_equal(w0, w)
 
-    @pytest.mark.parametrize("keep_layers", [True, False])
-    def test_poisoned_intermediate_layer_raises(self, keep_layers):
+    @pytest.mark.parametrize("inference", [False, True])
+    def test_poisoned_intermediate_layer_raises(self, inference):
         ps, params = _prepared(n=10, channels=8)
         params.var("nl.2.out.b").value[0] = np.nan  # first reaches X^3
         with av.no_grad(), pytest.raises(NonFinite, match=r"X\^3"):
-            forward(ps.corrs, ps.hg0, ps.w_h0, params, keep_layers=keep_layers)
+            forward(ps.corrs, ps.hg0, ps.w_h0, params, inference=inference)
 
 
 class TestNonLocal:

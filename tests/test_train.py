@@ -11,6 +11,7 @@ import oracles
 from baselines import scene_batch
 from hgct import autodiff as av
 from hgct import kernels
+from hgct.compat import CompatConfig
 from hgct.errors import HgctError, NonFinite
 from hgct.geom import residuals
 from hgct.hgnn import init_params, forward
@@ -251,6 +252,13 @@ class TestTrainLoop:
     def test_empty_scene_stream_raises(self):
         with pytest.raises(ValueError):
             train([], TrainConfig(), init_params(channels=4, seed=0))
+
+    def test_graph_config_must_carry_the_training_sigma_d(self):
+        # the graph is built from cc: a different tc.sigma_d would be ignored
+        scenes = self._scenes(n_scenes=1)
+        tc = TrainConfig(epochs=1, batch=1, seed=0, sigma_d=0.3)
+        with pytest.raises(ValueError, match="sigma_d"):
+            train(scenes, tc, init_params(channels=4, seed=1), cc=CompatConfig())
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf propagates
     def test_nonfinite_abort_names_scene(self):
