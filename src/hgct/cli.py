@@ -4,10 +4,10 @@ Commands: gen (synthetic dataset), train (checkpoint from a dataset),
 register (one scene), bench (metrics over a dataset), gradcheck
 (finite-difference verification), report (merge bench summaries).
 
-Common flags: --config <path>, --seed <int>, --out <path>. The environment
-variable HGCT_THREADS caps the processes of bench and train (the `threads`
-key, 0 = every usable CPU). Exit code 0 on success;
-failures print one `error: <message>` line on stderr and exit nonzero.
+Flags: --config <path> and --seed <int> (gen, train, register, bench,
+gradcheck), --out <path> (gen, train, register, bench, report); defaults
+takes none. Exit code 0 on success; failures print one `error: <message>`
+line on stderr and exit nonzero.
 """
 
 import argparse
@@ -203,10 +203,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "dynamic hypergraph constraints.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="key = value configuration file")
-        p.add_argument("--seed", type=int, default=None, help="override seed")
-        p.add_argument("--out", default=None, help="output path")
+    shared = {"--config": dict(help="key = value configuration file"),
+              "--seed": dict(type=int, default=None, help="override seed"),
+              "--out": dict(default=None, help="output path")}
+
+    def common(p, *flags):
+        for flag in flags or shared:
+            p.add_argument(flag, **shared[flag])
 
     p = sub.add_parser("gen", help="generate a synthetic dataset directory")
     common(p)
@@ -231,16 +234,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    common(p)
+    common(p, "--config", "--seed")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("report", help="merge bench summary JSON files")
-    common(p)
+    common(p, "--out")
     p.add_argument("results", nargs="+", help="summary.json files")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("defaults", help="print the default configuration")
-    common(p)
     p.set_defaults(func=cmd_defaults)
 
     return parser

@@ -6,7 +6,8 @@ class HgctError(Exception):
 
 
 class DegenerateInput(HgctError):
-    """Point subset is rank-deficient (collinear/coincident); no unique rigid fit."""
+    """Fewer than 3 point pairs per rigid fit. The solver masks rank-deficient
+    (collinear or coincident) fits in its `ok` flags instead of raising."""
 
 
 class EmptyGraph(HgctError):

@@ -66,27 +66,7 @@ def _as_points(pts) -> np.ndarray:
     return pts
 
 
-def kabsch_svd(src, tgt) -> RigidTransform:
-    """Least-squares rigid fit mapping src points onto tgt points.
-
-    The single-fit form of `kabsch_batch` (same arithmetic, bit for bit).
-
-    Input:
-        - src, tgt: (K, 3) paired points, K >= 3
-    Raises:
-        DegenerateInput if the centered cross-covariance has rank < 2.
-    """
-    src = _as_points(src)
-    tgt = _as_points(tgt)
-    if src.shape != tgt.shape:
-        raise ValueError("src/tgt shape mismatch")
-    rots, trans, ok = kabsch_batch(src[None], tgt[None])
-    if not ok[0]:
-        raise DegenerateInput("cross-covariance rank < 2 (collinear or coincident points)")
-    return RigidTransform(rots[0], trans[0])
-
-
-def kabsch_batch(src, tgt):
+def kabsch_svd(src, tgt):
     """Rigid fits of a stack of paired point sets, one SVD call for all.
 
     Per fit: centroids, 3x3 cross-covariance, SVD; if det(U V^T) < 0 the
@@ -98,6 +78,8 @@ def kabsch_batch(src, tgt):
         (R (M, 3, 3), t (M, 3), ok (M,) bool). ok is False where the
         centered cross-covariance has rank < 2 (collinear or coincident
         points); R and t are meaningless there.
+    Raises:
+        DegenerateInput if K < 3.
     """
     src = np.asarray(src, dtype=np.float64)
     tgt = np.asarray(tgt, dtype=np.float64)

@@ -72,8 +72,7 @@ def blas_threads(n: int):
 
 def worker_count(threads: int, jobs: int) -> int:
     """Processes to run `jobs` independent jobs on: `threads`, or every CPU
-    this process may run on when it is 0, capped by the HGCT_THREADS
-    environment variable and by `jobs`; at least 1."""
+    this process may run on when it is 0, capped by `jobs`; at least 1."""
     if threads < 0:
         raise ConfigError(f"threads must be >= 0, got {threads}")
     if threads > 0:
@@ -82,12 +81,6 @@ def worker_count(threads: int, jobs: int) -> int:
         workers = len(os.sched_getaffinity(0))
     else:
         workers = os.cpu_count() or 1
-    cap = os.environ.get("HGCT_THREADS")
-    if cap is not None:
-        try:
-            workers = min(workers, max(1, int(cap)))
-        except ValueError:
-            raise ConfigError(f"HGCT_THREADS must be an integer, got {cap!r}") from None
     return max(1, min(workers, jobs))
 
 

@@ -20,8 +20,7 @@ from . import autodiff as av
 from . import kernels
 from .compat import CompatConfig, build_compat_graph, check_positive, round_half_up
 from .errors import NoEdges, NoHypothesis
-from .geom import CorrSet, RigidTransform, kabsch_batch, pose_errors, residuals
-from .geom import kabsch_svd  # noqa: F401  (perfbench/layers.py wraps pipeline.kabsch_svd)
+from .geom import CorrSet, RigidTransform, kabsch_svd, pose_errors, residuals
 from .hgnn import HgnnParams, forward
 from .hypergraph import hyperedge_precision, init_hypergraph
 
@@ -67,7 +66,7 @@ def _fit_and_score(corrs: CorrSet, subsets: np.ndarray, theta_inlier: float):
     """Fit every index row of `subsets` in one stack, then score the fits that
     are not rank-deficient. Returns (R, t, scores) of those fits, in row
     order, and the (rows,) mask that selects them."""
-    rots, trans, ok = kabsch_batch(corrs.src[subsets], corrs.tgt[subsets])
+    rots, trans, ok = kabsch_svd(corrs.src[subsets], corrs.tgt[subsets])
     rots, trans = rots[ok], trans[ok]
     scores = kernels.mae_scores(rots, trans, corrs.src, corrs.tgt, theta_inlier)
     return rots, trans, scores, ok

@@ -5,7 +5,8 @@ index loops (plain dense affine maps may use numpy); none of it shares code
 with the implementation under test. The exceptions:
 `weighted_membership_precision`, a test-only metric with no counterpart in
 the package; `nonlocal_apply`, a test entry point into the network's
-attention block; the `*_reference` and `*_chain` helpers, which keep the
+attention block; `single_fit`, one (K, 3) fit through the package's
+stacked solver; the `*_reference` and `*_chain` helpers, which keep the
 allocating numpy expressions and unfused tape ops that the package's in-place
 kernels must equal bit for bit; the initial hyperedge weights W_H^0, which
 the package never builds, and the test-only views of a hypergraph's
@@ -24,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from hgct import autodiff as av
-from hgct.geom import CorrSet, RigidTransform
+from hgct.geom import CorrSet, RigidTransform, kabsch_svd
 from hgct.hgnn import NONLOCAL_EPS, _nonlocal
 
 
@@ -255,6 +256,14 @@ def kabsch_fit_loop(src, tgt):
         u[:, -1] = -u[:, -1]
     rot = u @ vt
     return rot, c_tgt - rot @ c_src
+
+
+def single_fit(src, tgt) -> RigidTransform:
+    """One (K, 3) fit through the package's stacked solver, as a stack of one;
+    fails the test when the fit is rank-deficient."""
+    rots, trans, ok = kabsch_svd(np.asarray(src)[None], np.asarray(tgt)[None])
+    assert ok[0], "rank-deficient fit"
+    return RigidTransform(rots[0], trans[0])
 
 
 def mae_scores_loop(rots, trans, src, tgt, theta):

@@ -279,7 +279,6 @@ class TestBench:
             assert os.getpid() != parent, "scored in the test process"
             os._exit(9)
 
-        monkeypatch.delenv("HGCT_THREADS", raising=False)
         monkeypatch.setattr(hgct.cli, "evaluate_scene", die)
         cfg = _write_config(tmp_path, "threads = 2\n")
         assert main(["bench", "--config", cfg, small_dataset,
@@ -288,13 +287,6 @@ class TestBench:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "bench worker process exited" in err[0]
         assert multiprocessing.active_children() == []
-
-    def test_hgct_threads_env_must_be_int(self, small_dataset, tmp_path,
-                                          capsys, monkeypatch):
-        monkeypatch.setenv("HGCT_THREADS", "two")
-        assert main(["bench", small_dataset,
-                     "--out", str(tmp_path / "x")]) == 2
-        assert "HGCT_THREADS" in capsys.readouterr().err
 
     def test_report_merges_summaries(self, small_dataset, tmp_path, capsys):
         out = str(tmp_path / "bench")
@@ -381,3 +373,15 @@ class TestDefaults:
         cfg = _write_config(tmp_path, "nonsense = 1\n")
         assert main(["gen", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         assert "nonsense" in capsys.readouterr().err
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command, flag", [
+        ("defaults", "--config"), ("defaults", "--seed"), ("defaults", "--out"),
+        ("report", "--config"), ("report", "--seed"), ("gradcheck", "--out")])
+    def test_flag_the_command_never_reads_is_a_usage_error(self, command, flag, capsys):
+        argv = [command, flag, "3"] + (["summary.json"] if command == "report" else [])
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

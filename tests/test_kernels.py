@@ -117,26 +117,16 @@ class TestBlasThreads:
 
 
 class TestWorkerCount:
-    def test_zero_means_every_usable_cpu(self, monkeypatch):
-        monkeypatch.delenv("HGCT_THREADS", raising=False)
+    def test_zero_means_every_usable_cpu(self):
         cpus = len(os.sched_getaffinity(0))
         assert kernels.worker_count(0, 10_000) == cpus
         assert kernels.worker_count(3, 10_000) == 3
 
-    def test_capped_by_jobs_and_env(self, monkeypatch):
-        monkeypatch.delenv("HGCT_THREADS", raising=False)
+    def test_capped_by_jobs(self):
         assert kernels.worker_count(8, 5) == 5
         assert kernels.worker_count(8, 0) == 1
-        monkeypatch.setenv("HGCT_THREADS", "2")
-        assert kernels.worker_count(8, 5) == 2
         assert kernels.worker_count(1, 5) == 1
-        monkeypatch.setenv("HGCT_THREADS", "0")
-        assert kernels.worker_count(8, 5) == 1
 
-    def test_bad_values_rejected(self, monkeypatch):
-        monkeypatch.setenv("HGCT_THREADS", "two")
-        with pytest.raises(ConfigError, match="HGCT_THREADS"):
-            kernels.worker_count(2, 5)
-        monkeypatch.delenv("HGCT_THREADS")
+    def test_bad_values_rejected(self):
         with pytest.raises(ConfigError, match="threads"):
             kernels.worker_count(-1, 5)

@@ -179,11 +179,10 @@ class TestInitialHypotheses:
         kept = initial_hypotheses(sc, seeds, x, cfg, diagnostics=diag)
         # rebuild every candidate score independently and compare the cutoff
         all_scores = []
-        from hgct.geom import kabsch_svd
         for seed in seeds:
             d = np.sum((x - x[seed]) ** 2, axis=1)
             order = np.lexsort((np.arange(60), d))[:cfg.knn_k]
-            t = kabsch_svd(sc.src[order], sc.tgt[order])
+            t = oracles.single_fit(sc.src[order], sc.tgt[order])
             r = residuals(t, sc.src, sc.tgt)
             all_scores.append(np.sum(np.maximum(0.0, 1.0 - r / cfg.theta_inlier)))
         expected_top = sorted(all_scores, reverse=True)[:len(kept)]

@@ -359,12 +359,8 @@ class TestParallelTrain:
 
     def test_process_count(self, monkeypatch):
         count = train_module._process_count
-        monkeypatch.delenv("HGCT_THREADS", raising=False)
         assert count(TrainConfig(batch=4, threads=3)) == 3
         assert count(TrainConfig(batch=2, threads=3)) == 2
-        monkeypatch.setenv("HGCT_THREADS", "1")
-        assert count(TrainConfig(batch=4, threads=3)) == 1
-        monkeypatch.delenv("HGCT_THREADS")
         monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
         assert count(TrainConfig(batch=4, threads=3)) == 1
         monkeypatch.undo()
