@@ -4,10 +4,11 @@ Commands: gen (synthetic dataset), train (checkpoint from a dataset),
 register (one scene), bench (metrics over a dataset), gradcheck
 (finite-difference verification), report (merge bench summaries).
 
-Flags: --config <path> and --seed <int> (gen, train, register, bench,
-gradcheck), --out <path> (gen, train, register, bench, report); defaults
-takes none. Exit code 0 on success; failures print one `error: <message>`
-line on stderr and exit nonzero.
+Run parameters come from the config file, and every flag is a path:
+--config (gen, train, register, bench, gradcheck), --out (gen, train,
+register, bench, report), --log (train) and --checkpoint (register, bench);
+defaults takes none. Exit code 0 on success; failures print one
+`error: <message>` line on stderr and exit nonzero.
 """
 
 import argparse
@@ -16,7 +17,6 @@ import json
 import os
 import sys
 
-from .compat import require_positive
 from .config import RunConfig, default_config_text, load_config
 from .errors import HgctError
 from .hgnn import init_params, load_checkpoint, save_checkpoint
@@ -28,16 +28,12 @@ from .train import train
 
 
 def _load_run_config(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    return cfg
+    return load_config(args.config) if args.config else RunConfig()
 
 
-def _params_for(cfg: RunConfig, checkpoint=None):
-    path = checkpoint or cfg.checkpoint
-    if path:
-        return load_checkpoint(path)
+def _params_for(cfg: RunConfig, checkpoint):
+    if checkpoint:
+        return load_checkpoint(checkpoint)
     return init_params(channels=cfg.channels, seed=cfg.seed)
 
 
@@ -155,13 +151,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from .train import gradient_check
+    from .train import GRADCHECK_TOL, gradient_check
 
-    cfg = _load_run_config(args)
-    require_positive("gradcheck_tol", cfg.gradcheck_tol)
-    report = gradient_check(n=cfg.gradcheck_n, channels=cfg.gradcheck_channels,
-                            seed=cfg.seed, step=cfg.gradcheck_step)
-    ok = report["max_rel_err"] < cfg.gradcheck_tol
+    report = gradient_check(seed=_load_run_config(args).seed)
+    ok = report["max_rel_err"] < GRADCHECK_TOL
     status = "PASS" if ok else "FAIL"
     print(f"{status} max_rel_err={report['max_rel_err']:.3e} "
           f"worst={report['worst_param']} n_params={report['n_params']}")
@@ -204,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     shared = {"--config": dict(help="key = value configuration file"),
-              "--seed": dict(type=int, default=None, help="override seed"),
               "--out": dict(default=None, help="output path")}
 
     def common(p, *flags):
@@ -234,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    common(p, "--config", "--seed")
+    common(p, "--config")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("report", help="merge bench summary JSON files")

@@ -23,17 +23,13 @@ class GraphOrder(str, Enum):
     SOG = "sog"  # second order: gamma reinforced through shared neighbors
 
 
-def require_positive(name: str, value: float) -> None:
-    """Raise ValueError unless value is a finite number above 0 (so NaN and
-    infinities fail too)."""
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
 def check_positive(cfg, *names: str) -> None:
-    """require_positive for every named field of cfg."""
+    """Raise ValueError unless every named field of cfg is a finite number
+    above 0 (so NaN and infinities fail too)."""
     for name in names:
-        require_positive(name, getattr(cfg, name))
+        value = getattr(cfg, name)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)

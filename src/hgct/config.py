@@ -1,9 +1,10 @@
 """Flat `key = value` run configuration with documented defaults.
 
-Lines are `key = value`; `#` starts a comment. Unknown keys are rejected with
-the offending line number. The single flat namespace feeds every stage
-(graph construction, pipeline, training, synthesis, metrics, I/O); its stage
-keys, types and defaults are the fields of the stage config classes.
+Lines are `key = value`; `#` starts a comment. Unknown and repeated keys are
+rejected with the offending line numbers. The single flat namespace feeds
+every stage (graph construction, pipeline, training, synthesis, metrics,
+I/O); its stage keys, types and defaults are the fields of the stage config
+classes.
 """
 
 import typing
@@ -24,12 +25,9 @@ _OVERRIDES = {"nms_radius": (Optional[float], None)}
 # the stage config classes; a field several stages declare is one key
 _LAYOUT = (
     ("seed", int, 0), ("channels", int, 32),
-    ("checkpoint", Optional[str], None),
     CompatConfig, PipelineConfig, TrainConfig,
     ("n_scenes", int, 16),
     SynthConfig, MetricThresholds,
-    ("gradcheck_n", int, 8), ("gradcheck_channels", int, 8),
-    ("gradcheck_step", float, 1e-5), ("gradcheck_tol", float, 1e-3),
 )
 
 
@@ -91,8 +89,10 @@ def _parse_value(key: str, raw: str, line_no: int):
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse `key = value` lines into a RunConfig; unknown keys are errors."""
+    """Parse `key = value` lines into a RunConfig; unknown and repeated keys
+    are errors."""
     cfg = RunConfig()
+    seen = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -102,6 +102,9 @@ def parse_config(text: str) -> RunConfig:
         key, raw = (s.strip() for s in stripped.split("=", 1))
         if key not in _TYPES:
             raise ConfigError(f"line {line_no}: unknown key '{key}'")
+        if key in seen:
+            raise ConfigError(f"line {line_no}: '{key}' is already set on line {seen[key]}")
+        seen[key] = line_no
         setattr(cfg, key, _parse_value(key, raw, line_no))
     return cfg
 

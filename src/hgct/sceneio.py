@@ -136,6 +136,8 @@ def scene_filename(index: int) -> str:
 
 def write_dataset(out_dir, synth: SynthConfig, n_scenes: int, seed: int) -> List[str]:
     """Write n_scenes deterministic scene files plus manifest.json."""
+    if n_scenes < 1:
+        raise ValueError(f"n_scenes must be >= 1, got {n_scenes}")
     os.makedirs(out_dir, exist_ok=True)
     names = []
     for i in range(n_scenes):

@@ -140,7 +140,7 @@ def test_c1_oracle_equivalence():
 def test_c2_gradient_correctness():
     """Every parameter gradient of the joint loss matches central FD < 1e-3."""
     t0 = time.perf_counter()
-    report = gradient_check(n=8, channels=8, seed=3, step=1e-5)
+    report = gradient_check(seed=3)
     wall = time.perf_counter() - t0
     ok = report["max_rel_err"] < 1e-3 and wall < 60.0
     _report(2, ok, f"max_rel_err={report['max_rel_err']:.2e} over "

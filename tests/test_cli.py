@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import importlib
 import json
 import multiprocessing
@@ -10,8 +12,8 @@ import hgct.cli
 import oracles
 from baselines import run_suite
 from hgct import kernels
-from hgct.cli import main
-from hgct.config import parse_config
+from hgct.cli import build_parser, main
+from hgct.config import RunConfig, parse_config
 from hgct.geom import CorrSet
 from hgct.hgnn import init_params, load_checkpoint, save_checkpoint
 from hgct.metrics import aggregate
@@ -57,6 +59,14 @@ class TestGen:
     def test_missing_out_fails(self, tmp_path, capsys):
         assert main(["gen"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_zero_scenes_fails(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, "n_scenes = 0\n")
+        out = tmp_path / "data"
+        assert main(["gen", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: n_scenes must be >= 1, got 0\n"
+        assert not out.exists()
 
 
 class TestRegister:
@@ -108,12 +118,16 @@ class TestErrors:
         self._expect_error(["register", "--config", cfg, DEMO_SCENE], capsys,
                            setting.split()[0] + " must be positive")
 
+    # the gradient check and the checkpoint have no config keys: the check
+    # runs at fixed settings, and --checkpoint names the file
     @pytest.mark.parametrize("command, setting, fragment", [
         ("register", "channels = 0", "channels must be >= 1"),
-        ("gradcheck", "gradcheck_channels = 0", "channels must be >= 1"),
-        ("gradcheck", "gradcheck_step = 0", "step must be positive"),
-        ("gradcheck", "gradcheck_step = inf", "step must be positive"),
-        ("gradcheck", "gradcheck_tol = nan", "gradcheck_tol must be positive"),
+        ("gradcheck", "gradcheck_n = 8", "line 1: unknown key 'gradcheck_n'"),
+        ("gradcheck", "gradcheck_channels = 0", "line 1: unknown key 'gradcheck_channels'"),
+        ("gradcheck", "gradcheck_step = 0", "line 1: unknown key 'gradcheck_step'"),
+        ("gradcheck", "gradcheck_step = inf", "line 1: unknown key 'gradcheck_step'"),
+        ("gradcheck", "gradcheck_tol = nan", "line 1: unknown key 'gradcheck_tol'"),
+        ("register", "checkpoint = model.ckpt", "line 1: unknown key 'checkpoint'"),
     ])
     def test_network_and_gradcheck_keys(self, tmp_path, capsys, command, setting,
                                         fragment):
@@ -338,16 +352,14 @@ class TestTrain:
 
 class TestGradcheck:
     def test_pass_line(self, tmp_path, capsys):
-        # seed 3, the check's own default: at 2 channels, seeds 0 and 5 put a
-        # row of X^3 at zero, where l2norm_rows has a jump
-        cfg = _write_config(tmp_path, "gradcheck_n = 8\ngradcheck_channels = 2\n"
-                                      "seed = 3\n")
+        cfg = _write_config(tmp_path, "seed = 3\n")  # criterion 2's seed
         assert main(["gradcheck", "--config", cfg]) == 0
         out = capsys.readouterr().out
         assert out.startswith("PASS max_rel_err=")
+        assert out.rstrip().endswith(" n_params=3842")
 
     @pytest.mark.parametrize("argv, config, seed", [
-        (["--seed", "5"], "", 5), ([], "seed = 2\n", 2)])
+        ([], None, 0), (["--config"], "seed = 2\n", 2)])
     def test_seed_reaches_the_check(self, tmp_path, capsys, monkeypatch,
                                     argv, config, seed):
         seen = {}
@@ -358,9 +370,10 @@ class TestGradcheck:
 
         # by module path: the package re-exports the function train.train
         monkeypatch.setattr(importlib.import_module("hgct.train"), "gradient_check", spy)
-        cfg = _write_config(tmp_path, config)
-        assert main(["gradcheck", "--config", cfg] + argv) == 0
-        assert seen["seed"] == seed
+        if config is not None:
+            argv = argv + [_write_config(tmp_path, config)]
+        assert main(["gradcheck"] + argv) == 0
+        assert seen == {"seed": seed}
 
 
 class TestDefaults:
@@ -375,13 +388,37 @@ class TestDefaults:
         assert "nonsense" in capsys.readouterr().err
 
 
+def _subparsers():
+    """{command: its parser} of build_parser()."""
+    action, = [a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
 class TestFlags:
+    # positional arguments each command needs before its flags are checked
+    POSITIONAL = {"train": ["data"], "register": ["scene.txt"], "bench": ["data"],
+                  "report": ["summary.json"]}
+
     @pytest.mark.parametrize("command, flag", [
         ("defaults", "--config"), ("defaults", "--seed"), ("defaults", "--out"),
-        ("report", "--config"), ("report", "--seed"), ("gradcheck", "--out")])
+        ("report", "--config"), ("report", "--seed"), ("gradcheck", "--out"),
+        ("gen", "--seed"), ("train", "--seed"), ("register", "--seed"),
+        ("bench", "--seed"), ("gradcheck", "--seed")])
     def test_flag_the_command_never_reads_is_a_usage_error(self, command, flag, capsys):
-        argv = [command, flag, "3"] + (["summary.json"] if command == "report" else [])
+        argv = [command, flag, "3"] + self.POSITIONAL.get(command, [])
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_every_flag_is_a_path_not_a_config_key(self):
+        keys = {f.name for f in dataclasses.fields(RunConfig)}
+        flags = []
+        for command, parser in _subparsers().items():
+            for action in parser._actions:
+                if action.option_strings and action.dest != "help":
+                    assert action.dest not in keys, (command, action.option_strings)
+                    flags.append(action.option_strings[0])
+        assert set(flags) == {"--config", "--out", "--log", "--checkpoint"}
+        assert len(flags) == 13

@@ -15,7 +15,6 @@ ALL_KEYS_TEXT = """
 seed = 7
 channels = 16
 threads = 3
-checkpoint = model.ckpt
 sigma_d = 0.25
 k1_frac = 0.3
 graph_order = fog
@@ -42,10 +41,6 @@ rot_max_deg = 90.0
 trans_max = 0.5
 re_thresh_deg = 10.0
 te_thresh = 0.1
-gradcheck_n = 6
-gradcheck_channels = 4
-gradcheck_step = 0.0001
-gradcheck_tol = 0.01
 """
 
 
@@ -76,6 +71,13 @@ class TestParse:
             parse_config("seed = 1\nbogus_key = 2\n")
         assert "line 2" in str(err.value)
         assert "bogus_key" in str(err.value)
+
+    def test_repeated_key_names_both_lines(self):
+        # stages share keys (theta_inlier feeds the pipeline, training and
+        # metrics), so a second value is an error, not a silent override
+        with pytest.raises(ConfigError) as err:
+            parse_config("theta_inlier = 0.05\nseed = 1\ntheta_inlier = 0.2\n")
+        assert str(err.value) == "line 3: 'theta_inlier' is already set on line 1"
 
     def test_bad_value_reports_key(self):
         with pytest.raises(ConfigError) as err:
@@ -130,7 +132,7 @@ class TestDerivedConfigs:
 
     def test_every_key_maps_to_its_stage_field(self):
         cfg = parse_config(ALL_KEYS_TEXT)
-        assert len(dataclasses.fields(RunConfig)) == 34
+        assert len(dataclasses.fields(RunConfig)) == 29
         for f in dataclasses.fields(RunConfig):
             assert getattr(cfg, f.name) != f.default, f.name
         assert cfg.compat_config() == CompatConfig(
@@ -146,10 +148,7 @@ class TestDerivedConfigs:
             rot_max_deg=90.0, trans_max=0.5, seed=7)
         assert cfg.thresholds() == MetricThresholds(re_thresh_deg=10.0, te_thresh=0.1,
                                                     theta_inlier=0.2)
-        assert (cfg.channels, cfg.threads, cfg.checkpoint, cfg.n_scenes) == \
-            (16, 3, "model.ckpt", 4)
-        assert (cfg.gradcheck_n, cfg.gradcheck_channels, cfg.gradcheck_step,
-                cfg.gradcheck_tol) == (6, 4, 1e-4, 1e-2)
+        assert (cfg.channels, cfg.threads, cfg.n_scenes) == (16, 3, 4)
 
     def test_defaults_are_the_stage_defaults(self):
         cfg = RunConfig()

@@ -16,7 +16,7 @@ from hgct.errors import HgctError, NonFinite
 from hgct.geom import residuals
 from hgct.hgnn import init_params, forward
 from hgct.hypergraph import gt_hypergraph
-from hgct.train import (Adam, SynthConfig, TrainConfig, gen_scene,
+from hgct.train import (GRADCHECK_TOL, Adam, SynthConfig, TrainConfig, gen_scene,
                         gradient_check, joint_loss, loss_class, loss_graph,
                         loss_match, prepare_scene, train)
 
@@ -272,9 +272,9 @@ class TestTrainLoop:
 
 class TestGradientCheck:
     def test_small_instance_passes(self):
-        rep = gradient_check(n=8, channels=4, seed=3)
-        assert rep["max_rel_err"] < 1e-3
-        assert rep["n_params"] == 1074
+        rep = gradient_check(seed=0)  # the default seed; criterion 2 runs seed 3
+        assert rep["max_rel_err"] < GRADCHECK_TOL
+        assert rep["n_params"] == 3842
 
 
 @pytest.fixture
