@@ -20,7 +20,7 @@ import sys
 from .config import RunConfig, default_config_text, load_config
 from .errors import HgctError
 from .hgnn import init_params, load_checkpoint, save_checkpoint
-from .kernels import set_blas_threads, worker_count
+from .kernels import fan_out
 from .metrics import aggregate, evaluate_scene, failed_pair
 from .pipeline import register
 from .sceneio import dataset_files, read_dataset, read_scene, write_dataset
@@ -78,15 +78,6 @@ def cmd_register(args) -> int:
     return 0
 
 
-_worker_args = None  # evaluate_scene's arguments after the scene, per pool worker
-
-
-def _init_worker(*stage_args) -> None:
-    global _worker_args
-    _worker_args = stage_args
-    set_blas_threads(1)  # for the worker's life: the workers share the cores
-
-
 def _bench_scene(scene_path, *stage_args):
     """Read and score one scene; a file that cannot be read is a failed pair."""
     try:
@@ -96,29 +87,18 @@ def _bench_scene(scene_path, *stage_args):
     return evaluate_scene(corrs, *stage_args)
 
 
-def _bench_in_worker(scene_path):
-    return _bench_scene(scene_path, *_worker_args)
-
-
 def cmd_bench(args) -> int:
     cfg = _load_run_config(args)
     scene_paths = dataset_files(args.dataset)
-    # params and stage configs are built once and handed to each worker once
+    # params and stage configs are built once; the workers inherit them
     stage_args = (_params_for(cfg, args.checkpoint), cfg.compat_config(),
                   cfg.pipeline_config(), cfg.thresholds())
-    workers = worker_count(cfg.threads, len(scene_paths))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
 
-        try:
-            with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                     initargs=stage_args) as pool:
-                results = list(pool.map(_bench_in_worker, scene_paths))
-        except BrokenProcessPool as err:
-            raise HgctError(f"a bench worker process exited: {err}") from None
-    else:
-        results = [_bench_scene(p, *stage_args) for p in scene_paths]
+    def score(part, _):
+        return [_bench_scene(scene_paths[i], *stage_args) for i in part]
+
+    with fan_out("bench", score, cfg.threads, len(scene_paths)) as run:
+        results = run(range(len(scene_paths)), None)
 
     failures = [r.error for r in results if r.error is not None]
     if len(failures) == len(results):

@@ -6,7 +6,8 @@ class HgctError(Exception):
 
 
 class DegenerateInput(HgctError):
-    """Fewer than 3 point pairs per rigid fit. The solver masks rank-deficient
+    """Too few correspondences: fewer than a minimal set for `register`, or
+    fewer than 3 point pairs per rigid fit. The solver masks rank-deficient
     (collinear or coincident) fits in its `ok` flags instead of raising."""
 
 

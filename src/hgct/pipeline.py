@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as av
 from . import kernels
 from .compat import CompatConfig, build_compat_graph, check_positive, round_half_up
-from .errors import NoEdges, NoHypothesis
+from .errors import DegenerateInput, NoEdges, NoHypothesis
 from .geom import CorrSet, RigidTransform, kabsch_svd, pose_errors, residuals
 from .hgnn import HgnnParams, forward
 from .hypergraph import hyperedge_precision, init_hypergraph
@@ -40,6 +40,11 @@ class PipelineConfig:
     def __post_init__(self):
         if self.minimal_size < 3:
             raise ValueError("minimal_size must be >= 3")
+        if self.knn_k < self.minimal_size:
+            raise ValueError(f"knn_k must be >= minimal_size ({self.minimal_size}), "
+                             f"got {self.knn_k}")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be >= 0")
         if self.step < 1:
             raise ValueError("step must be >= 1")
         for name in ("ns_frac", "ninit_frac", "n1_frac"):
@@ -140,7 +145,7 @@ def initial_hypotheses(corrs: CorrSet, seeds: Sequence[int], x_final: np.ndarray
     index, in (distance, index) order; all subsets are fitted in one stack.
     """
     n = len(corrs)
-    k = min(max(cfg.knn_k, cfg.minimal_size), n)
+    k = min(cfg.knn_k, n)
     x = np.asarray(x_final, dtype=np.float64)
     seeds = np.asarray(seeds, dtype=np.intp)
 
@@ -183,7 +188,7 @@ def refine_hypotheses(corrs: CorrSet, h: np.ndarray,
             continue
         r = residuals(hyp.transform, corrs.src[members], corrs.tgt[members])
         members = members[np.lexsort((members, r))]
-        n_win = max(0, min(cfg.max_iters, (members.size - cfg.minimal_size) // cfg.step) + 1)
+        n_win = min(cfg.max_iters, (members.size - cfg.minimal_size) // cfg.step) + 1
         starts = cfg.step * np.arange(n_win)
         windows.append(members[starts[:, None] + np.arange(cfg.minimal_size)])
         owners.append(np.full(n_win, hyp.seed_index, dtype=np.intp))
@@ -205,7 +210,8 @@ def register(corrs: CorrSet, params: HgnnParams, cc: CompatConfig,
     and a JSON-serializable diagnostics dict."""
     n = len(corrs)
     if n < pc.minimal_size:
-        raise ValueError("need at least minimal_size correspondences")
+        raise DegenerateInput(f"need at least minimal_size = {pc.minimal_size} "
+                              f"correspondences, got {n}")
     diagnostics: Dict = {}
     timings: Dict[str, float] = {}
 

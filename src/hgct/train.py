@@ -8,7 +8,6 @@ weights against the inlier incidence).
 """
 
 import csv
-import multiprocessing
 import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
@@ -17,14 +16,17 @@ import numpy as np
 
 from . import autodiff as av
 from .compat import CompatConfig, build_compat_graph, check_positive, round_half_up
-from .errors import HgctError, NonFinite
+from .errors import NonFinite
 from .geom import CorrSet, RigidTransform, inlier_labels, random_rotation
 from .hgnn import ForwardTrace, HgnnParams, forward, init_params
 from .hypergraph import gt_hypergraph, init_hypergraph
-from .kernels import blas_threads, worker_count
+from .kernels import blas_threads, fan_out
 
 PROB_EPS = 1e-7  # clamp bound for probabilities inside BCE terms
 GRADCHECK_TOL = 1e-3  # gradient_check's max relative error that passes criterion 2
+SCENE_EXTENT = 1.0  # gen_scene's cube half-width, meters
+ROT_MAX_DEG = 180.0  # gen_scene's largest ground-truth rotation angle
+TRANS_MAX = 1.0  # gen_scene's largest ground-truth translation, meters
 
 
 @dataclass(frozen=True)
@@ -32,9 +34,6 @@ class SynthConfig:
     n_corrs: int = 200
     inlier_ratio: float = 0.3
     noise_sigma: float = 0.01      # meters, inlier perturbation
-    scene_extent: float = 1.0      # cube half-width, meters
-    rot_max_deg: float = 180.0
-    trans_max: float = 1.0         # meters
     seed: int = 0
 
     def __post_init__(self):
@@ -72,20 +71,22 @@ class TrainConfig:
 def gen_scene(cfg: SynthConfig) -> CorrSet:
     """Sample one synthetic correspondence scene.
 
-    Inliers: source uniform in the cube, target = R src + t + N(0, sigma^2 I).
+    Inliers: source uniform in the cube of half-width SCENE_EXTENT, target =
+    R src + t + N(0, sigma^2 I), with R up to ROT_MAX_DEG and |t| up to
+    TRANS_MAX.
     Outliers: source and target sampled independently (target side in the
     transformed cube). Exactly round(inlier_ratio * n) inliers, positions
     shuffled, labels set by construction.
     """
     rng = np.random.default_rng(cfg.seed)
-    rot = random_rotation(rng, cfg.rot_max_deg)
+    rot = random_rotation(rng, ROT_MAX_DEG)
     direction = rng.normal(size=3)
     direction /= np.linalg.norm(direction)
-    t = direction * cfg.trans_max * rng.uniform() ** (1.0 / 3.0)
+    t = direction * TRANS_MAX * rng.uniform() ** (1.0 / 3.0)
 
     n = cfg.n_corrs
     n_in = min(n, max(1, round_half_up(cfg.inlier_ratio * n)))
-    e = cfg.scene_extent
+    e = SCENE_EXTENT
     src_in = rng.uniform(-e, e, (n_in, 3))
     tgt_in = src_in @ rot.T + t + rng.normal(0.0, cfg.noise_sigma, (n_in, 3))
     src_out = rng.uniform(-e, e, (n - n_in, 3))
@@ -226,97 +227,6 @@ def _scene_grads(prepared: List[PreparedScene], idxs, params: HgnnParams) -> lis
     return out
 
 
-def _serve(conn, prepared: List[PreparedScene], params: HgnnParams) -> None:
-    """A training worker's loop: each message (scene indices, parameter
-    values) is answered with _scene_grads of those scenes, or with the
-    NonFinite it raised; None ends the loop."""
-    while True:
-        msg = conn.recv()
-        if msg is None:
-            return
-        idxs, values = msg
-        for name, value in zip(params.names, values):
-            params.var(name).value = value
-        try:
-            reply = _scene_grads(prepared, idxs, params)
-        except NonFinite as err:
-            reply = err
-        conn.send(reply)
-
-
-class _Worker:
-    """A forked process serving _serve over a pipe. It inherits the prepared
-    scenes and the parameter layout, so only indices, parameter values and
-    results cross the pipe."""
-
-    STOP_TIMEOUT_S = 5.0
-
-    def __init__(self, prepared: List[PreparedScene], params: HgnnParams):
-        ctx = multiprocessing.get_context("fork")
-        self.conn, child = ctx.Pipe()
-        self.proc = ctx.Process(target=_serve, args=(child, prepared, params),
-                                daemon=True)
-        self.proc.start()
-        child.close()  # so the worker's exit reads as EOF here
-
-    def _exited(self) -> HgctError:
-        self.proc.join(self.STOP_TIMEOUT_S)
-        return HgctError(f"training worker {self.proc.pid} exited "
-                         f"(exit code {self.proc.exitcode})")
-
-    def send(self, msg) -> None:
-        try:
-            self.conn.send(msg)
-        except OSError:
-            raise self._exited() from None
-
-    def recv(self):
-        try:
-            return self.conn.recv()
-        except (EOFError, OSError):  # OSError: it exited with our message unread
-            raise self._exited() from None
-
-    def stop(self) -> None:
-        try:
-            self.conn.send(None)
-        except OSError:
-            pass  # it has exited already
-        self.proc.join(self.STOP_TIMEOUT_S)
-        if self.proc.is_alive():
-            self.proc.terminate()
-            self.proc.join()
-        self.conn.close()
-
-
-def _process_count(tc: TrainConfig) -> int:
-    """Processes computing each batch: the parent and forked workers. Serial
-    where fork is unavailable or a daemonic process may not have children."""
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):
-        return 1
-    return worker_count(tc.threads, tc.batch)
-
-
-def _chunk_grads(chunk, prepared: List[PreparedScene], params: HgnnParams,
-                 workers: List[_Worker]) -> list:
-    """_scene_grads of every scene of the chunk, in chunk order. The chunk is
-    split into contiguous parts: this process computes the first, worker i
-    part i + 1."""
-    parts = np.array_split(chunk, len(workers) + 1)
-    values = [params.value(n) for n in params.names]
-    for worker, part in zip(workers, parts[1:]):
-        worker.send((part, values))
-    try:
-        results = _scene_grads(prepared, parts[0], params)
-    finally:
-        replies = [worker.recv() for worker in workers]  # keeps the pipes in step
-    for reply in replies:
-        if isinstance(reply, NonFinite):
-            raise reply
-        results += reply
-    return results
-
-
 def train(scenes: Iterable[CorrSet], tc: TrainConfig, params_init: HgnnParams,
           log_csv=None, cc: Optional[CompatConfig] = None,
           history: Optional[list] = None) -> HgnnParams:
@@ -324,7 +234,7 @@ def train(scenes: Iterable[CorrSet], tc: TrainConfig, params_init: HgnnParams,
 
     Gradients are averaged over `tc.batch` scenes per step; the learning rate
     decays by `tc.lr_decay` each epoch. Fully deterministic given tc.seed.
-    Each batch is computed by `tc.threads` processes (see _process_count),
+    Each batch is computed by `tc.threads` processes (see kernels.fan_out),
     each with one BLAS thread; gradients and losses are summed in batch order,
     so the result is bit-identical for any process count.
     Writes per-epoch mean losses to the CSV file at path `log_csv` when given;
@@ -347,11 +257,13 @@ def train(scenes: Iterable[CorrSet], tc: TrainConfig, params_init: HgnnParams,
         writer.writerow(["epoch", "mean_loss_class", "mean_loss_match",
                          "mean_loss_graph", "mean_loss_total", "wall_seconds"])
 
-    workers: List[_Worker] = []
+    def step_grads(part, values):
+        for name, value in zip(names, values):
+            params.var(name).value = value
+        return _scene_grads(prepared, part, params)
+
     try:
-        with blas_threads(1):
-            for _ in range(_process_count(tc) - 1):
-                workers.append(_Worker(prepared, params))
+        with blas_threads(1), fan_out("train", step_grads, tc.threads, tc.batch) as run:
             for epoch in range(tc.epochs):
                 t0 = time.perf_counter()
                 lr = tc.lr * (tc.lr_decay ** epoch)
@@ -360,7 +272,7 @@ def train(scenes: Iterable[CorrSet], tc: TrainConfig, params_init: HgnnParams,
                 for start in range(0, len(order), tc.batch):
                     chunk = order[start:start + tc.batch]
                     acc = {n: np.zeros_like(params.value(n)) for n in names}
-                    for grads, comps in _chunk_grads(chunk, prepared, params, workers):
+                    for grads, comps in run(chunk, [params.value(n) for n in names]):
                         for n, g in zip(names, grads):
                             acc[n] += g
                         for k in sums:
@@ -376,8 +288,6 @@ def train(scenes: Iterable[CorrSet], tc: TrainConfig, params_init: HgnnParams,
                                      f"{means['match']:.8f}", f"{means['graph']:.8f}",
                                      f"{means['total']:.8f}", f"{wall:.3f}"])
     finally:
-        for worker in workers:
-            worker.stop()
         if fh is not None:
             fh.close()
     return params

@@ -11,7 +11,6 @@ import pytest
 import hgct.cli
 import oracles
 from baselines import run_suite
-from hgct import kernels
 from hgct.cli import build_parser, main
 from hgct.config import RunConfig, parse_config
 from hgct.geom import CorrSet
@@ -128,6 +127,8 @@ class TestErrors:
         ("gradcheck", "gradcheck_step = inf", "line 1: unknown key 'gradcheck_step'"),
         ("gradcheck", "gradcheck_tol = nan", "line 1: unknown key 'gradcheck_tol'"),
         ("register", "checkpoint = model.ckpt", "line 1: unknown key 'checkpoint'"),
+        ("register", "knn_k = 0", "knn_k must be >= minimal_size"),
+        ("register", "max_iters = -1", "max_iters must be >= 0"),
     ])
     def test_network_and_gradcheck_keys(self, tmp_path, capsys, command, setting,
                                         fragment):
@@ -229,6 +230,25 @@ class TestBench:
         assert rows[1][3] == "error"
         assert rows[0][3] == rows[2][3] == "1"
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_too_small_scene_is_a_failed_pair(self, tmp_path, capsys, threads):
+        # 4 correspondences, below minimal_size = 6
+        cfg = _write_config(tmp_path, f"n_scenes = 3\nn_corrs = 40\nthreads = {threads}\n"
+                                      "inlier_ratio = 1.0\nnoise_sigma = 0.0\n")
+        data = str(tmp_path / "data")
+        assert main(["gen", "--config", cfg, "--out", data]) == 0
+        small = os.path.join(data, "scene_0001.txt")
+        corrs = read_scene(small)
+        write_scene(CorrSet(corrs.src[:4], corrs.tgt[:4], gt=corrs.gt), small)
+        out = str(tmp_path / "bench")
+        assert main(["bench", "--config", cfg, data, "--out", out]) == 0
+        with open(os.path.join(out, "summary.json")) as f:
+            summary = json.load(f)
+        assert (summary["n_pairs"], summary["n_failures"]) == (3, 1)
+        with open(os.path.join(out, "results.csv")) as f:
+            rows = [line.split(",") for line in f.read().splitlines()[1:]]
+        assert [r[3] for r in rows] == ["1", "error", "1"]
+
     def test_serial_bench_loads_checkpoint_once(self, small_dataset, tmp_path,
                                                 capsys, monkeypatch):
         ckpt = str(tmp_path / "m.ckpt")
@@ -276,30 +296,24 @@ class TestBench:
                 rows[threads] = [line.split(",")[:-1] for line in f.read().splitlines()]
         assert rows[1] == rows[2]
 
-    def test_pool_worker_runs_one_blas_thread(self):
-        fns = kernels._openblas_thread_fns()
-        if fns is None:
-            pytest.skip("numpy's bundled OpenBLAS not found")
-        get, _ = fns
-        with kernels.blas_threads(get()):  # restores this process's count
-            hgct.cli._init_worker()
-            assert get() == 1
-
     def test_dead_worker_is_one_error_line(self, small_dataset, tmp_path, capsys,
                                            monkeypatch):
+        # this process scores the first scene, the worker the second
         parent = os.getpid()
+        evaluate = hgct.cli.evaluate_scene
 
-        def die(*args):
-            assert os.getpid() != parent, "scored in the test process"
-            os._exit(9)
+        def die_in_worker(*args):
+            if os.getpid() != parent:
+                os._exit(9)
+            return evaluate(*args)
 
-        monkeypatch.setattr(hgct.cli, "evaluate_scene", die)
+        monkeypatch.setattr(hgct.cli, "evaluate_scene", die_in_worker)
         cfg = _write_config(tmp_path, "threads = 2\n")
         assert main(["bench", "--config", cfg, small_dataset,
                      "--out", str(tmp_path / "bench")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
-        assert "bench worker process exited" in err[0]
+        assert "bench worker process exited" in err[0] and "exit code 9" in err[0]
         assert multiprocessing.active_children() == []
 
     def test_report_merges_summaries(self, small_dataset, tmp_path, capsys):

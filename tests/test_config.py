@@ -36,9 +36,6 @@ n_scenes = 4
 n_corrs = 50
 inlier_ratio = 0.5
 noise_sigma = 0.02
-scene_extent = 2.0
-rot_max_deg = 90.0
-trans_max = 0.5
 re_thresh_deg = 10.0
 te_thresh = 0.1
 """
@@ -132,7 +129,7 @@ class TestDerivedConfigs:
 
     def test_every_key_maps_to_its_stage_field(self):
         cfg = parse_config(ALL_KEYS_TEXT)
-        assert len(dataclasses.fields(RunConfig)) == 29
+        assert len(dataclasses.fields(RunConfig)) == 26
         for f in dataclasses.fields(RunConfig):
             assert getattr(cfg, f.name) != f.default, f.name
         assert cfg.compat_config() == CompatConfig(
@@ -144,8 +141,7 @@ class TestDerivedConfigs:
             epochs=5, lr=0.001, lr_decay=0.9, batch=3, theta_inlier=0.2,
             sigma_d=0.25, seed=7, threads=3)
         assert cfg.synth_config() == SynthConfig(
-            n_corrs=50, inlier_ratio=0.5, noise_sigma=0.02, scene_extent=2.0,
-            rot_max_deg=90.0, trans_max=0.5, seed=7)
+            n_corrs=50, inlier_ratio=0.5, noise_sigma=0.02, seed=7)
         assert cfg.thresholds() == MetricThresholds(re_thresh_deg=10.0, te_thresh=0.1,
                                                     theta_inlier=0.2)
         assert (cfg.channels, cfg.threads, cfg.n_scenes) == (16, 3, 4)

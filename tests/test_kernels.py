@@ -1,11 +1,15 @@
+import ast
+import multiprocessing
 import os
+import pathlib
+import time
 
 import numpy as np
 import pytest
 
 import oracles
 from hgct import kernels
-from hgct.errors import ConfigError
+from hgct.errors import ConfigError, HgctError
 from hgct.geom import random_rotation
 
 
@@ -130,3 +134,103 @@ class TestWorkerCount:
     def test_bad_values_rejected(self):
         with pytest.raises(ConfigError, match="threads"):
             kernels.worker_count(-1, 5)
+
+    def test_serial_without_fork_or_in_a_daemon(self, monkeypatch):
+        assert kernels.worker_count(3, 4) == 3
+        assert kernels.worker_count(3, 2) == 2
+        monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        assert kernels.worker_count(3, 4) == 1
+        monkeypatch.undo()
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert kernels.worker_count(3, 4) == 1
+
+
+def _jobs_with_pid(part, failures):
+    """(job, pid) per job of the part; raises failures[job] for a listed job."""
+    out = []
+    for job in part:
+        if int(job) in failures:
+            raise failures[int(job)]
+        out.append((int(job), os.getpid()))
+    return out
+
+
+class TestFanOut:
+    def test_results_in_job_order(self):
+        with kernels.fan_out("test", _jobs_with_pid, 3, 7) as run:
+            # parts of 3, 2, 2 jobs; then 1, 1, 0
+            for n_jobs in (7, 2, 6):
+                got = run(list(range(10, 10 + n_jobs)), {})
+                assert [job for job, _ in got] == list(range(10, 10 + n_jobs))
+                assert got[0][1] == os.getpid()  # this process takes the first part
+            assert len({pid for _, pid in got}) == 3
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("failures, raised, message", [
+        ({4: HgctError("job 4 failed")}, HgctError, "job 4 failed"),
+        ({5: ValueError("job 5 failed")}, ValueError, "job 5 failed"),
+        # the first failing job in job order, as in a serial run
+        ({3: ValueError("job 3"), 1: HgctError("job 1")}, HgctError, "job 1"),
+        ({5: ValueError("job 5"), 3: HgctError("job 3")}, HgctError, "job 3"),
+    ])
+    def test_a_job_exception_reaches_the_caller(self, failures, raised, message):
+        with kernels.fan_out("test", _jobs_with_pid, 2, 6) as run:
+            with pytest.raises(raised, match=message):
+                run(range(6), failures)
+            assert [job for job, _ in run(range(6), {})] == list(range(6))
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_is_one_error(self):
+        parent = os.getpid()
+
+        def die_in_worker(part, payload):
+            if os.getpid() != parent:
+                os._exit(9)
+            return list(part)
+
+        t0 = time.perf_counter()
+        with pytest.raises(HgctError, match=r"test worker process exited \(exit code 9\)"):
+            with kernels.fan_out("test", die_in_worker, 2, 4) as run:
+                run(range(4), None)
+        assert time.perf_counter() - t0 < 30
+        assert multiprocessing.active_children() == []
+
+    def test_every_process_runs_one_blas_thread(self):
+        fns = kernels._openblas_thread_fns()
+        if fns is None:
+            pytest.skip("numpy's bundled OpenBLAS not found")
+        get, _ = fns
+        before = get()
+        parent = os.getpid()
+
+        def blas_and_os_threads(part, _):
+            # a forked worker that set the count would start OpenBLAS's pool
+            in_worker = os.getpid() != parent and os.path.isdir("/proc/self/task")
+            threads = len(os.listdir("/proc/self/task")) if in_worker else None
+            return [(get(), threads) for _ in part]
+
+        with kernels.fan_out("test", blas_and_os_threads, 2, 4) as run:
+            got = run(range(4), None)
+        assert [blas for blas, _ in got] == [1] * 4
+        if os.path.isdir("/proc/self/task"):
+            assert [threads for _, threads in got[2:]] == [1, 1]
+        assert get() == before
+
+
+def test_only_kernels_uses_processes():
+    """One module forks: no other imports multiprocessing, and nothing in
+    src/hgct imports concurrent.futures."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "hgct"
+    importers = {}
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            for module in modules:
+                importers.setdefault(module.split(".")[0], set()).add(path.name)
+    assert importers["multiprocessing"] == {"kernels.py"}
+    assert "concurrent" not in importers

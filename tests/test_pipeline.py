@@ -6,6 +6,7 @@ from baselines import (evaluate_hypothesis, hypothesis_correctness, ransac_basel
                        standard_nms_seeds)
 from hgct import kernels
 from hgct.compat import CompatConfig, build_compat_graph
+from hgct.errors import DegenerateInput
 from hgct.geom import (CorrSet, RigidTransform, pose_errors, random_rotation,
                        residuals)
 from hgct.hgnn import init_params
@@ -458,7 +459,7 @@ class TestRegister:
         sc = _perfect_scene(n=10, seed=20)
         small = CorrSet(sc.src[:4], sc.tgt[:4])
         params = init_params(channels=4, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateInput, match="minimal_size = 6"):
             register(small, params, CompatConfig(), PipelineConfig())
 
     def test_empty_graph_propagates(self, rng):
