@@ -1,6 +1,6 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
-A Var wraps an ndarray and remembers how it was produced; `gradients` walks
+A Var wraps an ndarray and remembers how it was produced; `grad` walks
 the recorded graph once, accumulating vector-Jacobian products. Only the ops
 the network and losses actually need are provided. Constants (plain arrays,
 untracked Vars) terminate gradient flow, which is how fixed incidence masks
@@ -8,7 +8,7 @@ and degree scalings enter the graph as non-differentiable data.
 """
 
 import contextlib
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -291,10 +291,10 @@ def scaled_scores(q, k, scale: float, bias: Optional[np.ndarray], activation: st
 # reverse pass
 # ---------------------------------------------------------------------------
 
-def _topo_order(roots: Iterable[Var]) -> List[Var]:
+def _topo_order(root: Var) -> List[Var]:
     order: List[Var] = []
     seen = set()
-    stack = [(r, False) for r in roots]
+    stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -309,20 +309,11 @@ def _topo_order(roots: Iterable[Var]) -> List[Var]:
     return order
 
 
-def gradients(outputs: Sequence[Var], seeds: Sequence[np.ndarray],
-              wrt: Sequence[Var]) -> List[np.ndarray]:
-    """Vector-Jacobian products: d(sum_k seeds_k . outputs_k)/d(wrt).
-
-    Returns one array per entry of `wrt` (zeros for unreachable leaves).
-    """
-    grads = {}
-    for out, seed in zip(outputs, seeds):
-        if not out.track:
-            continue
-        g = np.broadcast_to(np.asarray(seed, dtype=np.float64), out.value.shape)
-        key = id(out)
-        grads[key] = grads.get(key, 0.0) + g
-    for node in reversed(_topo_order(outputs)):
+def grad(output: Var, wrt: Sequence[Var]) -> List[np.ndarray]:
+    """Gradients of a scalar output: d(output)/d(wrt), one array per entry
+    of `wrt` (zeros for leaves the output does not reach)."""
+    grads = {id(output): np.ones(output.value.shape)} if output.track else {}
+    for node in reversed(_topo_order(output)):
         if node._vjp is None:
             continue  # leaf: keep its accumulated grad for collection below
         g = grads.pop(id(node), None)
@@ -338,8 +329,3 @@ def gradients(outputs: Sequence[Var], seeds: Sequence[np.ndarray],
                 grads[key] = pg
     return [np.asarray(grads.get(id(w), np.zeros_like(w.value)), dtype=np.float64)
             for w in wrt]
-
-
-def grad(output: Var, wrt: Sequence[Var]) -> List[np.ndarray]:
-    """Gradients of a scalar output."""
-    return gradients([output], [np.ones(())], wrt)

@@ -32,17 +32,17 @@ def check_positive(cfg, *names: str) -> None:
             raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+K1_FRAC = 0.1  # top-K fraction of N feeding the dynamic threshold
+
+
 @dataclass(frozen=True)
 class CompatConfig:
     sigma_d: float = 0.1          # meters; sensitivity to distance difference
-    k1_frac: float = 0.1          # top-K fraction feeding the dynamic threshold
     graph_order: GraphOrder = GraphOrder.SOG
     theta_cmp_override: Optional[float] = None  # fixed theta_cmp for robustness sweeps
 
     def __post_init__(self):
         check_positive(self, "sigma_d")
-        if not (0.0 < self.k1_frac <= 1.0):
-            raise ValueError("k1_frac must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ def dynamic_threshold(gamma: np.ndarray, k1_frac: float) -> float:
     """Mean of each row's K1 largest off-diagonal scores, K1 = max(1, round(k1_frac*N)).
 
     The diagonal is excluded from the top-K. The normalizer is K1*N even when a
-    row has fewer than K1 off-diagonal entries.
+    row has fewer than K1 off-diagonal entries. The graph build passes K1_FRAC.
     """
     gamma = np.asarray(gamma, dtype=np.float64)
     n = gamma.shape[0]
@@ -119,7 +119,7 @@ def build_compat_graph(corrs: CorrSet, cfg: CompatConfig) -> CompatGraph:
     if cfg.theta_cmp_override is not None:
         theta = float(cfg.theta_cmp_override)
     else:
-        theta = dynamic_threshold(gamma, cfg.k1_frac)
+        theta = dynamic_threshold(gamma, K1_FRAC)
     w_gamma = gamma  # thresholded in place; a NaN theta keeps nothing
     np.copyto(w_gamma, 0.0, where=~(w_gamma >= theta))
     np.fill_diagonal(w_gamma, 0.0)

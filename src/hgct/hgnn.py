@@ -19,7 +19,7 @@ Architecture (channel width C, 5 convolution layers, 4 structure updates):
   shat = sigmoid(conf_head(X^5))
 
 The top-K selection is treated as constant support during differentiation:
-gradients (autodiff.gradients over the recorded tape) flow through the
+gradients (autodiff.grad over the recorded tape) flow through the
 retained sigmoid magnitudes only.
 
 Memory: the inference pass, `forward(..., inference=True)`, which
@@ -168,15 +168,15 @@ class ForwardTrace:
     """Per-layer states plus tape handles sufficient for backpropagation.
 
     An inference pass's trace holds only the last entry of xs, ys and hs
-    (X^5, Y^4, H^4) and of x_vars and y_vars, no W_H (whs and wh_vars are
-    empty) and an empty (0, 0) w_nonlocal."""
+    (X^5, Y^4, H^4) and of x_vars and y_vars, and no W_H (whs and wh_vars are
+    empty)."""
 
     xs: List[np.ndarray]        # X^0 .. X^5, each (N, C)
     ys: List[np.ndarray]        # Y^0 .. Y^4
     hs: List[np.ndarray]        # H^0 .. H^4, binary; H^0 is hg0 itself
     whs: List[np.ndarray]       # W_H^1 .. W_H^4 (W_H^0 is never built)
     s_hat: np.ndarray           # (N,) confidence in (0, 1)
-    w_nonlocal: np.ndarray      # attention bias source (initial weights)
+    w_nonlocal: np.ndarray      # always (0, 0): no pass keeps w_h0 (perfbench sums nbytes)
     x_vars: List[av.Var]
     y_vars: List[av.Var]
     wh_vars: List[av.Var]
@@ -225,24 +225,22 @@ def k2_schedule(n: int) -> List[int]:
 TOPK_BLOCK = 1 << 16  # elements per row block of _topk_retention's temporaries
 
 
-def _topk_retention(scores: np.ndarray, support: np.ndarray, k2: int,
-                    in_place: bool = False) -> np.ndarray:
-    """Per-row mask keeping the k2 highest-score entries within `support`.
+def _topk_retention(scores: np.ndarray, support: np.ndarray, k2: int) -> np.ndarray:
+    """Per-row mask keeping the k2 highest-score entries within `support`,
+    written over `support` and returned.
 
     Rows with at most k2 supported entries keep them all. Ties break toward
     the lower column index: a longer row keeps every supported entry above
     its k2-th largest supported score, then fills the remaining slots with
     the entries equal to that score, in column order. Supported scores are
     finite; the others are never read. The rule is per row, so it runs one
-    block of rows at a time and its temporaries are block-sized. With
-    in_place, the mask is written into `support` itself: each block's
-    support is read before the block is written.
+    block of rows at a time and its temporaries are block-sized; each
+    block's support is read before the block is written.
     """
-    mask = support if in_place else np.empty(support.shape, dtype=support.dtype)
     step = max(1, TOPK_BLOCK // support.shape[1])
-    for lo in range(0, len(mask), step):
+    for lo in range(0, len(support), step):
         supp = support[lo:lo + step] > 0
-        out = mask[lo:lo + step]
+        out = support[lo:lo + step]
         out[...] = supp
         rows = np.flatnonzero(np.count_nonzero(supp, axis=1) > k2)
         if rows.size:
@@ -253,7 +251,7 @@ def _topk_retention(scores: np.ndarray, support: np.ndarray, k2: int,
             room = k2 - np.count_nonzero(above, axis=1)
             out[rows] = above | (tie & (np.cumsum(tie, axis=1, dtype=np.int32)
                                         <= room[:, None]))
-    return mask
+    return support
 
 
 def _check_finite(name: str, arr: np.ndarray) -> None:
@@ -262,8 +260,9 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
 
 
 def _update(x: av.Var, y: av.Var, h: np.ndarray, params: HgnnParams, t: int,
-            k2: int, in_place: bool = False) -> Tuple[np.ndarray, av.Var]:
-    """Structure update t: H^{t+1} and W_H^{t+1} from the sigmoid scores.
+            k2: int) -> Tuple[np.ndarray, av.Var]:
+    """Structure update t: H^{t+1}, written over h, and W_H^{t+1} from the
+    sigmoid scores.
 
     W_H^{t+1} is the scores times the 0/1 retention mask, written into the
     score array, with or without a tape. Top-K reads only scores on the
@@ -273,13 +272,12 @@ def _update(x: av.Var, y: av.Var, h: np.ndarray, params: HgnnParams, t: int,
     g * s * (1 - s) reads only its output, so the gradients equal those of
     av.mul(scores, retention) bit for bit: where the mask is 1 nothing
     changes, and where it is 0, (g * 0) * s * (1 - s) and g * 0 * (1 - 0)
-    are the same signed zero (NaN when g is not finite). With in_place,
-    H^{t+1} is written into h.
+    are the same signed zero (NaN when g is not finite).
     """
     q = _affine(x, params, f"upd.{t}.q")
     k = _affine(y, params, f"upd.{t}.k")
     s_full = av.scaled_scores(q, k, 1.0 / np.sqrt(params.channels), None, "sigmoid")
-    retention = _topk_retention(s_full.value, h, k2, in_place)
+    retention = _topk_retention(s_full.value, h, k2)
     s_full.value *= retention
     return retention, s_full
 
@@ -306,12 +304,13 @@ def forward(corrs: CorrSet, hg0: np.ndarray, w_h0: np.ndarray,
     w_h0); w_h0 is the raw initial weight matrix, the NonLocal attention bias,
     from which the layer-0 hyperedge weights are summed. The default pass
     records the autodiff tape unless called under autodiff.no_grad(), keeps
-    every layer and never modifies its arguments. An inference pass
-    (inference=True) overwrites them: w_h0 becomes the log bias and hg0 holds
-    H^1, then H^2 and on. Its trace holds only the last layer (xs = [X^5],
-    ys = [Y^4], hs = [H^4], which is hg0, the same for x_vars and y_vars;
-    whs and wh_vars are empty) and an empty w_nonlocal, and each W_H^t is
-    dropped once its column sums are taken. A tape's backward pass reads the
+    every layer and never modifies its arguments: each update writes H^{t+1}
+    over a copy of H^t. An inference pass (inference=True) overwrites them:
+    w_h0 becomes the log bias and hg0 holds H^1, then H^2 and on. Its trace
+    holds only the last layer (xs = [X^5], ys = [Y^4], hs = [H^4], which is
+    hg0, the same for x_vars and y_vars; whs and wh_vars are empty), and each
+    W_H^t is dropped once its column sums are taken. Neither trace keeps
+    w_h0: w_nonlocal is an empty (0, 0) array. A tape's backward pass reads the
     H^t that it overwrites, so under a tape it raises ValueError before it
     touches its arguments. Every layer is checked for non-finite values as it
     is computed, so NonFinite names the first bad one.
@@ -331,7 +330,6 @@ def forward(corrs: CorrSet, hg0: np.ndarray, w_h0: np.ndarray,
     we = av.wrap(_initial_edge_weights(log_bias, h))
     log_bias += NONLOCAL_EPS
     np.log(log_bias, out=log_bias)
-    w_nonlocal = np.empty((0, 0)) if inference else w_h0
     k2s = k2_schedule(n)
 
     x_vars: List[av.Var] = []
@@ -364,7 +362,7 @@ def forward(corrs: CorrSet, hg0: np.ndarray, w_h0: np.ndarray,
         keep(x_vars, x, f"X^{t + 1}")
 
         if t < N_UPDATES:
-            h, wh = _update(x, y, h, params, t, k2s[t], inference)
+            h, wh = _update(x, y, h if inference else h.copy(), params, t, k2s[t])
             keep(hs, h)
             keep(wh_vars, wh, f"W_H^{t + 1}")
             we = av.vsum(wh, axis=0)
@@ -377,5 +375,5 @@ def forward(corrs: CorrSet, hg0: np.ndarray, w_h0: np.ndarray,
         x_vars, y_vars, hs, wh_vars = [x], [y], [h], []
     return ForwardTrace(xs=[v.value for v in x_vars], ys=[v.value for v in y_vars],
                         hs=hs, whs=[v.value for v in wh_vars], s_hat=s_hat.value,
-                        w_nonlocal=w_nonlocal, x_vars=x_vars,
+                        w_nonlocal=np.empty((0, 0)), x_vars=x_vars,
                         y_vars=y_vars, wh_vars=wh_vars, s_var=s_hat)

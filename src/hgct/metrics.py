@@ -8,7 +8,7 @@ import numpy as np
 
 from .compat import CompatConfig, check_positive
 from .errors import HgctError
-from .geom import CorrSet, RigidTransform, pose_errors, residuals
+from .geom import CorrSet, RigidTransform, inlier_labels, residuals
 from .hgnn import HgnnParams
 from .pipeline import PipelineConfig, register
 
@@ -42,29 +42,16 @@ def inlier_metrics(t_est: RigidTransform, corrs: CorrSet, gt: RigidTransform,
     """Inlier precision/recall/F1 of the residual-based inlier prediction.
 
     Predicted inliers: residual under t_est below theta_inlier; true inliers:
-    residual under gt below theta_inlier. Empty sets yield zeros.
+    geom.inlier_labels under gt, the rule of the training labels. Empty sets
+    yield zeros.
     """
     pred = residuals(t_est, corrs.src, corrs.tgt) < theta_inlier
-    true = residuals(gt, corrs.src, corrs.tgt) < theta_inlier
+    true = inlier_labels(corrs, gt, theta_inlier)
     hit = int(np.sum(pred & true))
     ip = hit / int(np.sum(pred)) if np.any(pred) else 0.0
     ir = hit / int(np.sum(true)) if np.any(true) else 0.0
     f1 = 2.0 * ip * ir / (ip + ir) if (ip + ir) > 0 else 0.0
     return ip, ir, f1
-
-
-def evaluate_pair(t_est: RigidTransform, corrs: CorrSet, th: MetricThresholds,
-                  runtime_s: float = 0.0, hp_before: Optional[float] = None,
-                  hp_after: Optional[float] = None) -> PairResult:
-    if corrs.gt is None:
-        raise ValueError("pair evaluation needs a ground-truth transform")
-    re, te = pose_errors(t_est, corrs.gt)
-    ip, ir, f1 = inlier_metrics(t_est, corrs, corrs.gt, th.theta_inlier)
-    return PairResult(re_deg=re, te_m=te,
-                      success=bool(re <= th.re_thresh_deg and te <= th.te_thresh),
-                      ip=ip, ir=ir, f1=f1, runtime_s=runtime_s,
-                      hyperedge_precision_before=hp_before,
-                      hyperedge_precision_after=hp_after)
 
 
 def aggregate(results: Sequence[PairResult], th: MetricThresholds) -> Dict:
@@ -105,13 +92,22 @@ def failed_pair(error: str, runtime_s: float = 0.0) -> PairResult:
 
 def evaluate_scene(corrs: CorrSet, params: HgnnParams, cc: CompatConfig,
                    pc: PipelineConfig, th: MetricThresholds) -> PairResult:
-    """Register one pair and score it. A failed pipeline is a failed pair with
-    inf errors, zero IP/IR/F1 and the error message."""
+    """Register one pair and score it from register's record: RE, TE and the
+    hyperedge precisions are its diagnostics. A scene without a ground-truth
+    transform or a failed pipeline is a failed pair with inf errors, zero
+    IP/IR/F1 and the error message."""
+    if corrs.gt is None:
+        return failed_pair("pair evaluation needs a ground-truth transform")
     t0 = time.perf_counter()
     try:
         t_est, diag = register(corrs, params, cc, pc)
     except HgctError as err:
         return failed_pair(str(err), runtime_s=time.perf_counter() - t0)
-    return evaluate_pair(t_est, corrs, th, runtime_s=time.perf_counter() - t0,
-                         hp_before=diag.get("hyperedge_precision_before"),
-                         hp_after=diag.get("hyperedge_precision_after"))
+    runtime_s = time.perf_counter() - t0
+    re, te = diag["re_deg"], diag["te_m"]
+    ip, ir, f1 = inlier_metrics(t_est, corrs, corrs.gt, th.theta_inlier)
+    return PairResult(re_deg=re, te_m=te,
+                      success=bool(re <= th.re_thresh_deg and te <= th.te_thresh),
+                      ip=ip, ir=ir, f1=f1, runtime_s=runtime_s,
+                      hyperedge_precision_before=diag.get("hyperedge_precision_before"),
+                      hyperedge_precision_after=diag.get("hyperedge_precision_after"))

@@ -25,14 +25,16 @@ from .hgnn import HgnnParams, forward
 from .hypergraph import hyperedge_precision, init_hypergraph
 
 
+NS_FRAC = 0.2      # seed fraction of N
+MAX_WINDOWS = 30   # extra minimal-set windows per hyperedge
+WINDOW_STEP = 3    # window stride along the sorted residuals
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    ns_frac: float = 0.2        # seed fraction of N
     ninit_frac: float = 0.1     # initial hypotheses as a fraction of N_s
     knn_k: int = 20             # feature-space subset size per seed
     minimal_size: int = 6       # points per minimal set
-    max_iters: int = 30         # extra minimal-set windows per hyperedge
-    step: int = 3               # window stride along the sorted residuals
     theta_inlier: float = 0.1   # meters, truncation of the fitness kernel
     nms_radius: float = 0.1     # meters, spatial suppression radius
     n1_frac: float = 0.1        # NMS share of the seed budget
@@ -43,11 +45,7 @@ class PipelineConfig:
         if self.knn_k < self.minimal_size:
             raise ValueError(f"knn_k must be >= minimal_size ({self.minimal_size}), "
                              f"got {self.knn_k}")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
-        if self.step < 1:
-            raise ValueError("step must be >= 1")
-        for name in ("ns_frac", "ninit_frac", "n1_frac"):
+        for name in ("ninit_frac", "n1_frac"):
             v = getattr(self, name)
             if not (0.0 < v <= 1.0):
                 raise ValueError(f"{name} must be in (0, 1]")
@@ -112,20 +110,15 @@ def nms_local_maxima(s_hat: np.ndarray, points: np.ndarray, radius: float,
     return [int(i) for i in order[keep[order]]]
 
 
-def seed_budget(n: int, cfg: PipelineConfig) -> int:
-    """N_s, the number of seeds of an n-correspondence set."""
-    return min(n, max(cfg.minimal_size, round_half_up(cfg.ns_frac * n)))
-
-
 def gf_nms(h: np.ndarray, s_hat: np.ndarray, corrs: CorrSet,
            cfg: PipelineConfig) -> List[int]:
     """Seed selection: N1 spatial-NMS confidence maxima, then the graph-filter
-    ranking over the incidence h tops the set up to N_s. Returns
-    min(N_s, N) distinct indices."""
+    ranking over the incidence h tops the set up to
+    N_s = min(N, max(minimal_size, round(NS_FRAC * N))) distinct indices."""
     n = len(corrs)
     if n < cfg.minimal_size:
         raise ValueError("fewer correspondences than the minimal set size")
-    n_s = seed_budget(n, cfg)
+    n_s = min(n, max(cfg.minimal_size, round_half_up(NS_FRAC * n)))
     n_1 = max(1, round_half_up(cfg.n1_frac * n_s))
 
     seeds = nms_local_maxima(s_hat, corrs.src, cfg.nms_radius, n_1)
@@ -138,8 +131,8 @@ def gf_nms(h: np.ndarray, s_hat: np.ndarray, corrs: CorrSet,
 def initial_hypotheses(corrs: CorrSet, seeds: Sequence[int], x_final: np.ndarray,
                        cfg: PipelineConfig, diagnostics: Dict) -> List[Hypothesis]:
     """One candidate per seed from its feature-space KNN subset; the
-    best-scoring N_init are kept. Degenerate subsets are skipped and counted
-    in `diagnostics`.
+    best-scoring N_init = max(1, round(ninit_frac * len(seeds))) are kept.
+    Degenerate subsets are skipped and counted in `diagnostics`.
 
     The subset is the k nearest rows in feature distance, ties to the lower
     index, in (distance, index) order; all subsets are fitted in one stack.
@@ -155,11 +148,11 @@ def initial_hypotheses(corrs: CorrSet, seeds: Sequence[int], x_final: np.ndarray
         dist = np.sum(d * d, axis=1)
         near = np.flatnonzero(dist <= dist[np.argpartition(dist, k - 1)[k - 1]])
         subsets[j] = near[np.lexsort((near, dist[near]))][:k]
+    n_init = max(1, round_half_up(cfg.ninit_frac * len(seeds)))
     rots, trans, scores, ok = _fit_and_score(corrs, subsets, cfg.theta_inlier)
     seeds = seeds[ok]
     diagnostics["n_seed_candidates"] = len(seeds)
     diagnostics["n_degenerate_seeds"] = int(np.count_nonzero(~ok))
-    n_init = max(1, round_half_up(cfg.ninit_frac * seed_budget(n, cfg)))
     order = np.lexsort((np.arange(len(scores)), -scores))
     return [Hypothesis(RigidTransform(rots[i], trans[i]), float(scores[i]),
                        HypothesisOrigin.INITIAL, int(seeds[i]))
@@ -172,11 +165,11 @@ def refine_hypotheses(corrs: CorrSet, h: np.ndarray,
     """Slide minimal sets along the residual-sorted members of each seed's
     hyperedge, a column of the incidence h.
 
-    Window k covers sorted offsets [step*k, step*k + minimal_size) while the
-    window fits and k <= max_iters. The windows of all hypotheses are fitted
-    in one stack. Returns the initial hypotheses plus every non-degenerate
-    window solution, in hypothesis then window order, and counts the
-    windows in `diagnostics`.
+    Window k covers sorted offsets [WINDOW_STEP*k, WINDOW_STEP*k + minimal_size)
+    while the window fits and k <= MAX_WINDOWS. The windows of all hypotheses
+    are fitted in one stack. Returns the initial hypotheses plus every
+    non-degenerate window solution, in hypothesis then window order, and
+    counts the windows in `diagnostics`.
     """
     if not initial:
         raise ValueError("refine_hypotheses needs at least one initial hypothesis")
@@ -188,8 +181,8 @@ def refine_hypotheses(corrs: CorrSet, h: np.ndarray,
             continue
         r = residuals(hyp.transform, corrs.src[members], corrs.tgt[members])
         members = members[np.lexsort((members, r))]
-        n_win = min(cfg.max_iters, (members.size - cfg.minimal_size) // cfg.step) + 1
-        starts = cfg.step * np.arange(n_win)
+        n_win = min(MAX_WINDOWS, (members.size - cfg.minimal_size) // WINDOW_STEP) + 1
+        starts = WINDOW_STEP * np.arange(n_win)
         windows.append(members[starts[:, None] + np.arange(cfg.minimal_size)])
         owners.append(np.full(n_win, hyp.seed_index, dtype=np.intp))
     rots, trans, scores, ok = _fit_and_score(corrs, np.concatenate(windows),

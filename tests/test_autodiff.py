@@ -143,10 +143,10 @@ class TestInPlaceOps:
         a = rng.normal(size=(6, 7))
         g = rng.normal(size=(6, 7))
         leaf = av.param(a)
-        (ds,) = av.gradients([oracles.softmax_rows(leaf)], [g], [leaf])
+        (ds,) = av.grad(av.vsum(av.mul(oracles.softmax_rows(leaf), g)), [leaf])
         s = oracles.softmax_rows_reference(a)
         assert np.array_equal(ds, s * (g - np.sum(g * s, axis=1, keepdims=True)))
-        (dg,) = av.gradients([av.sigmoid(leaf)], [g], [leaf])
+        (dg,) = av.grad(av.vsum(av.mul(av.sigmoid(leaf), g)), [leaf])
         s = oracles.sigmoid_reference(a)
         assert np.array_equal(dg, g * s * (1.0 - s))
 
@@ -205,8 +205,8 @@ class TestScaledScores:
             qc, kc = av.param(q), av.param(k)
             chain = oracles.scaled_scores_chain(qc, kc, 0.37, None, activation)
             assert np.array_equal(_bits(out.value), _bits(chain.value))
-            for got, want in zip(av.gradients([out], [g], [qa, ka]),
-                                 av.gradients([chain], [g], [qc, kc])):
+            for got, want in zip(av.grad(av.vsum(av.mul(out, g)), [qa, ka]),
+                                 av.grad(av.vsum(av.mul(chain, g)), [qc, kc])):
                 assert np.array_equal(_bits(got), _bits(want))
 
     @pytest.mark.parametrize("activation", ACTS)
@@ -214,11 +214,11 @@ class TestScaledScores:
         q, k, bias = self._case(rng)
         g = rng.normal(size=bias.shape)
         qa, ka = av.param(q), av.param(k)
-        dq, dk = av.gradients([av.scaled_scores(qa, ka, 0.37, bias, activation)], [g],
-                              [qa, ka])
+        dq, dk = av.grad(av.vsum(av.mul(av.scaled_scores(qa, ka, 0.37, bias, activation),
+                                        g)), [qa, ka])
         qb, kb = av.param(q), av.param(k)
-        rq, rk = av.gradients([oracles.scaled_scores_chain(qb, kb, 0.37, bias, activation)],
-                              [g], [qb, kb])
+        rq, rk = av.grad(av.vsum(av.mul(
+            oracles.scaled_scores_chain(qb, kb, 0.37, bias, activation), g)), [qb, kb])
         assert np.array_equal(_bits(dq), _bits(rq))
         assert np.array_equal(_bits(dk), _bits(rk))
         # and the chain's expressions written out
@@ -262,21 +262,9 @@ class TestEngine:
         x = av.param(np.ones((2, 2)))
         y = av.param(np.ones(3))
         out = av.vsum(x)
-        gx, gy = av.gradients([out], [np.ones(())], [x, y])
+        gx, gy = av.grad(out, [x, y])
         assert np.array_equal(gx, np.ones((2, 2)))
         assert np.array_equal(gy, np.zeros(3))
-
-    def test_direct_output_leaf(self):
-        x = av.param(np.ones(4))
-        g = av.gradients([x], [np.full(4, 2.0)], [x])[0]
-        assert np.array_equal(g, np.full(4, 2.0))
-
-    def test_multi_root_accumulation(self):
-        x = av.param(np.array([1.0, 2.0]))
-        a = av.mul(x, 3.0)
-        b = av.mul(x, x)
-        g = av.gradients([a, b], [np.ones(2), np.ones(2)], [x])[0]
-        assert np.allclose(g, 3.0 + 2.0 * x.value)
 
     def test_no_grad_mode(self):
         x = av.param(np.ones(3))

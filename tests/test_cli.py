@@ -118,7 +118,9 @@ class TestErrors:
                            setting.split()[0] + " must be positive")
 
     # the gradient check and the checkpoint have no config keys: the check
-    # runs at fixed settings, and --checkpoint names the file
+    # runs at fixed settings, and --checkpoint names the file; the dynamic
+    # threshold's K1 fraction, the seed fraction and the refinement windows
+    # are constants of the method
     @pytest.mark.parametrize("command, setting, fragment", [
         ("register", "channels = 0", "channels must be >= 1"),
         ("gradcheck", "gradcheck_n = 8", "line 1: unknown key 'gradcheck_n'"),
@@ -128,7 +130,10 @@ class TestErrors:
         ("gradcheck", "gradcheck_tol = nan", "line 1: unknown key 'gradcheck_tol'"),
         ("register", "checkpoint = model.ckpt", "line 1: unknown key 'checkpoint'"),
         ("register", "knn_k = 0", "knn_k must be >= minimal_size"),
-        ("register", "max_iters = -1", "max_iters must be >= 0"),
+        ("register", "max_iters = -1", "line 1: unknown key 'max_iters'"),
+        ("register", "step = 3", "line 1: unknown key 'step'"),
+        ("register", "ns_frac = 0.2", "line 1: unknown key 'ns_frac'"),
+        ("register", "k1_frac = 0.1", "line 1: unknown key 'k1_frac'"),
     ])
     def test_network_and_gradcheck_keys(self, tmp_path, capsys, command, setting,
                                         fragment):
@@ -249,6 +254,25 @@ class TestBench:
             rows = [line.split(",") for line in f.read().splitlines()[1:]]
         assert [r[3] for r in rows] == ["1", "error", "1"]
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_scene_without_ground_truth_is_a_failed_pair(self, tmp_path, capsys, threads):
+        cfg = _write_config(tmp_path, f"n_scenes = 3\nn_corrs = 40\nthreads = {threads}\n"
+                                      "inlier_ratio = 1.0\nnoise_sigma = 0.0\n")
+        data = str(tmp_path / "data")
+        assert main(["gen", "--config", cfg, "--out", data]) == 0
+        blind = os.path.join(data, "scene_0001.txt")
+        corrs = read_scene(blind)
+        write_scene(CorrSet(corrs.src, corrs.tgt, labels=corrs.labels), blind)
+        out = str(tmp_path / "bench")
+        assert main(["bench", "--config", cfg, data, "--out", out]) == 0
+        with open(os.path.join(out, "summary.json")) as f:
+            summary = json.load(f)
+        assert (summary["n_pairs"], summary["n_failures"]) == (3, 1)
+        assert summary["rr"] == pytest.approx(2 / 3)
+        with open(os.path.join(out, "results.csv")) as f:
+            rows = [line.split(",") for line in f.read().splitlines()[1:]]
+        assert [r[3] for r in rows] == ["1", "error", "1"]
+
     def test_serial_bench_loads_checkpoint_once(self, small_dataset, tmp_path,
                                                 capsys, monkeypatch):
         ckpt = str(tmp_path / "m.ckpt")
@@ -343,7 +367,7 @@ class TestTrain:
 
     def test_train_builds_the_configured_graph(self, tmp_path, capsys):
         text = ("n_scenes = 2\nn_corrs = 30\nepochs = 2\nbatch = 2\nchannels = 4\n"
-                "lr = 0.001\ngraph_order = fog\nk1_frac = 0.3\n")
+                "lr = 0.001\ngraph_order = fog\n")
         cfg = _write_config(tmp_path, text)
         data = str(tmp_path / "data")
         main(["gen", "--config", cfg, "--out", data])

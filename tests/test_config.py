@@ -16,15 +16,11 @@ seed = 7
 channels = 16
 threads = 3
 sigma_d = 0.25
-k1_frac = 0.3
 graph_order = fog
 theta_cmp_override = 0.7
-ns_frac = 0.4
 ninit_frac = 0.5
 knn_k = 12
 minimal_size = 4
-max_iters = 9
-step = 2
 theta_inlier = 0.2
 nms_radius = 0.15
 n1_frac = 0.6
@@ -129,14 +125,14 @@ class TestDerivedConfigs:
 
     def test_every_key_maps_to_its_stage_field(self):
         cfg = parse_config(ALL_KEYS_TEXT)
-        assert len(dataclasses.fields(RunConfig)) == 26
+        assert len(dataclasses.fields(RunConfig)) == 22
         for f in dataclasses.fields(RunConfig):
             assert getattr(cfg, f.name) != f.default, f.name
         assert cfg.compat_config() == CompatConfig(
-            sigma_d=0.25, k1_frac=0.3, graph_order=GraphOrder.FOG, theta_cmp_override=0.7)
+            sigma_d=0.25, graph_order=GraphOrder.FOG, theta_cmp_override=0.7)
         assert cfg.pipeline_config() == PipelineConfig(
-            ns_frac=0.4, ninit_frac=0.5, knn_k=12, minimal_size=4, max_iters=9,
-            step=2, theta_inlier=0.2, nms_radius=0.15, n1_frac=0.6)
+            ninit_frac=0.5, knn_k=12, minimal_size=4, theta_inlier=0.2, nms_radius=0.15,
+            n1_frac=0.6)
         assert cfg.train_config() == TrainConfig(
             epochs=5, lr=0.001, lr_decay=0.9, batch=3, theta_inlier=0.2,
             sigma_d=0.25, seed=7, threads=3)

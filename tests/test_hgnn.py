@@ -29,7 +29,7 @@ def _prepared(n=10, seed=0, ratio=0.6, channels=8):
 def _s_hat_grads(trace, params, seed):
     """Parameter gradients of seed . s_hat, by name, from the trace's tape."""
     wrt = [params.var(name) for name in params.names]
-    return dict(zip(params.names, av.gradients([trace.s_var], [seed], wrt)))
+    return dict(zip(params.names, av.grad(av.vsum(av.mul(trace.s_var, seed)), wrt)))
 
 
 def _generic_instance(seed, n=12, channels=8, density=0.5):
@@ -88,15 +88,16 @@ class TestTopkRetention:
             scores = np.round(scores, decimals)  # forces ties
         support = (rng.uniform(size=(n, n)) < density).astype(np.float64)
         support[rng.integers(n)] = 0.0  # at least one empty row
+        want = oracles.topk_retention_loop(scores, support, k2)
         got = _topk_retention(scores, support, k2)
-        assert got.dtype == np.float64
-        assert np.array_equal(got, oracles.topk_retention_loop(scores, support, k2))
+        assert got is support and got.dtype == np.float64
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("rows", [2, 3])
     def test_row_blocks_with_ties_across_boundaries(self, monkeypatch, rows):
         # rows of equal, partly tied scores run on both sides of every block
-        # boundary; the k2-th score is tied in each long row. In place, the
-        # mask overwrites the support it reads, block by block
+        # boundary; the k2-th score is tied in each long row. The mask
+        # overwrites the support it reads, block by block
         n, k2 = 11, 4
         monkeypatch.setattr(hgnn, "TOPK_BLOCK", rows * n)
         rng = np.random.default_rng(rows)
@@ -107,10 +108,8 @@ class TestTopkRetention:
         support = (rng.uniform(size=(n, n)) < 0.8).astype(np.float64)
         support[5] = 0.0
         want = oracles.topk_retention_loop(scores, support, k2)
-        assert np.array_equal(_topk_retention(scores, support, k2), want)
-        own = support.copy()
-        assert _topk_retention(scores, own, k2, in_place=True) is own
-        assert np.array_equal(own, want)
+        assert _topk_retention(scores, support, k2) is support
+        assert np.array_equal(support, want)
 
     @pytest.mark.parametrize("tape", [True, False])
     @pytest.mark.parametrize("rows", [2, 3])
@@ -126,10 +125,10 @@ class TestTopkRetention:
         k2 = k2_schedule(n)[0]
         x, y = av.wrap(tr.xs[1]), av.wrap(tr.ys[0])
         if tape:
-            h_new, w_new = _update(x, y, tr.hs[0], params, 0, k2)
+            h_new, w_new = _update(x, y, tr.hs[0].copy(), params, 0, k2)
         else:
             with av.no_grad():
-                h_new, w_new = _update(x, y, tr.hs[0], params, 0, k2)
+                h_new, w_new = _update(x, y, tr.hs[0].copy(), params, 0, k2)
         assert w_new.track == tape
         h_ref, w_ref = oracles.update_block_loop(tr.xs[1], tr.ys[0], tr.hs[0], params,
                                                  0, k2, 4)
@@ -152,25 +151,25 @@ class TestUpdate:
         for t in range(4):
             x = av.Var(tr.xs[t + 1], track=True)
             y = av.Var(tr.ys[t], track=True)
-            h_new, w_new = _update(x, y, tr.hs[t], params, t, k2s[t])
+            h_new, w_new = _update(x, y, tr.hs[t].copy(), params, t, k2s[t])
             # the unfused chain with an explicit off-support mask
             scores = oracles.scaled_scores_chain(
                 hgnn._affine(x, params, f"upd.{t}.q"), hgnn._affine(y, params, f"upd.{t}.k"),
                 1.0 / np.sqrt(params.channels), np.where(tr.hs[t] > 0, 0.0, -1e30),
                 "sigmoid")
-            h_ref = _topk_retention(scores.value, tr.hs[t], k2s[t])
+            h_ref = _topk_retention(scores.value, tr.hs[t].copy(), k2s[t])
             w_ref = av.mul(scores, h_ref)
             assert w_new.track
             assert np.array_equal(h_new, h_ref) and np.any(h_ref == 0)
             assert np.array_equal(w_new.value, w_ref.value)
             assert np.array_equal(w_new.value, tr.whs[t])
             g = rng.standard_normal(w_new.value.shape)
-            for got, want in zip(av.gradients([w_new], [g], [x, y]),
-                                 av.gradients([w_ref], [g], [x, y])):
+            for got, want in zip(av.grad(av.vsum(av.mul(w_new, g)), [x, y]),
+                                 av.grad(av.vsum(av.mul(w_ref, g)), [x, y])):
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
             with av.no_grad():
-                h_lean, w_lean = _update(x, y, tr.hs[t], params, t, k2s[t])
+                h_lean, w_lean = _update(x, y, tr.hs[t].copy(), params, t, k2s[t])
             assert not w_lean.track
             assert np.array_equal(h_lean, h_ref)
             assert np.array_equal(w_lean.value, w_ref.value)
@@ -340,13 +339,16 @@ class TestLeanForward:
         assert np.array_equal(h0, ps.hg0) and np.array_equal(w0, ps.w_h0)
 
     def test_input_hypergraph_left_unchanged(self):
-        # the default pass, taped or not, never modifies its arguments
+        # the default pass, taped or not, never modifies its arguments, and
+        # its trace keeps no reference to w_h0
         corrs, h0, w0, params = _generic_instance(3)
         h, w = h0.copy(), w0.copy()
-        forward(corrs, h0, w0, params)
+        taped = forward(corrs, h0, w0, params)
         with av.no_grad():
-            forward(corrs, h0, w0, params)
+            plain = forward(corrs, h0, w0, params)
         assert np.array_equal(h0, h) and np.array_equal(w0, w)
+        assert taped.hs[0] is h0
+        assert taped.w_nonlocal.shape == plain.w_nonlocal.shape == (0, 0)
 
     @pytest.mark.parametrize("inference", [False, True])
     def test_poisoned_intermediate_layer_raises(self, inference):
@@ -429,7 +431,7 @@ class TestBackward:
         n = len(ps.corrs)
         grads = _s_hat_grads(tr, params, np.zeros(n))
         assert all(np.all(g == 0) for g in grads.values())
-        grads = av.gradients([], [], [params.var(name) for name in params.names])
+        grads = av.grad(av.wrap(0.0), [params.var(name) for name in params.names])
         assert all(np.all(g == 0) for g in grads)
 
     def test_seeded_backward_matches_fd_spot(self):

@@ -6,8 +6,8 @@ from baselines import run_suite, scene_batch, sweep_theta
 from hgct.compat import CompatConfig
 from hgct.geom import CorrSet, RigidTransform, random_rotation
 from hgct.hgnn import init_params
-from hgct.metrics import (MetricThresholds, PairResult, aggregate,
-                          evaluate_pair, inlier_metrics)
+from hgct.metrics import (MetricThresholds, PairResult, aggregate, evaluate_scene,
+                          inlier_metrics)
 from hgct.pipeline import PipelineConfig
 from hgct.train import SynthConfig, gen_scene
 
@@ -143,10 +143,13 @@ class TestSuiteAndSweep:
             sweep_theta(self._suite(), init_params(channels=4, seed=0),
                         [0.1], "bogus")
 
-    def test_evaluate_pair_needs_gt(self):
-        cs = CorrSet(np.zeros((4, 3)), np.zeros((4, 3)))
-        with pytest.raises(ValueError):
-            evaluate_pair(oracles.identity(), cs, MetricThresholds())
+    def test_evaluate_scene_needs_gt(self):
+        sc = gen_scene(SynthConfig(n_corrs=60, inlier_ratio=1.0,
+                                   noise_sigma=0.0, seed=3))
+        result = evaluate_scene(CorrSet(sc.src, sc.tgt), init_params(channels=8, seed=0),
+                                CompatConfig(), PipelineConfig(), MetricThresholds())
+        assert result.error == "pair evaluation needs a ground-truth transform"
+        assert not result.success and result.re_deg == float("inf")
 
     def test_pipeline_failures_count_as_misses(self, rng):
         # a scene whose compatibility graph is empty registers as a failure

@@ -11,9 +11,10 @@ from hgct.geom import (CorrSet, RigidTransform, pose_errors, random_rotation,
                        residuals)
 from hgct.hgnn import init_params
 from hgct.hypergraph import hyperedge_precision, init_hypergraph
-from hgct.pipeline import (Hypothesis, HypothesisOrigin, PipelineConfig, gf_adjacency,
-                           gf_nms, gf_score, initial_hypotheses, nms_local_maxima,
-                           refine_hypotheses, register)
+from hgct.pipeline import (MAX_WINDOWS, WINDOW_STEP, Hypothesis, HypothesisOrigin,
+                           PipelineConfig, gf_adjacency, gf_nms, gf_score,
+                           initial_hypotheses, nms_local_maxima, refine_hypotheses,
+                           register)
 from hgct.train import SynthConfig, gen_scene
 
 
@@ -208,7 +209,7 @@ class TestInitialHypotheses:
         sc = CorrSet(src, tgt)
         x = np.round(rng.normal(size=(12, 4)), 1)[rng.integers(0, 12, 60)]
         x[40:] = 7.0
-        cfg = PipelineConfig(knn_k=8, ns_frac=1.0, ninit_frac=1.0)
+        cfg = PipelineConfig(knn_k=8, ninit_frac=1.0)
         seeds = list(range(0, 60, 3))
         diag = {}
         got = initial_hypotheses(sc, seeds, x, cfg, diagnostics=diag)
@@ -303,9 +304,9 @@ class TestRefine:
             r = residuals(hyp.transform, sc.src[members], sc.tgt[members])
             members = members[np.lexsort((members, r))]
             k = 0
-            while (cfg.step * k + cfg.minimal_size <= members.size
-                   and k <= cfg.max_iters):
-                window = members[cfg.step * k: cfg.step * k + cfg.minimal_size]
+            while (WINDOW_STEP * k + cfg.minimal_size <= members.size
+                   and k <= MAX_WINDOWS):
+                window = members[WINDOW_STEP * k: WINDOW_STEP * k + cfg.minimal_size]
                 fit = oracles.kabsch_fit_loop(sc.src[window], sc.tgt[window])
                 if fit is None:
                     degenerate += 1
@@ -454,6 +455,18 @@ class TestRegister:
         re1, te1 = pose_errors(t1, sc.gt)
         re2, te2 = pose_errors(t2, moved.gt)
         assert abs(re1 - re2) < 1e-8 and abs(te1 - te2) < 1e-8
+
+    # ROADMAP item 1's gate; the fix for fault (a) removes the mark
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="fault (a): top-K ties make H^4's mutual "
+                       "adjacency regular on the inliers, so every graph-filter seed is "
+                       "an outlier (0 of 40 inlier seeds, RE 76.31 deg)")
+    def test_fault_a_scene_registers(self):
+        sc = gen_scene(SynthConfig(n_corrs=200, inlier_ratio=0.3, noise_sigma=0.0,
+                                   seed=8))
+        t, _ = register(sc, init_params(32, 0), CompatConfig(), PipelineConfig())
+        re, te = pose_errors(t, sc.gt)
+        assert re <= 5.0 and te <= 0.05
 
     def test_too_small_input_raises(self):
         sc = _perfect_scene(n=10, seed=20)
