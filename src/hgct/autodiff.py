@@ -8,7 +8,7 @@ and degree scalings enter the graph as non-differentiable data.
 """
 
 import contextlib
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -251,33 +251,51 @@ def _softmax_rows_vjp(g: np.ndarray, s: np.ndarray) -> np.ndarray:
     return s * (g - dot)
 
 
-SCORE_BLOCK = 1 << 16  # elements per row block of scaled_scores (512 KB, cache-sized)
+SCORE_BLOCK = 1 << 16  # elements per row block of score arrays (512 KB, cache-sized)
 
 _ACTIVATIONS = {"softmax": (_softmax_rows_inplace, _softmax_rows_vjp),
                 "sigmoid": (_sigmoid_inplace, _sigmoid_vjp)}
 
 
-def scaled_scores(q, k, scale: float, bias: Optional[np.ndarray], activation: str) -> Var:
+def scaled_scores(q, k, scale: float, bias: Optional[np.ndarray], activation: str,
+                  consume: Optional[Callable[[int, np.ndarray], None]] = None
+                  ) -> Optional[Var]:
     """activation(q k^T * scale + bias), with activation "softmax" (per row)
-    or "sigmoid", in one (N, M) array. bias is an (N, M) array, or None for
-    no bias.
+    or "sigmoid", one block of about SCORE_BLOCK entries of rows at a time so
+    each block stays in cache. bias is an (N, M) array, or None for no bias.
 
-    The result is bit-identical to matmul -> mul -> add -> row softmax /
-    sigmoid (matmul -> mul -> sigmoid without a bias): the same operations
-    in the same order, done in place, one block of rows at a time so each
-    block stays in cache. The VJP uses the chain's expressions too, so
-    gradients are bit-identical as well.
+    Without `consume` the result is one (N, M) array: the full q k^T, with
+    each block finished in place. It is bit-identical to matmul -> mul ->
+    add -> row softmax / sigmoid (matmul -> mul -> sigmoid without a bias):
+    the same operations in the same order. The VJP uses the chain's
+    expressions too, so gradients are bit-identical as well.
+
+    With `consume`, nothing is kept and nothing is returned: each block is
+    computed as q[rows] @ k^T into one reused (rows, M) buffer, finished, and
+    handed to consume(first_row, block) before the next block overwrites it.
+    A row-blocked gemm may differ from the full one in the last bits.
     """
     q, k = wrap(q), wrap(k)
     finish, act_vjp = _ACTIVATIONS[activation]
-    s = q.value @ k.value.T
-    rows = max(1, SCORE_BLOCK // s.shape[1])
-    for lo in range(0, len(s), rows):
-        block = s[lo:lo + rows]
+    n, m = len(q.value), len(k.value)
+    rows = max(1, SCORE_BLOCK // m)
+    if consume is None:
+        s = q.value @ k.value.T
+    else:
+        buf = np.empty((min(rows, n), m))
+    for lo in range(0, n, rows):
+        if consume is None:
+            block = s[lo:lo + rows]
+        else:
+            block = np.matmul(q.value[lo:lo + rows], k.value.T, out=buf[:min(rows, n - lo)])
         block *= scale
         if bias is not None:
             block += bias[lo:lo + rows]
         finish(block)
+        if consume is not None:
+            consume(lo, block)
+    if consume is not None:
+        return None
 
     def vjp(g):
         gl = act_vjp(g, s)

@@ -23,11 +23,15 @@ gradients (autodiff.grad over the recorded tape) flow through the
 retained sigmoid magnitudes only.
 
 Memory: the inference pass, `forward(..., inference=True)`, which
-`pipeline.register` runs, reuses its inputs: the w_h0 buffer becomes the
-attention's log bias and the H^0 buffer holds H^1..H^4. Its trace keeps only
-X^5, Y^4, H^4 and s_hat, and every other N x N array is dropped after its
-last read. No N x N array holds W_H^0. The update writes W_H^{t+1} into its
-score array, and top-K retention runs in row blocks.
+`pipeline.register` runs, holds two N x N arrays, its inputs: the w_h0
+buffer becomes the attention's log bias and the H^0 buffer holds H^1..H^4.
+No score array is built. The attention and the update compute their scores
+one row block at a time into one reused buffer, and each finished block
+goes into its rows of the attention's message, or of H^{t+1} and the column
+sums of W_H^{t+1}, before the next block is computed. Its trace keeps only
+X^5, Y^4, H^4 and s_hat. No N x N array holds W_H^0. The default pass builds
+each score array whole, as the tape needs, and the update writes W_H^{t+1}
+into it.
 
 Checkpoint format: ASCII magic line b"HGCT-CKPT v1\n", then three
 little-endian uint32 (channels, layer count, total parameter count), then all
@@ -206,23 +210,32 @@ def _safe_inv(v: np.ndarray) -> np.ndarray:
     return np.where(v > 0, 1.0 / np.where(v > 0, v, 1.0), 0.0)
 
 
-def _nonlocal(x: av.Var, log_bias: np.ndarray, params: HgnnParams, layer: int) -> av.Var:
-    c = params.channels
+def _nonlocal(x: av.Var, log_bias: np.ndarray, params: HgnnParams, layer: int,
+              stream: bool = False) -> av.Var:
+    """x + out(softmax(theta(x) phi(x)^T / sqrt(C) + log_bias) g(x)). With
+    `stream`, each row block of the attention is multiplied into its rows of
+    the message and dropped, and no N x N array is built."""
     q = _affine(x, params, f"nl.{layer}.theta")
     k = _affine(x, params, f"nl.{layer}.phi")
     v = _affine(x, params, f"nl.{layer}.g")
-    attn = av.scaled_scores(q, k, 1.0 / np.sqrt(c), log_bias, "softmax")
-    msg = _affine(av.matmul(attn, v), params, f"nl.{layer}.out")
-    return av.add(x, msg)
+    scale = 1.0 / np.sqrt(params.channels)
+    if stream:
+        mixed = np.empty_like(v.value)
+
+        def attend(lo: int, block: np.ndarray) -> None:
+            np.matmul(block, v.value, out=mixed[lo:lo + len(block)])
+
+        av.scaled_scores(q, k, scale, log_bias, "softmax", attend)
+        mixed = av.wrap(mixed)
+    else:
+        mixed = av.matmul(av.scaled_scores(q, k, scale, log_bias, "softmax"), v)
+    return av.add(x, _affine(mixed, params, f"nl.{layer}.out"))
 
 
 def k2_schedule(n: int) -> List[int]:
     """Per-update retention counts: fractions 0.4, 0.3, 0.2, 0.1 of N."""
     return [max(1, round_half_up(0.1 * (N_LAYERS - (t + 1)) * n))
             for t in range(N_UPDATES)]
-
-
-TOPK_BLOCK = 1 << 16  # elements per row block of _topk_retention's temporaries
 
 
 def _topk_retention(scores: np.ndarray, support: np.ndarray, k2: int) -> np.ndarray:
@@ -233,11 +246,11 @@ def _topk_retention(scores: np.ndarray, support: np.ndarray, k2: int) -> np.ndar
     the lower column index: a longer row keeps every supported entry above
     its k2-th largest supported score, then fills the remaining slots with
     the entries equal to that score, in column order. Supported scores are
-    finite; the others are never read. The rule is per row, so it runs one
-    block of rows at a time and its temporaries are block-sized; each
-    block's support is read before the block is written.
+    finite; the others are never read. The rule is per row, so it runs in the
+    row blocks of autodiff.scaled_scores and its temporaries are block-sized;
+    each block's support is read before the block is written.
     """
-    step = max(1, TOPK_BLOCK // support.shape[1])
+    step = max(1, av.SCORE_BLOCK // support.shape[1])
     for lo in range(0, len(support), step):
         supp = support[lo:lo + step] > 0
         out = support[lo:lo + step]
@@ -260,9 +273,10 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
 
 
 def _update(x: av.Var, y: av.Var, h: np.ndarray, params: HgnnParams, t: int,
-            k2: int) -> Tuple[np.ndarray, av.Var]:
-    """Structure update t: H^{t+1}, written over h, and W_H^{t+1} from the
-    sigmoid scores.
+            k2: int, stream: bool = False
+            ) -> Tuple[np.ndarray, Optional[av.Var], av.Var]:
+    """Structure update t: H^{t+1}, written over h, W_H^{t+1} from the
+    sigmoid scores, and its column sums, the hyperedge weights of layer t+1.
 
     W_H^{t+1} is the scores times the 0/1 retention mask, written into the
     score array, with or without a tape. Top-K reads only scores on the
@@ -273,13 +287,36 @@ def _update(x: av.Var, y: av.Var, h: np.ndarray, params: HgnnParams, t: int,
     av.mul(scores, retention) bit for bit: where the mask is 1 nothing
     changes, and where it is 0, (g * 0) * s * (1 - s) and g * 0 * (1 - 0)
     are the same signed zero (NaN when g is not finite).
+
+    Every step is per row. With `stream`, each row block of scores becomes
+    its rows of W_H^{t+1} and H^{t+1}, is checked and added to the column
+    sums, and is dropped: W_H^{t+1} comes back as None. The sums run in row
+    order, each block's first row adding the sums so far, as numpy sums a
+    whole array down axis 0, so they are the same bits.
     """
     q = _affine(x, params, f"upd.{t}.q")
     k = _affine(y, params, f"upd.{t}.k")
-    s_full = av.scaled_scores(q, k, 1.0 / np.sqrt(params.channels), None, "sigmoid")
-    retention = _topk_retention(s_full.value, h, k2)
-    s_full.value *= retention
-    return retention, s_full
+    scale = 1.0 / np.sqrt(params.channels)
+
+    def retain(lo: int, block: np.ndarray) -> None:
+        block *= _topk_retention(block, h[lo:lo + len(block)], k2)
+        _check_finite(f"W_H^{t + 1}", block)
+
+    if not stream:
+        wh = av.scaled_scores(q, k, scale, None, "sigmoid")
+        retain(0, wh.value)
+        return h, wh, av.vsum(wh, axis=0)
+    sums = None
+
+    def retain_and_sum(lo: int, block: np.ndarray) -> None:
+        nonlocal sums
+        retain(lo, block)
+        if sums is not None:
+            block[0] += sums
+        sums = block.sum(axis=0)
+
+    av.scaled_scores(q, k, scale, None, "sigmoid", retain_and_sum)
+    return h, None, av.wrap(sums)
 
 
 def _initial_edge_weights(w: np.ndarray, h0: np.ndarray) -> np.ndarray:
@@ -308,8 +345,10 @@ def forward(corrs: CorrSet, hg0: np.ndarray, w_h0: np.ndarray,
     over a copy of H^t. An inference pass (inference=True) overwrites them:
     w_h0 becomes the log bias and hg0 holds H^1, then H^2 and on. Its trace
     holds only the last layer (xs = [X^5], ys = [Y^4], hs = [H^4], which is
-    hg0, the same for x_vars and y_vars; whs and wh_vars are empty), and each
-    W_H^t is dropped once its column sums are taken. Neither trace keeps
+    hg0, the same for x_vars and y_vars; whs and wh_vars are empty), and it
+    streams each score array in row blocks, so no W_H^t is built whole: only
+    its column sums are. A row-blocked gemm may differ from the full one in
+    the last bits, so the two passes agree to rounding. Neither trace keeps
     w_h0: w_nonlocal is an empty (0, 0) array. A tape's backward pass reads the
     H^t that it overwrites, so under a tape it raises ValueError before it
     touches its arguments. Every layer is checked for non-finite values as it
@@ -358,15 +397,14 @@ def forward(corrs: CorrSet, hg0: np.ndarray, w_h0: np.ndarray,
         xhat = av.mul(av.matmul(av.wrap(h), av.mul(av.reshape(we, (n, 1)), y)),
                       dv_inv[:, None])
         xres = av.relu(av.add(x, _mlp(xhat, params, f"mlp2.{t}")))
-        x = av.l2norm_rows(_nonlocal(xres, log_bias, params, t))
+        x = av.l2norm_rows(_nonlocal(xres, log_bias, params, t, inference))
         keep(x_vars, x, f"X^{t + 1}")
 
         if t < N_UPDATES:
-            h, wh = _update(x, y, h if inference else h.copy(), params, t, k2s[t])
+            h, wh, we = _update(x, y, h if inference else h.copy(), params, t, k2s[t],
+                                inference)
             keep(hs, h)
-            keep(wh_vars, wh, f"W_H^{t + 1}")
-            we = av.vsum(wh, axis=0)
-            del wh  # read only for we; the full trace keeps it in wh_vars
+            keep(wh_vars, wh)  # None in an inference pass, which keeps no layer
 
     s_hat = av.reshape(av.sigmoid(_affine(x, params, "conf")), (n,))
     _check_finite("s_hat", s_hat.value)

@@ -76,9 +76,9 @@ def _fit_and_score(corrs: CorrSet, subsets: np.ndarray, theta_inlier: float):
 
 
 def gf_adjacency(h: np.ndarray) -> np.ndarray:
-    """Mutual-consistency adjacency of the incidence h: A(i,j) = 1 iff
-    H(i,j) = H(j,i) = 1."""
-    return ((h > 0) & (h.T > 0)).astype(np.float64)
+    """Mutual-consistency adjacency of the incidence h, as booleans:
+    A(i,j) = 1 iff H(i,j) = H(j,i) = 1."""
+    return (h > 0) & (h.T > 0)
 
 
 def gf_score(adj: np.ndarray) -> np.ndarray:
@@ -89,10 +89,16 @@ def gf_score(adj: np.ndarray) -> np.ndarray:
     not (a vertex inside a strong block can sit on either side of zero), so
     the response is rectified before normalization. All zeros when the
     response is constant (e.g. regular or empty graphs).
+
+    adj is 0/1, boolean or float. A d runs over row blocks, so no float
+    N x N copy is made; every sum is an exact integer, so the scores do not
+    depend on the order of the additions.
     """
-    adj = np.asarray(adj, dtype=np.float64)
-    d = adj.sum(axis=1)
-    raw = np.abs(d * d - adj @ d)
+    d = np.count_nonzero(adj, axis=1).astype(np.float64)
+    rows = max(1, av.SCORE_BLOCK // max(1, len(d)))
+    ad = np.concatenate([adj[lo:lo + rows].astype(np.float64) @ d
+                         for lo in range(0, len(d), rows)])
+    raw = np.abs(d * d - ad)
     lo, hi = raw.min(), raw.max()
     if hi == lo:
         return np.zeros_like(raw)

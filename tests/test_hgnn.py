@@ -99,7 +99,7 @@ class TestTopkRetention:
         # boundary; the k2-th score is tied in each long row. The mask
         # overwrites the support it reads, block by block
         n, k2 = 11, 4
-        monkeypatch.setattr(hgnn, "TOPK_BLOCK", rows * n)
+        monkeypatch.setattr(av, "SCORE_BLOCK", rows * n)
         rng = np.random.default_rng(rows)
         row = np.round(rng.uniform(size=n), 1)
         row[[1, 4, 6, 9]] = row.max()
@@ -121,14 +121,14 @@ class TestTopkRetention:
         params.var("upd.0.k.w").value[:] = 0.0
         with av.no_grad():
             tr = forward(ps.corrs, ps.hg0, ps.w_h0, params)
-        monkeypatch.setattr(hgnn, "TOPK_BLOCK", rows * n)
+        monkeypatch.setattr(av, "SCORE_BLOCK", rows * n)
         k2 = k2_schedule(n)[0]
         x, y = av.wrap(tr.xs[1]), av.wrap(tr.ys[0])
         if tape:
-            h_new, w_new = _update(x, y, tr.hs[0].copy(), params, 0, k2)
+            h_new, w_new, _ = _update(x, y, tr.hs[0].copy(), params, 0, k2)
         else:
             with av.no_grad():
-                h_new, w_new = _update(x, y, tr.hs[0].copy(), params, 0, k2)
+                h_new, w_new, _ = _update(x, y, tr.hs[0].copy(), params, 0, k2)
         assert w_new.track == tape
         h_ref, w_ref = oracles.update_block_loop(tr.xs[1], tr.ys[0], tr.hs[0], params,
                                                  0, k2, 4)
@@ -151,7 +151,7 @@ class TestUpdate:
         for t in range(4):
             x = av.Var(tr.xs[t + 1], track=True)
             y = av.Var(tr.ys[t], track=True)
-            h_new, w_new = _update(x, y, tr.hs[t].copy(), params, t, k2s[t])
+            h_new, w_new, _ = _update(x, y, tr.hs[t].copy(), params, t, k2s[t])
             # the unfused chain with an explicit off-support mask
             scores = oracles.scaled_scores_chain(
                 hgnn._affine(x, params, f"upd.{t}.q"), hgnn._affine(y, params, f"upd.{t}.k"),
@@ -169,10 +169,34 @@ class TestUpdate:
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
             with av.no_grad():
-                h_lean, w_lean = _update(x, y, tr.hs[t].copy(), params, t, k2s[t])
+                h_lean, w_lean, _ = _update(x, y, tr.hs[t].copy(), params, t, k2s[t])
             assert not w_lean.track
             assert np.array_equal(h_lean, h_ref)
             assert np.array_equal(w_lean.value, w_ref.value)
+
+    @pytest.mark.parametrize("rows", [1, 4])
+    def test_streamed_column_sums_bit_equal(self, monkeypatch, rows):
+        # with every k row e_0, score (i, j) is sigmoid(q[i, 0] / sqrt(C)), one
+        # exact product in any gemm, so the streamed W_H^1 rows equal the kept
+        # ones and only the order of the column sums could differ: a running
+        # sum added into each block's first row sums down axis 0 as numpy does
+        ps, params = _prepared(n=30, seed=4, ratio=0.5, channels=8)
+        params.var("upd.0.k.w").value[:] = 0.0
+        params.var("upd.0.k.b").value[:] = np.eye(8)[0]
+        with av.no_grad():
+            tr = forward(ps.corrs, ps.hg0, ps.w_h0, params)
+        monkeypatch.setattr(av, "SCORE_BLOCK", rows * 30)
+        x, y = av.wrap(tr.xs[1]), av.wrap(tr.ys[0])
+        k2 = k2_schedule(30)[0]
+        with av.no_grad():
+            h_kept, w_kept, we_kept = _update(x, y, tr.hs[0].copy(), params, 0, k2)
+            h_lean, w_lean, we_lean = _update(x, y, tr.hs[0].copy(), params, 0, k2, True)
+        assert w_lean is None
+        assert np.array_equal(h_lean, h_kept)
+        assert np.array_equal(we_lean.value, we_kept.value)
+        assert np.array_equal(we_kept.value, w_kept.value.sum(axis=0))
+        # the order matters: summed bottom-up, some column differs
+        assert not np.array_equal(we_kept.value, w_kept.value[::-1].copy().sum(axis=0))
 
 
 class TestConventions:
@@ -291,6 +315,47 @@ class TestLeanForward:
         full, lean = self._both(ps.corrs, ps.hg0, ps.w_h0, params)
         assert np.any(np.diff(np.sort(full.whs[3][full.hs[4] > 0])) == 0)
         self._assert_last_layer_equal(full, lean)
+
+    @pytest.mark.parametrize("n", [200, 600])
+    def test_registration_size_bit_equal(self, n):
+        # one score block per array at N=200, six row blocks at N=600; with
+        # numpy's bundled OpenBLAS the row-blocked gemms give the full gemm's
+        # rows at both sizes
+        ps, params = _prepared(n=n, seed=1, ratio=0.3, channels=32)
+        assert (av.SCORE_BLOCK // n >= n) == (n == 200)
+        self._assert_last_layer_equal(*self._both(ps.corrs, ps.hg0, ps.w_h0, params))
+
+    @staticmethod
+    def _support_flips(full, lean, params):
+        """(row, column, score gap) for each entry where the two H^4 differ;
+        the gap is the default pass's update-3 sigmoid score there minus the
+        row's k2-th largest score on the support of H^3."""
+        flips = np.argwhere(full.hs[4] != lean.hs[0])
+        if not len(flips):
+            return []
+        q = hgnn._affine(av.wrap(full.xs[4]), params, "upd.3.q")
+        k = hgnn._affine(av.wrap(full.ys[3]), params, "upd.3.k")
+        with av.no_grad():
+            scores = av.scaled_scores(q, k, 1.0 / np.sqrt(params.channels), None,
+                                      "sigmoid").value
+        k2 = k2_schedule(len(scores))[3]
+        supported = np.where(full.hs[3] > 0, scores, -np.inf)
+        kth = -np.sort(-supported, axis=1)[:, k2 - 1]
+        return [(int(i), int(j), float(scores[i, j] - kth[i])) for i, j in flips]
+
+    @pytest.mark.parametrize("n, block_rows", [(201, None), (333, None), (40, 3)])
+    def test_row_blocked_gemms_within_tolerance(self, monkeypatch, n, block_rows):
+        # q[rows] @ k.T may differ from (q @ k.T)[rows] in the last bits (at
+        # N=333 here, in two row blocks), so the passes agree to 1e-10, and
+        # H^4 only flips at a near-tie of the update's scores
+        ps, params = _prepared(n=n, seed=1, ratio=0.3, channels=32)
+        if block_rows is not None:
+            monkeypatch.setattr(av, "SCORE_BLOCK", block_rows * n)
+        full, lean = self._both(ps.corrs, ps.hg0, ps.w_h0, params)
+        assert np.max(np.abs(lean.xs[0] - full.xs[5])) <= 1e-10
+        assert np.max(np.abs(lean.s_hat - full.s_hat)) <= 1e-10
+        flips = self._support_flips(full, lean, params)
+        assert all(abs(gap) <= 1e-10 for _, _, gap in flips), flips
 
     def test_handed_over_inputs_die_after_their_last_read(self, monkeypatch):
         # w_h0's buffer is the log bias of every attention, and H^0's buffer
