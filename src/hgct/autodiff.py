@@ -257,12 +257,15 @@ _ACTIVATIONS = {"softmax": (_softmax_rows_inplace, _softmax_rows_vjp),
                 "sigmoid": (_sigmoid_inplace, _sigmoid_vjp)}
 
 
-def scaled_scores(q, k, scale: float, bias: Optional[np.ndarray], activation: str,
+def scaled_scores(q, k, scale: float, bias, activation: str,
                   consume: Optional[Callable[[int, np.ndarray], None]] = None
                   ) -> Optional[Var]:
     """activation(q k^T * scale + bias), with activation "softmax" (per row)
     or "sigmoid", one block of about SCORE_BLOCK entries of rows at a time so
-    each block stays in cache. bias is an (N, M) array, or None for no bias.
+    each block stays in cache. bias is None for no bias, or an (N, M) array
+    held in a form that adds its own row blocks, such as
+    compat.SparseWeights: bias.add_rows(first_row, block) adds them into the
+    block in place.
 
     Without `consume` the result is one (N, M) array: the full q k^T, with
     each block finished in place. It is bit-identical to matmul -> mul ->
@@ -290,7 +293,7 @@ def scaled_scores(q, k, scale: float, bias: Optional[np.ndarray], activation: st
             block = np.matmul(q.value[lo:lo + rows], k.value.T, out=buf[:min(rows, n - lo)])
         block *= scale
         if bias is not None:
-            block += bias[lo:lo + rows]
+            bias.add_rows(lo, block)
         finish(block)
         if consume is not None:
             consume(lo, block)

@@ -10,7 +10,7 @@ Architecture (channel width C, 5 convolution layers, 4 structure updates):
     (H^0 = hypergraph.init_hypergraph(w_h0); W_H^0, w_h0 with 1 wherever
     H^0's diagonal is 1, is never built, only summed: see forward)
     X    = relu(X^t + mlp2_t(Xhat))
-    X^{t+1} = l2norm(nonlocal_t(X, W_nl))          W_nl = initial weight matrix
+    X^{t+1} = l2norm(nonlocal_t(X, w_h0))          attention biased by log(w_h0 + eps)
   between layers (t = 0..3):
     S = sigmoid(q_t(X^{t+1}) k_t(Y^t)^T / sqrt(C))
     per vertex row: keep the K2(t) highest-S incident hyperedges,
@@ -22,16 +22,17 @@ The top-K selection is treated as constant support during differentiation:
 gradients (autodiff.grad over the recorded tape) flow through the
 retained sigmoid magnitudes only.
 
-Memory: the inference pass, `forward(..., inference=True)`, which
-`pipeline.register` runs, holds two N x N arrays, its inputs: the w_h0
-buffer becomes the attention's log bias and the H^0 buffer holds H^1..H^4.
-No score array is built. The attention and the update compute their scores
-one row block at a time into one reused buffer, and each finished block
-goes into its rows of the attention's message, or of H^{t+1} and the column
-sums of W_H^{t+1}, before the next block is computed. Its trace keeps only
-X^5, Y^4, H^4 and s_hat. No N x N array holds W_H^0. The default pass builds
-each score array whole, as the tape needs, and the update writes W_H^{t+1}
-into it.
+Memory: w_h0 comes sparse (compat.SparseWeights), and both passes build
+the attention's log bias and W_H^0 from it one row block at a time, so
+neither is an N x N array. The inference pass, `forward(..., inference=True)`,
+which `pipeline.register` runs, holds one N x N array, its input H^0, whose
+buffer holds H^1..H^4 in turn. No score array is built either. The
+attention and the update compute their scores one row block at a time into
+one reused buffer, and each finished block goes into its rows of the
+attention's message, or of H^{t+1} and the column sums of W_H^{t+1}, before
+the next block is computed. Its trace keeps only X^5, Y^4, H^4 and s_hat.
+The default pass builds each score array whole, as the tape needs, and the
+update writes W_H^{t+1} into it.
 
 Checkpoint format: ASCII magic line b"HGCT-CKPT v1\n", then three
 little-endian uint32 (channels, layer count, total parameter count), then all
@@ -48,7 +49,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import autodiff as av
-from .compat import round_half_up
+from .compat import SparseWeights, round_half_up
 from .errors import NonFinite
 from .geom import CorrSet
 
@@ -210,7 +211,14 @@ def _safe_inv(v: np.ndarray) -> np.ndarray:
     return np.where(v > 0, 1.0 / np.where(v > 0, v, 1.0), 0.0)
 
 
-def _nonlocal(x: av.Var, log_bias: np.ndarray, params: HgnnParams, layer: int,
+def _log_bias(w_h0: SparseWeights) -> SparseWeights:
+    """The attention's bias log(w_h0 + eps), sparse as w_h0 is: every
+    unlisted entry is log(0 + eps)."""
+    return SparseWeights(w_h0.n, w_h0.index, np.log(w_h0.value + NONLOCAL_EPS),
+                         fill=float(np.log(0.0 + NONLOCAL_EPS)))
+
+
+def _nonlocal(x: av.Var, log_bias: SparseWeights, params: HgnnParams, layer: int,
               stream: bool = False) -> av.Var:
     """x + out(softmax(theta(x) phi(x)^T / sqrt(C) + log_bias) g(x)). With
     `stream`, each row block of the attention is multiplied into its rows of
@@ -319,40 +327,51 @@ def _update(x: av.Var, y: av.Var, h: np.ndarray, params: HgnnParams, t: int,
     return h, None, av.wrap(sums)
 
 
-def _initial_edge_weights(w: np.ndarray, h0: np.ndarray) -> np.ndarray:
-    """Column sums of W_H^0 from w, an array holding w_h0, which is left as
-    it was. W_H^0 is w_h0 with 1 on the self-memberships (the diagonal of
-    H^0): they are written into w for the sum and restored after it. For a
-    C-contiguous w (a copy, or the graph build's w_h0) the sums are those of
-    a W_H^0 array, bit for bit."""
-    self_members = np.flatnonzero(h0.diagonal())
-    diagonal = w[self_members, self_members]
-    w[self_members, self_members] = 1.0
-    sums = w.sum(axis=0)
-    w[self_members, self_members] = diagonal
+def _initial_edge_weights(w_h0: SparseWeights, h0: np.ndarray) -> np.ndarray:
+    """Column sums of W_H^0, which is w_h0 with 1 on the self-memberships
+    (the diagonal of H^0). Each row block of W_H^0 is written into one
+    reused buffer and added to the sums in row order, each block's first row
+    adding the sums so far, as numpy sums a whole array down axis 0, so they
+    are the sums of a W_H^0 array, bit for bit."""
+    n = w_h0.n
+    self_member = h0.diagonal() != 0
+    rows = max(1, av.SCORE_BLOCK // n)
+    buf = np.empty((min(rows, n), n))
+    sums = None
+    for lo in range(0, n, rows):
+        block = buf[:min(rows, n - lo)]
+        block.fill(0.0)
+        w_h0.add_rows(lo, block)
+        members = np.flatnonzero(self_member[lo:lo + rows])
+        block[members, lo + members] = 1.0
+        if sums is not None:
+            block[0] += sums
+        sums = block.sum(axis=0)
     return sums
 
 
-def forward(corrs: CorrSet, hg0: np.ndarray, w_h0: np.ndarray,
+def forward(corrs: CorrSet, hg0: np.ndarray, w_h0: SparseWeights,
             params: HgnnParams, inference: bool = False) -> ForwardTrace:
     """Run the network on one correspondence set.
 
     hg0 is the incidence H^0 of the initial hypergraph (init_hypergraph of
-    w_h0); w_h0 is the raw initial weight matrix, the NonLocal attention bias,
-    from which the layer-0 hyperedge weights are summed. The default pass
-    records the autodiff tape unless called under autodiff.no_grad(), keeps
-    every layer and never modifies its arguments: each update writes H^{t+1}
-    over a copy of H^t. An inference pass (inference=True) overwrites them:
-    w_h0 becomes the log bias and hg0 holds H^1, then H^2 and on. Its trace
-    holds only the last layer (xs = [X^5], ys = [Y^4], hs = [H^4], which is
-    hg0, the same for x_vars and y_vars; whs and wh_vars are empty), and it
-    streams each score array in row blocks, so no W_H^t is built whole: only
-    its column sums are. A row-blocked gemm may differ from the full one in
-    the last bits, so the two passes agree to rounding. Neither trace keeps
-    w_h0: w_nonlocal is an empty (0, 0) array. A tape's backward pass reads the
-    H^t that it overwrites, so under a tape it raises ValueError before it
-    touches its arguments. Every layer is checked for non-finite values as it
-    is computed, so NonFinite names the first bad one.
+    w_h0); w_h0 holds the initial weights (a CompatGraph's, or
+    compat.sparse_weights of an array), from which the NonLocal attention's
+    log bias is built and the layer-0 hyperedge weights are summed, a row
+    block at a time. Neither pass modifies w_h0. The default pass records
+    the autodiff tape unless called under autodiff.no_grad(), keeps every
+    layer and never modifies its arguments: each update writes H^{t+1} over
+    a copy of H^t. An inference pass (inference=True) overwrites hg0 with
+    H^1, then H^2 and on. Its trace holds only the last layer (xs = [X^5],
+    ys = [Y^4], hs = [H^4], which is hg0, the same for x_vars and y_vars;
+    whs and wh_vars are empty), and it streams each score array in row
+    blocks, so no W_H^t is built whole: only its column sums are. A
+    row-blocked gemm may differ from the full one in the last bits, so the
+    two passes agree to rounding. Neither trace keeps w_h0: w_nonlocal is an
+    empty (0, 0) array. A tape's backward pass reads the H^t that it
+    overwrites, so under a tape it raises ValueError before it touches its
+    arguments. Every layer is checked for non-finite values as it is
+    computed, so NonFinite names the first bad one.
     """
     n = len(corrs)
     if n < 3:
@@ -364,11 +383,8 @@ def forward(corrs: CorrSet, hg0: np.ndarray, w_h0: np.ndarray,
         raise ValueError("an inference pass records no tape: run it under "
                          "autodiff.no_grad()")
     h = hg0
-    w_h0 = np.asarray(w_h0, dtype=np.float64)
-    log_bias = w_h0 if inference else w_h0.copy()
-    we = av.wrap(_initial_edge_weights(log_bias, h))
-    log_bias += NONLOCAL_EPS
-    np.log(log_bias, out=log_bias)
+    we = av.wrap(_initial_edge_weights(w_h0, h))
+    log_bias = _log_bias(w_h0)
     k2s = k2_schedule(n)
 
     x_vars: List[av.Var] = []

@@ -217,7 +217,7 @@ def register(corrs: CorrSet, params: HgnnParams, cc: CompatConfig,
     t0 = time.perf_counter()
     g = build_compat_graph(corrs, cc)
     w_h0, theta_cmp = g.w_h0, g.theta_cmp
-    del g  # frees w_gamma, which nothing below reads
+    del g  # frees w_gamma's support, which nothing below reads
     h0 = init_hypergraph(w_h0)
     timings["graph_ms"] = 1000.0 * (time.perf_counter() - t0)
     labels = corrs.labels
@@ -230,7 +230,7 @@ def register(corrs: CorrSet, params: HgnnParams, cc: CompatConfig,
     t0 = time.perf_counter()
     with av.no_grad():
         trace = forward(corrs, h0, w_h0, params, inference=True)
-    del w_h0  # now the log bias; h0 holds H^4, which the trace keeps
+    del w_h0  # nothing below reads it; h0 now holds H^4, which the trace keeps
     timings["network_ms"] = 1000.0 * (time.perf_counter() - t0)
 
     t0 = time.perf_counter()

@@ -15,7 +15,8 @@ from typing import Dict, Iterable, List, Optional
 import numpy as np
 
 from . import autodiff as av
-from .compat import CompatConfig, build_compat_graph, check_positive, round_half_up
+from .compat import (CompatConfig, SparseWeights, build_compat_graph, check_positive,
+                     round_half_up)
 from .errors import NonFinite
 from .geom import CorrSet, RigidTransform, inlier_labels, random_rotation
 from .hgnn import ForwardTrace, HgnnParams, forward, init_params
@@ -189,7 +190,7 @@ class Adam:
 class PreparedScene:
     corrs: CorrSet
     hg0: np.ndarray     # the incidence H^0
-    w_h0: np.ndarray
+    w_h0: SparseWeights
     labels: np.ndarray
 
 

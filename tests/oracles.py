@@ -8,10 +8,12 @@ the package; `nonlocal_apply`, a test entry point into the network's
 attention block; `single_fit`, one (K, 3) fit through the package's
 stacked solver; the `*_reference` and `*_chain` helpers, which keep the
 allocating numpy expressions and unfused tape ops that the package's in-place
-kernels must equal bit for bit; the initial hyperedge weights W_H^0, which
-the package never builds, and the test-only views of a hypergraph's
-incidence h and weights w_h (degrees, weights, empty-edge count, a debug
-listing); the per-correspondence types and scalar functions (Point3,
+kernels must equal bit for bit; `dense` and `dense_graph`, the arrays behind
+the package's sparse initial weights and its graph's support (the latter
+rescored through the package's `gamma_matrix`); the initial hyperedge
+weights W_H^0, which the package never builds, and the test-only views of a
+hypergraph's incidence h and weights w_h (degrees, weights, empty-edge
+count, a debug listing); the per-correspondence types and scalar functions (Point3,
 Correspondence, rigid_distance, compat_score, residual) and the rigid-motion
 and permutation helpers (identity, apply, compose, inverse, is_valid,
 permuted), which the package works without; and the tape-level row softmax
@@ -25,8 +27,10 @@ from typing import Optional
 import numpy as np
 
 from hgct import autodiff as av
+from hgct import kernels
+from hgct.compat import CompatGraph, SparseWeights, sparse_weights
 from hgct.geom import CorrSet, RigidTransform, kabsch_svd
-from hgct.hgnn import NONLOCAL_EPS, _nonlocal
+from hgct.hgnn import _log_bias, _nonlocal
 
 
 def rigid_distance_loop(si, ti, sj, tj):
@@ -142,7 +146,9 @@ def sigmoid_scalar(x):
 
 
 def nonlocal_loop(x, w, params, layer, channels):
-    """Attention with log-weight bias, all contractions by explicit loops."""
+    """Attention with log-weight bias, all contractions by explicit loops;
+    w is an array or SparseWeights."""
+    w = dense(w)
     n = x.shape[0]
     q = affine(x, params.value(f"nl.{layer}.theta.w"), params.value(f"nl.{layer}.theta.b"))
     k = affine(x, params.value(f"nl.{layer}.phi.w"), params.value(f"nl.{layer}.phi.b"))
@@ -165,7 +171,7 @@ def nonlocal_loop(x, w, params, layer, channels):
 def nonlocal_apply(x, w, params, layer=0):
     """The network's attention block A @ g(X), biased by log(w + eps), run
     alone without the tape; `w` is any symmetric nonnegative matrix."""
-    bias = np.log(np.asarray(w, dtype=np.float64) + NONLOCAL_EPS)
+    bias = _log_bias(sparse_weights(w))
     with av.no_grad():
         out = _nonlocal(av.wrap(np.asarray(x, dtype=np.float64)), bias, params, layer)
     return out.value
@@ -333,17 +339,59 @@ def gamma_matrix_reference(src, tgt, sigma_d):
     return g
 
 
+# dense arrays behind sparse weights and a graph's support
+
+def dense(w):
+    """The (n, n) array that SparseWeights w holds; an array is returned as
+    an array."""
+    if not isinstance(w, SparseWeights):
+        return np.asarray(w, dtype=np.float64)
+    out = np.full((w.n, w.n), w.fill)
+    out.reshape(-1)[w.index] = w.value
+    return out
+
+
+def dense_graph(g, corrs, sigma_d):
+    """The CompatGraph g with dense values: w_gamma holds the scores on its
+    support (recomputed by the package's gamma_matrix, which the graph build
+    thresholds) and w_h0 the array of its SparseWeights."""
+    w_gamma = np.where(g.w_gamma, kernels.gamma_matrix(corrs.src, corrs.tgt, sigma_d), 0.0)
+    return CompatGraph(w_gamma=w_gamma, w_h0=dense(g.w_h0), theta_cmp=g.theta_cmp)
+
+
 # the initial hyperedge weights, and test-only views of an incidence h and
 # hyperedge weights w_h
 
 def initial_weights(w_h0):
-    """W_H^0: the initial weights w_h0 with weight 1 on the diagonal of every
-    non-isolated vertex, the self-membership that init_hypergraph adds to
-    H^0."""
+    """W_H^0: the initial weights w_h0 (an array or SparseWeights) with
+    weight 1 on the diagonal of every non-isolated vertex, the
+    self-membership that init_hypergraph adds to H^0."""
+    w_h0 = dense(w_h0)
     w_h = w_h0.copy()
     idx = np.flatnonzero((w_h0 > 0).sum(axis=1) > 0)
     w_h[idx, idx] = 1.0
     return w_h
+
+
+def init_hypergraph_reference(w_h0):
+    """H^0 by the dense rule: the positive support of the array w_h0, plus
+    self-membership of every vertex whose row is not empty."""
+    h = (w_h0 > 0).astype(np.float64)
+    idx = np.flatnonzero(h.sum(axis=1) > 0)
+    h[idx, idx] = 1.0
+    return h
+
+
+def initial_edge_weights_reference(w, h0):
+    """Column sums of W_H^0 from w, an array holding w_h0, which is left as
+    it was: 1 is written on the self-memberships (the diagonal of H^0) for
+    the sum of the whole array and restored after it."""
+    self_members = np.flatnonzero(h0.diagonal())
+    diagonal = w[self_members, self_members]
+    w[self_members, self_members] = 1.0
+    sums = w.sum(axis=0)
+    w[self_members, self_members] = diagonal
+    return sums
 
 
 def vertex_degrees(h):

@@ -85,7 +85,7 @@ def test_c1_oracle_equivalence():
                    - oracles.dynamic_threshold_loop(gamma, 0.1)) < 1e-10
         trials += 1
         try:
-            g = build_compat_graph(sc, CompatConfig(sigma_d=0.3))
+            g = oracles.dense_graph(build_compat_graph(sc, CompatConfig(sigma_d=0.3)), sc, 0.3)
         except Exception:
             continue  # rare all-incompatible draw: pairwise oracles still ran
         assert np.max(np.abs(g.w_h0 - oracles.sog_weights_loop(g.w_gamma))) < 1e-10
@@ -338,7 +338,7 @@ def test_c8_invariant_suites():
         assert np.array_equal(gamma, gamma.T)
         assert np.all((gamma >= 0) & (gamma <= 1)) and np.all(np.diag(gamma) == 0)
         try:
-            g = build_compat_graph(sc, CompatConfig(sigma_d=0.5))
+            g = oracles.dense_graph(build_compat_graph(sc, CompatConfig(sigma_d=0.5)), sc, 0.5)
         except Exception:
             cases += 1
             continue

@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 from hgct import autodiff as av
+from hgct.compat import SparseWeights, sparse_weights
 
 
 def fd_check(fn, args, step=1e-6, tol=1e-6):
@@ -153,12 +154,21 @@ class TestInPlaceOps:
 
 class TestScaledScores:
     """The fused score primitive against the allocating expressions and the
-    unfused tape ops, bit for bit, in both activations."""
+    unfused tape ops, bit for bit, in both activations. The primitive takes
+    its bias sparse, as the network does: the (N, N) array equals a fill
+    value except at the listed entries, and it is added to each row block in
+    place."""
 
     ACTS = ["softmax", "sigmoid"]
+    FILL = -1e30
+
+    @classmethod
+    def _sparse(cls, bias):
+        index = np.flatnonzero(bias != cls.FILL)
+        return SparseWeights(len(bias), index, bias.reshape(-1)[index], fill=cls.FILL)
 
     @staticmethod
-    def _case(rng, n=24, m=30, c=5):
+    def _case(rng, n=30, m=30, c=5):
         q = rng.normal(size=(n, c))
         k = rng.normal(size=(m, c))
         bias = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-3, 3, (n, m))
@@ -179,20 +189,21 @@ class TestScaledScores:
     @pytest.mark.parametrize("track", [False, True])
     def test_forward_bit_equal(self, rng, block, activation, track):
         q, k, bias = self._case(rng)
-        inputs = [a.copy() for a in (q, k, bias)]
+        sparse = self._sparse(bias)
+        inputs = [a.copy() for a in (q, k, bias, sparse.index, sparse.value)]
         wrap = av.param if track else av.wrap
-        out = av.scaled_scores(wrap(q), wrap(k), 0.37, bias, activation)
+        out = av.scaled_scores(wrap(q), wrap(k), 0.37, sparse, activation)
         ref = oracles.scaled_scores_reference(q, k, 0.37, bias, activation)
         assert np.array_equal(_bits(out.value), _bits(ref))
         chain = oracles.scaled_scores_chain(wrap(q), wrap(k), 0.37, bias, activation)
         assert np.array_equal(_bits(out.value), _bits(chain.value))
-        for a, b in zip(inputs, (q, k, bias)):
+        for a, b in zip(inputs, (q, k, bias, sparse.index, sparse.value)):
             assert np.array_equal(a, b)  # inputs left untouched
 
     @pytest.mark.parametrize("activation", ACTS)
     @pytest.mark.parametrize("track", [False, True])
     def test_without_bias_bit_equal(self, rng, block, activation, track):
-        q, k, _ = self._case(rng)
+        q, k, _ = self._case(rng, n=24)          # no bias: any shape
         q[0] = 0.0                               # zero scores, of either sign
         q[1] = -q[1] * 1e3                       # saturated sigmoids
         wrap = av.param if track else av.wrap
@@ -214,8 +225,8 @@ class TestScaledScores:
         q, k, bias = self._case(rng)
         g = rng.normal(size=bias.shape)
         qa, ka = av.param(q), av.param(k)
-        dq, dk = av.grad(av.vsum(av.mul(av.scaled_scores(qa, ka, 0.37, bias, activation),
-                                        g)), [qa, ka])
+        dq, dk = av.grad(av.vsum(av.mul(av.scaled_scores(qa, ka, 0.37, self._sparse(bias),
+                                                         activation), g)), [qa, ka])
         qb, kb = av.param(q), av.param(k)
         rq, rk = av.grad(av.vsum(av.mul(
             oracles.scaled_scores_chain(qb, kb, 0.37, bias, activation), g)), [qb, kb])
@@ -233,11 +244,11 @@ class TestScaledScores:
 
     @pytest.mark.parametrize("activation", ACTS)
     def test_finite_differences(self, rng, block, activation):
-        bias = rng.normal(size=(4, 5))
-        weights = rng.normal(size=(4, 5))
+        bias = sparse_weights(rng.normal(size=(5, 5)))
+        weights = rng.normal(size=(5, 5))
         fd_check(lambda q, k: av.vsum(av.mul(av.scaled_scores(q, k, 0.7, bias, activation),
                                              weights)),
-                 [rng.normal(size=(4, 3)), rng.normal(size=(5, 3))])
+                 [rng.normal(size=(5, 3)), rng.normal(size=(5, 3))])
 
     def test_exp_is_zero_below_the_underflow_cut(self):
         x = np.concatenate([-np.geomspace(-av.EXP_UNDERFLOW, 1e308, 4001), [-np.inf]])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from hgct import autodiff as av
 from hgct import hgnn
+from hgct.compat import sparse_weights
 from hgct.errors import NonFinite
 from hgct.geom import CorrSet
 from hgct.hgnn import (_topk_retention, _update, forward, init_params,
@@ -34,7 +35,8 @@ def _s_hat_grads(trace, params, seed):
 
 def _generic_instance(seed, n=12, channels=8, density=0.5):
     """Random correspondences plus a generic weighted graph: continuous
-    weights, distinct hyperedge member sets, no isolated vertices."""
+    weights, distinct hyperedge member sets, no isolated vertices. The
+    weights come sparse, as the graph build gives them."""
     rng = np.random.default_rng(seed)
     corrs = CorrSet(rng.uniform(-1, 1, (n, 3)), rng.uniform(-1, 1, (n, 3)))
     while True:
@@ -45,6 +47,7 @@ def _generic_instance(seed, n=12, channels=8, density=0.5):
         if len(cols) == n and np.all((w > 0).sum(axis=0) > 0):
             break
     params = init_params(channels=channels, seed=seed + 50)
+    w = sparse_weights(w)
     return corrs, init_hypergraph(w), w, params
 
 
@@ -199,6 +202,70 @@ class TestUpdate:
         assert not np.array_equal(we_kept.value, w_kept.value[::-1].copy().sum(axis=0))
 
 
+class TestSparseInitialWeights:
+    """The attention's log bias and W_H^0's column sums, built a row block at
+    a time from the sparse w_h0, against the dense expressions, bit for bit."""
+
+    @staticmethod
+    def _cases():
+        """(w_h0, H^0) pairs: a registration-size graph, a graph with
+        isolated vertices, an all-empty one, a matrix with a nonzero
+        diagonal (which W_H^0's self-memberships replace), and a column whose
+        sum depends on the order of its additions (1e16 + 1 rounds to 1e16,
+        so summing a block of ones first would change it)."""
+        ps, _ = _prepared(n=200, seed=1, ratio=0.3)
+        cases = [ps.w_h0]
+        w = oracles.dense(ps.w_h0)[:60, :60].copy()
+        w[[5, 17, 59]] = 0.0
+        w[:, [5, 17, 59]] = 0.0
+        cases.append(sparse_weights(w))
+        cases.append(sparse_weights(np.zeros((7, 7))))
+        rng = np.random.default_rng(0)
+        w = rng.uniform(size=(9, 9)) * (rng.uniform(size=(9, 9)) < 0.5)
+        w[3] = 0.0
+        cases.append(sparse_weights(w))
+        w = np.zeros((30, 30))
+        w[0, 5], w[1:30, 5] = 1e16, 1.0
+        cases.append(sparse_weights(w))
+        return [(w, init_hypergraph(w)) for w in cases]
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_log_bias_blocks_equal_dense_log(self, rows):
+        # added block by block onto scores, as the attention adds it
+        rng = np.random.default_rng(1)
+        for w, _ in self._cases():
+            n = w.n
+            dense_bias = np.log(oracles.dense(w) + hgnn.NONLOCAL_EPS)
+            scores = rng.normal(size=(n, n))
+            got = scores.copy()
+            bias = hgnn._log_bias(w)
+            step = rows or n
+            for lo in range(0, n, step):
+                bias.add_rows(lo, got[lo:lo + step])
+            want = scores + dense_bias
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            zeros = np.zeros((n, n))
+            bias.add_rows(0, zeros)
+            assert np.array_equal(zeros.view(np.int64), dense_bias.view(np.int64))
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_column_sums_equal_dense_sums(self, monkeypatch, rows):
+        for w, h0 in self._cases():
+            if rows is not None:
+                monkeypatch.setattr(av, "SCORE_BLOCK", rows * w.n)
+            want = oracles.initial_edge_weights_reference(oracles.dense(w), h0)
+            got = hgnn._initial_edge_weights(w, h0)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert np.array_equal(got, oracles.initial_weights(w).sum(axis=0))
+            assert not np.any(got[~h0.any(axis=0)])  # empty hyperedges weigh 0
+
+    def test_all_empty_graph_sums_to_zero(self):
+        w = sparse_weights(np.zeros((5, 5)))
+        h0 = init_hypergraph(w)
+        assert not np.any(h0)
+        assert np.array_equal(hgnn._initial_edge_weights(w, h0), np.zeros(5))
+
+
 class TestConventions:
     def test_isolated_vertex_stays_isolated(self):
         # vertex 3 disconnected: empty hyperedge aggregate stays zero and the
@@ -209,6 +276,7 @@ class TestConventions:
                 if i != j:
                     w[i, j] = 1.0
         w[4, 0] = w[0, 4] = 0.5
+        w = sparse_weights(w)
         h0 = init_hypergraph(w)
         assert np.all(h0[3] == 0)
         rng = np.random.default_rng(0)
@@ -261,7 +329,8 @@ class TestConventions:
             rng = np.random.default_rng(seed + 100)
             perm = rng.permutation(12)
             pc = oracles.permuted(corrs, perm)
-            ptr = forward(pc, h0[np.ix_(perm, perm)], w0[np.ix_(perm, perm)], params)
+            pw = sparse_weights(oracles.dense(w0)[np.ix_(perm, perm)])
+            ptr = forward(pc, h0[np.ix_(perm, perm)], pw, params)
             assert np.allclose(ptr.s_hat, tr.s_hat[perm], atol=1e-9)
             assert np.array_equal(ptr.h_final, tr.h_final[np.ix_(perm, perm)])
             assert np.allclose(ptr.x_final, tr.x_final[perm], atol=1e-9)
@@ -276,10 +345,10 @@ class TestConventions:
     def test_nonfinite_initial_weights_name_w_h0(self, inference):
         # W_H^0 is never built, but its column sums are checked under its name
         ps, params = _prepared(n=10, channels=8)
-        w0 = ps.w_h0.copy()
+        w0 = oracles.dense(ps.w_h0)
         w0[0, 1] = w0[1, 0] = np.inf
         with av.no_grad(), pytest.raises(NonFinite, match=r"W_H\^0"):
-            forward(ps.corrs, ps.hg0, w0, params, inference=inference)
+            forward(ps.corrs, ps.hg0, sparse_weights(w0), params, inference=inference)
 
 
 class TestLeanForward:
@@ -290,7 +359,7 @@ class TestLeanForward:
     def _both(corrs, hg0, w0, params):
         with av.no_grad():
             full = forward(corrs, hg0, w0, params)
-            lean = forward(corrs, hg0.copy(), w0.copy(), params, inference=True)
+            lean = forward(corrs, hg0.copy(), w0, params, inference=True)
         return full, lean
 
     def _assert_last_layer_equal(self, full, lean):
@@ -358,14 +427,16 @@ class TestLeanForward:
         assert all(abs(gap) <= 1e-10 for _, _, gap in flips), flips
 
     def test_handed_over_inputs_die_after_their_last_read(self, monkeypatch):
-        # w_h0's buffer is the log bias of every attention, and H^0's buffer
-        # holds H^{t+1} after update t and is H^4 in the trace; nothing else
-        # of the inputs survives the trace
+        # every attention reads one sparse log bias, built once from w_h0,
+        # which is left as it was; H^0's buffer holds H^{t+1} after update t
+        # and is H^4 in the trace; nothing else of the inputs survives the
+        # trace
         ps, params = _prepared(n=12, seed=1, channels=8)
         with av.no_grad():
             plain = forward(ps.corrs, ps.hg0, ps.w_h0, params)
         h0 = ps.hg0.copy()
-        w0 = ps.w_h0.copy()
+        w0 = sparse_weights(oracles.dense(ps.w_h0))
+        index, value = w0.index.copy(), w0.value.copy()
         refs = {"H^0": weakref.ref(h0), "w_h0": weakref.ref(w0)}
         biases, supports = [], []
 
@@ -376,7 +447,7 @@ class TestLeanForward:
             return out
 
         def spy_nonlocal(x, log_bias, *args):
-            biases.append(log_bias is refs["w_h0"]())
+            biases.append(log_bias)
             return attention(x, log_bias, *args)
 
         attention = hgnn._nonlocal
@@ -384,8 +455,12 @@ class TestLeanForward:
         monkeypatch.setattr(hgnn, "_nonlocal", spy_nonlocal)
         with av.no_grad():
             got = forward(ps.corrs, h0, w0, params, inference=True)
+        assert np.array_equal(w0.index, index) and np.array_equal(w0.value, value)
         del h0, w0
-        assert supports == [True] * 8 and biases == [True] * 5
+        assert supports == [True] * 8 and len(biases) == 5
+        assert all(b is biases[0] for b in biases)
+        assert np.array_equal(oracles.dense(biases[0]),
+                              np.log(oracles.dense(ps.w_h0) + hgnn.NONLOCAL_EPS))
         assert refs["w_h0"]() is None
         assert got.hs[0] is refs["H^0"]()
         assert got.w_nonlocal.shape == (0, 0)
@@ -398,20 +473,20 @@ class TestLeanForward:
         # the conv's backward pass reads the H^t that an inference pass
         # overwrites; the inputs are left as they were
         ps, params = _prepared(n=12, seed=2, channels=8)
-        h0, w0 = ps.hg0.copy(), ps.w_h0.copy()
+        h0 = ps.hg0.copy()
         with pytest.raises(ValueError, match="no_grad"):
-            forward(ps.corrs, h0, w0, params, inference=True)
-        assert np.array_equal(h0, ps.hg0) and np.array_equal(w0, ps.w_h0)
+            forward(ps.corrs, h0, ps.w_h0, params, inference=True)
+        assert np.array_equal(h0, ps.hg0)
 
     def test_input_hypergraph_left_unchanged(self):
         # the default pass, taped or not, never modifies its arguments, and
         # its trace keeps no reference to w_h0
         corrs, h0, w0, params = _generic_instance(3)
-        h, w = h0.copy(), w0.copy()
+        h, w = h0.copy(), oracles.dense(w0)
         taped = forward(corrs, h0, w0, params)
         with av.no_grad():
             plain = forward(corrs, h0, w0, params)
-        assert np.array_equal(h0, h) and np.array_equal(w0, w)
+        assert np.array_equal(h0, h) and np.array_equal(oracles.dense(w0), w)
         assert taped.hs[0] is h0
         assert taped.w_nonlocal.shape == plain.w_nonlocal.shape == (0, 0)
 

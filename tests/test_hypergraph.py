@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from hgct.compat import CompatConfig, build_compat_graph
+from hgct.compat import CompatConfig, build_compat_graph, sparse_weights
 from hgct.errors import NoEdges
 from hgct.geom import CorrSet
 from hgct.hypergraph import gt_hypergraph, hyperedge_precision, init_hypergraph
@@ -19,7 +19,7 @@ def _random_hypergraph(rng, n=10, density=0.4):
 class TestInit:
     def test_three_clique(self):
         w = np.ones((3, 3)) - np.eye(3)
-        h = init_hypergraph(w)
+        h = init_hypergraph(sparse_weights(w))
         # every hyperedge contains all three vertices (self-membership added)
         assert h.dtype == np.float64 and np.array_equal(h, np.ones((3, 3)))
         assert np.array_equal(hyperedge_degrees(h), [3, 3, 3])
@@ -28,7 +28,7 @@ class TestInit:
     def test_isolated_vertex(self):
         w = np.zeros((4, 4))
         w[0, 1] = w[1, 0] = 0.5
-        h = init_hypergraph(w)
+        h = init_hypergraph(sparse_weights(w))
         assert np.all(h[2] == 0) and np.all(h[:, 2] == 0)
         assert vertex_degrees(h)[2] == 0
         assert initial_weights(w)[2, 2] == 0.0
@@ -38,7 +38,7 @@ class TestInit:
             w = rng.uniform(size=(8, 8)) * (rng.uniform(size=(8, 8)) < 0.3)
             w = np.triu(w, 1)
             w = w + w.T
-            h = init_hypergraph(w)
+            h = init_hypergraph(sparse_weights(w))
             for i in range(8):
                 for j in range(8):
                     if i == j:
@@ -51,7 +51,7 @@ class TestInit:
         w = rng.uniform(size=(6, 6)) * (rng.uniform(size=(6, 6)) < 0.5)
         w = np.triu(w, 1)
         w = w + w.T
-        h = init_hypergraph(w)
+        h = init_hypergraph(sparse_weights(w))
         assert np.array_equal(h, h.T)
         assert np.array_equal(initial_weights(w), initial_weights(w).T)
 
@@ -61,6 +61,20 @@ class TestInit:
         g = build_compat_graph(cs, CompatConfig(sigma_d=0.1))
         h = init_hypergraph(g.w_h0)
         assert np.all((initial_weights(g.w_h0) > 0) <= (h > 0))
+
+    def test_sparse_rule_equals_dense_rule(self, rng):
+        # the positive entries scattered, and self-membership for every row
+        # with one, found from the row bounds; negative and NaN entries are
+        # listed in the sparse form but are not members
+        for n in (1, 2, 5, 13, 40):
+            for density in (0.0, 0.1, 0.5, 1.0):
+                w = rng.normal(size=(n, n)) * (rng.uniform(size=(n, n)) < density)
+                w[rng.integers(n)] = 0.0
+                if n > 2:
+                    w[0, 1] = np.nan
+                want = oracles.init_hypergraph_reference(w)
+                got = init_hypergraph(sparse_weights(w))
+                assert got.dtype == np.float64 and np.array_equal(got, want)
 
 
 class TestDegrees:

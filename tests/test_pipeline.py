@@ -484,14 +484,11 @@ class TestRegister:
             register(CorrSet(src, tgt), params,
                      CompatConfig(sigma_d=0.001), PipelineConfig())
 
-    def test_peak_memory_is_bounded(self):
-        # register frees every N x N array after its last read, reuses the
-        # buffers of w_h0 and H^0 in place and streams the network's score
-        # arrays in row blocks: at most 3 N x N float64 arrays at its peak
-        # (about 2.8; the dense floor is 2, the log bias and H^t, plus
-        # block-sized scratch)
+    @staticmethod
+    def _peak_square_arrays(n):
+        """tracemalloc peak of one warm register on a 30 %-inlier scene, in
+        N x N float64 arrays."""
         import tracemalloc
-        n = 600
         sc = gen_scene(SynthConfig(n_corrs=n, inlier_ratio=0.3, seed=1))
         params = init_params(channels=32, seed=0)
         cc, pc = CompatConfig(), PipelineConfig()
@@ -502,7 +499,22 @@ class TestRegister:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / (8.0 * n * n) <= 3.0
+        return peak / (8.0 * n * n)
+
+    def test_peak_memory_is_bounded(self):
+        # register frees every N x N array after its last read, builds the
+        # graph in place, keeps w_h0 sparse, reuses H^0's buffer and streams
+        # the network's score arrays and log bias in row blocks. H^t is the
+        # one N x N array past the graph build; at N=600 the sparse weights
+        # (13 % of N x N) and block-sized scratch take most of the rest
+        # (measured 2.15; 2.76 when the log bias was dense)
+        assert self._peak_square_arrays(600) <= 2.35
+
+    def test_peak_memory_at_n2000(self):
+        # at N=2000 the peak is the graph build's: the score matrix, its
+        # support and the sparse w_h0 (measured 1.59; 2.18 when the log bias
+        # was dense and the SOG product a second array)
+        assert self._peak_square_arrays(2000) <= 1.7
 
     @pytest.mark.parametrize("seed", [1, 4, 6])
     def test_labelled_scene_with_empty_initial_hypergraph(self, seed):
@@ -514,7 +526,7 @@ class TestRegister:
         tgt = src + rng.normal(0, 0.15, (12, 3))
         params = init_params(8, 0)
         cc, pc = CompatConfig(sigma_d=0.1), PipelineConfig()
-        assert not np.any(build_compat_graph(CorrSet(src, tgt), cc).w_h0)
+        assert not np.any(oracles.dense(build_compat_graph(CorrSet(src, tgt), cc).w_h0))
         t_plain, diag_plain = register(CorrSet(src, tgt), params, cc, pc)
         labelled = CorrSet(src, tgt, labels=np.ones(12, dtype=bool))
         t, diag = register(labelled, params, cc, pc)
