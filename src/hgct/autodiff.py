@@ -1,10 +1,16 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
-A Var wraps an ndarray and remembers how it was produced; `grad` walks
-the recorded graph once, accumulating vector-Jacobian products. Only the ops
-the network and losses actually need are provided. Constants (plain arrays,
+A Var holds a value and whether gradients flow to it. A tracked result also
+holds its tape entry, a _Node: the entries of its tracked parents and one
+VJP per parent. The tape is made of entries, not Vars, and each VJP
+captures only the arrays and shapes it reads (an operand, an output or a
+boolean mask), so every other array of the forward pass is freed as soon
+as its Var is, while the tape lives. `grad` walks the entries once in
+topological order, accumulating vector-Jacobian products. Only the ops the
+network and losses actually need are provided. Constants (plain arrays,
 untracked Vars) terminate gradient flow, which is how fixed incidence masks
-and degree scalings enter the graph as non-differentiable data.
+and degree scalings enter the graph as non-differentiable data; no VJP of
+a constant parent is kept.
 """
 
 import contextlib
@@ -27,14 +33,27 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
+class _Node:
+    """A tracked value's tape entry: its tracked parents' entries, and for
+    each parent a VJP, g -> that parent's share of the gradient. A leaf has
+    none of either. A VJP captures only the arrays and shapes it reads, so
+    any other array of the forward pass is freed once its Var is."""
+
+    __slots__ = ("parents", "vjps")
+
+    def __init__(self, parents: Tuple["_Node", ...] = (),
+                 vjps: Tuple[Callable[[np.ndarray], np.ndarray], ...] = ()):
+        self.parents = parents
+        self.vjps = vjps
+
+
 class Var:
-    __slots__ = ("value", "track", "_parents", "_vjp")
+    __slots__ = ("value", "track", "_node")
 
     def __init__(self, value, track: bool = False):
         self.value = np.asarray(value, dtype=np.float64)
         self.track = track
-        self._parents: Tuple["Var", ...] = ()
-        self._vjp = None
+        self._node: Optional[_Node] = _Node() if track else None
 
 
 def param(value) -> Var:
@@ -46,19 +65,25 @@ def wrap(x) -> Var:
     return x if isinstance(x, Var) else Var(x)
 
 
-def _result(value, parents: Sequence[Var], vjp) -> Var:
+def _tape(*edges) -> Optional[_Node]:
+    """The tape entry of a value computed from the parents of `edges`, each
+    a pair (parent Var, its VJP), or None when recording is off or no parent
+    is tracked. The VJPs of untracked parents are dropped here, and with
+    them whatever they captured."""
+    if not _GRAD_ENABLED:
+        return None
+    live = [(p._node, vjp) for p, vjp in edges if p.track]
+    if not live:
+        return None
+    parents, vjps = zip(*live)
+    return _Node(parents, vjps)
+
+
+def _result(value, *edges) -> Var:
     out = Var(value)
-    if _GRAD_ENABLED and any(p.track for p in parents):
-        out.track = True
-        out._parents = tuple(parents)
-        out._vjp = vjp
+    out._node = _tape(*edges)
+    out.track = out._node is not None
     return out
-
-
-def _tracked(*pairs) -> List[Tuple["Var", np.ndarray]]:
-    """VJP pairs (parent, gradient) for the tracked parents only. Each
-    gradient is given as a function, so a constant's is never computed."""
-    return [(parent, grad_of()) for parent, grad_of in pairs if parent.track]
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
@@ -80,73 +105,55 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 
 def add(a, b) -> Var:
     a, b = wrap(a), wrap(b)
-
-    def vjp(g):
-        return _tracked((a, lambda: _unbroadcast(g, a.value.shape)),
-                        (b, lambda: _unbroadcast(g, b.value.shape)))
-
-    return _result(a.value + b.value, (a, b), vjp)
+    sa, sb = a.value.shape, b.value.shape
+    return _result(a.value + b.value, (a, lambda g: _unbroadcast(g, sa)),
+                   (b, lambda g: _unbroadcast(g, sb)))
 
 
 def sub(a, b) -> Var:
     a, b = wrap(a), wrap(b)
-
-    def vjp(g):
-        return _tracked((a, lambda: _unbroadcast(g, a.value.shape)),
-                        (b, lambda: _unbroadcast(-g, b.value.shape)))
-
-    return _result(a.value - b.value, (a, b), vjp)
+    sa, sb = a.value.shape, b.value.shape
+    return _result(a.value - b.value, (a, lambda g: _unbroadcast(g, sa)),
+                   (b, lambda g: _unbroadcast(-g, sb)))
 
 
 def mul(a, b) -> Var:
     a, b = wrap(a), wrap(b)
-
-    def vjp(g):
-        return _tracked((a, lambda: _unbroadcast(g * b.value, a.value.shape)),
-                        (b, lambda: _unbroadcast(g * a.value, b.value.shape)))
-
-    return _result(a.value * b.value, (a, b), vjp)
+    x, y = a.value, b.value
+    sa, sb = x.shape, y.shape
+    return _result(x * y, (a, lambda g: _unbroadcast(g * y, sa)),
+                   (b, lambda g: _unbroadcast(g * x, sb)))
 
 
 def matmul(a, b) -> Var:
     a, b = wrap(a), wrap(b)
-
-    def vjp(g):
-        return _tracked((a, lambda: g @ b.value.T), (b, lambda: a.value.T @ g))
-
-    return _result(a.value @ b.value, (a, b), vjp)
+    x, y = a.value, b.value
+    return _result(x @ y, (a, lambda g: g @ y.T), (b, lambda g: x.T @ g))
 
 
 def transpose(a) -> Var:
     a = wrap(a)
-    return _result(a.value.T, (a,), lambda g: ((a, g.T),))
+    return _result(a.value.T, (a, lambda g: g.T))
 
 
 def reshape(a, shape) -> Var:
     a = wrap(a)
     orig = a.value.shape
-    return _result(a.value.reshape(shape), (a,), lambda g: ((a, g.reshape(orig)),))
+    return _result(a.value.reshape(shape), (a, lambda g: g.reshape(orig)))
 
 
 def concat_cols(a, b) -> Var:
     """Concatenate two (N, C) blocks along axis 1."""
     a, b = wrap(a), wrap(b)
     wa = a.value.shape[1]
-
-    def vjp(g):
-        return ((a, g[:, :wa]), (b, g[:, wa:]))
-
-    return _result(np.concatenate([a.value, b.value], axis=1), (a, b), vjp)
+    return _result(np.concatenate([a.value, b.value], axis=1),
+                   (a, lambda g: g[:, :wa]), (b, lambda g: g[:, wa:]))
 
 
 def relu(a) -> Var:
     a = wrap(a)
     mask = a.value > 0
-
-    def vjp(g):
-        return ((a, g * mask),)
-
-    return _result(np.where(mask, a.value, 0.0), (a,), vjp)
+    return _result(np.where(mask, a.value, 0.0), (a, lambda g: g * mask))
 
 
 def _sigmoid_inplace(s: np.ndarray) -> None:
@@ -165,40 +172,25 @@ def sigmoid(a) -> Var:
     a = wrap(a)
     s = a.value.copy()
     _sigmoid_inplace(s)
-
-    def vjp(g):
-        return ((a, _sigmoid_vjp(g, s)),)
-
-    return _result(s, (a,), vjp)
+    return _result(s, (a, lambda g: _sigmoid_vjp(g, s)))
 
 
 def exp(a) -> Var:
     a = wrap(a)
     e = np.exp(a.value)
-
-    def vjp(g):
-        return ((a, g * e),)
-
-    return _result(e, (a,), vjp)
+    return _result(e, (a, lambda g: g * e))
 
 
 def log(a) -> Var:
     a = wrap(a)
-
-    def vjp(g):
-        return ((a, g / a.value),)
-
-    return _result(np.log(a.value), (a,), vjp)
+    x = a.value
+    return _result(np.log(x), (a, lambda g: g / x))
 
 
 def clip(a, lo: float, hi: float) -> Var:
     a = wrap(a)
     inside = (a.value >= lo) & (a.value <= hi)
-
-    def vjp(g):
-        return ((a, g * inside),)
-
-    return _result(np.clip(a.value, lo, hi), (a,), vjp)
+    return _result(np.clip(a.value, lo, hi), (a, lambda g: g * inside))
 
 
 def vsum(a, axis=None) -> Var:
@@ -207,9 +199,9 @@ def vsum(a, axis=None) -> Var:
 
     def vjp(g):
         gg = g if axis is None else np.expand_dims(g, axis)
-        return ((a, np.broadcast_to(gg, shape).copy()),)
+        return np.broadcast_to(gg, shape).copy()
 
-    return _result(a.value.sum(axis=axis), (a,), vjp)
+    return _result(a.value.sum(axis=axis), (a, vjp))
 
 
 def vmean(a) -> Var:
@@ -227,9 +219,9 @@ def l2norm_rows(a) -> Var:
 
     def vjp(g):
         dot = np.sum(g * y, axis=1, keepdims=True)
-        return ((a, (g - dot * y) * inv),)
+        return (g - dot * y) * inv
 
-    return _result(y, (a,), vjp)
+    return _result(y, (a, vjp))
 
 
 EXP_UNDERFLOW = -750.0  # np.exp is exactly +0.0 below this (it is from -745.14)
@@ -299,21 +291,27 @@ def scaled_scores(q, k, scale: float, bias, activation: str,
             consume(lo, block)
     if consume is not None:
         return None
+    # the logits get a tape entry but no Var: their gradient is all that
+    # the VJPs of q and k read, and the activation's VJP reads only s
+    qv, kv = q.value, k.value
+    logits = _tape((q, lambda gl: gl @ kv), (k, lambda gl: (qv.T @ gl).T))
+    out = Var(s)
+    if logits is not None:
+        def vjp(g):
+            gl = act_vjp(g, s)
+            gl *= scale
+            return gl
 
-    def vjp(g):
-        gl = act_vjp(g, s)
-        gl *= scale
-        return ((q, gl @ k.value), (k, (q.value.T @ gl).T))
-
-    return _result(s, (q, k), vjp)
+        out.track, out._node = True, _Node((logits,), (vjp,))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # reverse pass
 # ---------------------------------------------------------------------------
 
-def _topo_order(root: Var) -> List[Var]:
-    order: List[Var] = []
+def _topo_order(root: _Node) -> List[_Node]:
+    order: List[_Node] = []
     seen = set()
     stack = [(root, False)]
     while stack:
@@ -321,11 +319,11 @@ def _topo_order(root: Var) -> List[Var]:
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen or not node.track:
+        if id(node) in seen:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
+        for p in node.parents:
             stack.append((p, False))
     return order
 
@@ -333,20 +331,23 @@ def _topo_order(root: Var) -> List[Var]:
 def grad(output: Var, wrt: Sequence[Var]) -> List[np.ndarray]:
     """Gradients of a scalar output: d(output)/d(wrt), one array per entry
     of `wrt` (zeros for leaves the output does not reach)."""
-    grads = {id(output): np.ones(output.value.shape)} if output.track else {}
-    for node in reversed(_topo_order(output)):
-        if node._vjp is None:
-            continue  # leaf: keep its accumulated grad for collection below
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        for parent, pg in node._vjp(np.asarray(g)):
-            if not parent.track:
+    grads = {}
+    if output.track:
+        grads[id(output._node)] = np.ones(output.value.shape)
+        for node in reversed(_topo_order(output._node)):
+            if not node.vjps:
+                continue  # leaf: keep its accumulated grad for collection below
+            g = grads.pop(id(node), None)
+            if g is None:
                 continue
-            key = id(parent)
-            if key in grads:
-                grads[key] = grads[key] + pg
-            else:
-                grads[key] = pg
-    return [np.asarray(grads.get(id(w), np.zeros_like(w.value)), dtype=np.float64)
+            g = np.asarray(g)
+            for parent, vjp in zip(node.parents, node.vjps):
+                pg = vjp(g)
+                key = id(parent)
+                if key in grads:
+                    grads[key] = grads[key] + pg
+                else:
+                    grads[key] = pg
+    # an untracked Var's _node is None, which is no key
+    return [np.asarray(grads.get(id(w._node), np.zeros_like(w.value)), dtype=np.float64)
             for w in wrt]

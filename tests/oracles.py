@@ -518,7 +518,7 @@ def softmax_rows(a):
     a = av.wrap(a)
     s = a.value.copy()
     av._softmax_rows_inplace(s)
-    return av._result(s, (a,), lambda g: ((a, av._softmax_rows_vjp(g, s)),))
+    return av._result(s, (a, lambda g: av._softmax_rows_vjp(g, s)))
 
 
 def grad_enabled():

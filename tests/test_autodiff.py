@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -298,8 +300,97 @@ class TestEngine:
         x = av.param(rng.normal(size=(4, 4)))
         c = rng.normal(size=(4, 4))
         for out in (op(x, c), op(c, x)):
-            pairs = out._vjp(np.ones(out.value.shape))
-            assert len(pairs) == 1 and pairs[0][0] is x
+            node = out._node
+            assert len(node.parents) == len(node.vjps) == 1 and node.parents[0] is x._node
         y = av.param(rng.normal(size=(4, 4)))
-        pairs = op(x, y)._vjp(np.ones((4, 4)))
-        assert [p is q for (p, _), q in zip(pairs, (x, y))] == [True, True]
+        node = op(x, y)._node
+        assert len(node.vjps) == 2
+        assert [p is q._node for p, q in zip(node.parents, (x, y))] == [True, True]
+
+
+def _on_top(kind, z, x, c):
+    """A scalar loss that reads the tracked intermediate z through `kind`."""
+    top = {"sigmoid": lambda: av.sigmoid(z),
+           "exp": lambda: av.exp(z),
+           "relu": lambda: av.relu(z),
+           "clip": lambda: av.clip(z, -0.5, 0.5),
+           "l2norm_rows": lambda: av.l2norm_rows(z),
+           "mul by a constant": lambda: av.mul(z, c),
+           "constant matmul": lambda: av.matmul(c, z),
+           "log": lambda: av.log(z),
+           "mul by a tracked Var": lambda: av.mul(z, x),
+           "matmul by a tracked Var": lambda: av.matmul(x, z)}[kind]()
+    return av.vsum(av.mul(top, c))
+
+
+class TestTapeLifetimes:
+    """A tape entry keeps the arrays its VJPs read and nothing else: any
+    other array of the forward pass is freed with its Var while the loss is
+    alive, and what the tape keeps is freed with the loss."""
+
+    @staticmethod
+    def _held(kind, rng):
+        """Whether z = x + c outlives its Var under the loss built by `kind`,
+        and whether it dies with the loss."""
+        x = av.param(rng.uniform(0.5, 1.0, size=(5, 5)))
+        c = rng.uniform(-0.25, 0.25, size=(5, 5))
+        z = av.add(x, c)  # positive, as log needs
+        loss = _on_top(kind, z, x, c)
+        ref = weakref.ref(z.value)
+        del z
+        held = ref() is not None
+        del loss
+        return held, ref() is None
+
+    @pytest.mark.parametrize("kind", ["sigmoid", "exp", "relu", "clip", "l2norm_rows",
+                                      "mul by a constant", "constant matmul"])
+    def test_unread_input_is_freed(self, rng, kind):
+        # sigmoid and exp read their output, relu and clip a mask, l2norm_rows
+        # its output and row scales; a constant partner's VJP is never kept
+        assert self._held(kind, rng) == (False, True)
+
+    @pytest.mark.parametrize("kind", ["log", "mul by a tracked Var",
+                                      "matmul by a tracked Var"])
+    def test_read_input_is_kept(self, rng, kind):
+        # log's VJP reads its input, and a tracked partner's VJP the other
+        # operand
+        assert self._held(kind, rng) == (True, True)
+
+    @pytest.mark.parametrize("op", [av.sigmoid, av.exp, av.l2norm_rows])
+    def test_read_output_is_kept(self, rng, op):
+        x = av.param(rng.normal(size=(4, 3)))
+        out = op(av.add(x, 1.0))
+        loss = av.vsum(av.mul(out, 2.0))
+        ref = weakref.ref(out.value)
+        del out
+        assert ref() is not None
+        del loss
+        assert ref() is None
+
+    def test_freed_arrays_leave_the_gradient_bits(self, rng):
+        # the sigmoid's input and the scores' logits are gone when grad runs;
+        # the gradients are still those of the unfused chain's expressions
+        a, b = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
+        k, g = rng.normal(size=(7, 4)), rng.normal(size=(6, 7))
+        x = av.param(a)
+        q = av.sigmoid(av.add(x, b))
+        loss = av.vsum(av.mul(av.scaled_scores(q, k, 0.37, None, "softmax"), g))
+        (dx,) = av.grad(loss, [x])
+        s_q = oracles.sigmoid_reference(a + b)
+        s = oracles.scaled_scores_reference(s_q, k, 0.37, None, "softmax")
+        gl = s * (g - np.sum(g * s, axis=1, keepdims=True)) * 0.37
+        assert np.array_equal(_bits(dx), _bits(((gl @ k) * s_q) * (1.0 - s_q)))
+        xc = av.param(a)
+        chain = oracles.scaled_scores_chain(av.sigmoid(av.add(xc, b)), k, 0.37, None,
+                                            "softmax")
+        (dc,) = av.grad(av.vsum(av.mul(chain, g)), [xc])
+        assert np.array_equal(_bits(dx), _bits(dc))
+
+    def test_constant_key_frees_the_query(self, rng):
+        # with k constant only q's VJP is kept, and it reads k, not q
+        x = av.param(rng.normal(size=(6, 4)))
+        q = av.add(x, 1.0)
+        out = av.scaled_scores(q, rng.normal(size=(7, 4)), 0.5, None, "sigmoid")
+        ref = weakref.ref(q.value)
+        del q
+        assert ref() is None and len(out._node.parents) == 1

@@ -196,6 +196,28 @@ class TestPrepareScene:
         assert held / (8.0 * n * n) <= 1.4
 
 
+class TestTapeMemory:
+    def test_scene_step_peak_is_bounded(self):
+        # a taped scene-step holds what the VJPs read: the five attention and
+        # four W_H score arrays, H^1..H^4 and the loss's N x N arrays, plus
+        # the backward pass's temporaries (measured 28.4 N x N arrays)
+        import tracemalloc
+        n = 600
+        ps = prepare_scene(gen_scene(SynthConfig(n_corrs=n, inlier_ratio=0.3, seed=1)),
+                           0.1, 0.1)
+        params = init_params(32, 0)
+        train_module._scene_grads([ps], [0], params)  # warm-up outside the measurement
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            ((grads, _),) = train_module._scene_grads([ps], [0], params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(np.all(np.isfinite(g)) for g in grads)
+        assert (peak - base) / (8.0 * n * n) <= 31.0
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         params = init_params(channels=4, seed=0)
