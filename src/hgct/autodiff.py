@@ -8,9 +8,11 @@ boolean mask), so every other array of the forward pass is freed as soon
 as its Var is, while the tape lives. `grad` walks the entries once in
 topological order, accumulating vector-Jacobian products. Only the ops the
 network and losses actually need are provided. Constants (plain arrays,
-untracked Vars) terminate gradient flow, which is how fixed incidence masks
-and degree scalings enter the graph as non-differentiable data; no VJP of
-a constant parent is kept.
+untracked Vars) terminate gradient flow, which is how degree scalings
+enter the graph as non-differentiable data; no VJP of a constant parent is
+kept. A constant operand becomes a float64 Var, so a boolean one, such as
+the incidence or a loss target, enters through `linear` instead, whose
+VJP keeps it in its own form.
 """
 
 import contextlib
@@ -129,6 +131,16 @@ def matmul(a, b) -> Var:
     a, b = wrap(a), wrap(b)
     x, y = a.value, b.value
     return _result(x @ y, (a, lambda g: g @ y.T), (b, lambda g: x.T @ g))
+
+
+def linear(a, fn: Callable[[np.ndarray], np.ndarray],
+           fn_t: Callable[[np.ndarray], np.ndarray]) -> Var:
+    """fn(a) for a linear map fn whose coefficients are constants, and
+    fn_t its transpose, the VJP. The constants enter in whatever form fn
+    and fn_t capture them, such as a boolean mask or incidence, rather
+    than as a float64 Var."""
+    a = wrap(a)
+    return _result(fn(a.value), (a, fn_t))
 
 
 def transpose(a) -> Var:

@@ -7,11 +7,12 @@ inlier ratio instead of relying on a fixed cutoff.
 
 The build holds one N x N float array, the score matrix: it is thresholded
 in place, and the second-order product is written over it in row blocks.
-What it returns is sparse: the support of the thresholded scores as
-booleans, and the initial weights as SparseWeights, 16 bytes per nonzero
-entry. Those are 6-14 % of N x N on the benchmark's N=2000 scenes, but all
-of it when every correspondence is an inlier, where the sparse form takes
-twice the memory of a dense array.
+What it returns is the support of the thresholded scores as booleans, one
+byte per entry, and the initial weights as SparseWeights, 12 bytes per
+nonzero entry (an int32 column and a float64 value) plus a row pointer per
+row. The nonzero entries are 6-14 % of N x N on the benchmark's N=2000
+scenes; at every density the sparse form takes at most 1.5 times the
+memory of a dense array.
 """
 
 import math
@@ -41,6 +42,8 @@ def check_positive(cfg, *names: str) -> None:
 
 
 K1_FRAC = 0.1  # top-K fraction of N feeding the dynamic threshold
+ROW_BLOCK = 256  # rows per block of the threshold's top-K, the SOG product and w_h0
+MIRROR_ROWS = 64  # rows per block when mirroring the SOG product in place
 
 
 @dataclass(frozen=True)
@@ -55,32 +58,56 @@ class CompatConfig:
 
 @dataclass(frozen=True)
 class SparseWeights:
-    """An (n, n) float64 array held as its listed entries: `index`, their
-    increasing flat indices (row * n + column), and `value`. Every other
-    entry is `fill`."""
+    """An (n, n) float64 array held as its listed entries, row by row: row
+    i's are `column[indptr[i]:indptr[i + 1]]`, increasing, with values
+    `value[indptr[i]:indptr[i + 1]]`. Every other entry is `fill`."""
     n: int
-    index: np.ndarray     # (nnz,) int64
+    indptr: np.ndarray    # (n + 1,) int64
+    column: np.ndarray    # (nnz,) int32
     value: np.ndarray     # (nnz,) float64
     fill: float = 0.0
+
+    def positions(self, lo: int, hi: int) -> np.ndarray:
+        """The flat positions of the listed entries of rows lo .. hi in
+        those rows, (row - lo) * n + column, in order: entries
+        indptr[lo] .. indptr[hi]."""
+        counts = np.diff(self.indptr[lo:hi + 1])
+        starts = np.repeat(np.arange(0, (hi - lo) * self.n, self.n), counts)
+        return starts + self.column[self.indptr[lo]:self.indptr[hi]]
 
     def add_rows(self, lo: int, block: np.ndarray) -> None:
         """Add rows lo .. lo + len(block) of the array into the C-contiguous
         `block`, in place. Each entry takes one addition, block + fill or
         block + value, so the sums are those of adding a dense array."""
-        n = self.n
-        a, b = np.searchsorted(self.index, (lo * n, (lo + len(block)) * n))
-        local = self.index[a:b] - lo * n
+        hi = lo + len(block)
+        local = self.positions(lo, hi)
         flat = block.reshape(-1)
         listed = flat[local]
         flat += self.fill
-        flat[local] = listed + self.value[a:b]
+        flat[local] = listed + self.value[self.indptr[lo]:self.indptr[hi]]
 
 
 def sparse_weights(w: np.ndarray) -> SparseWeights:
-    """The nonzero entries of the square array w (NaN included) as SparseWeights."""
+    """The nonzero entries of the square array w (NaN included) as
+    SparseWeights, filled ROW_BLOCK rows at a time: a first pass counts
+    each row's entries, a second writes them, so no temporary is larger
+    than a block."""
     w = np.asarray(w, dtype=np.float64)
-    index = np.flatnonzero(w != 0)  # several times faster than on the floats
-    return SparseWeights(len(w), index, w.reshape(-1)[index])
+    n = len(w)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    for lo in range(0, n, ROW_BLOCK):
+        indptr[lo + 1:lo + ROW_BLOCK + 1] = np.count_nonzero(w[lo:lo + ROW_BLOCK] != 0,
+                                                             axis=1)
+    np.cumsum(indptr, out=indptr)
+    column = np.empty(indptr[-1], dtype=np.int32)
+    value = np.empty(indptr[-1])
+    for lo in range(0, n, ROW_BLOCK):
+        block = w[lo:lo + ROW_BLOCK]
+        listed = np.flatnonzero(block != 0)
+        a, b = indptr[lo], indptr[min(lo + ROW_BLOCK, n)]
+        np.take(block.reshape(-1), listed, out=value[a:b])
+        column[a:b] = np.remainder(listed, n, out=listed)
+    return SparseWeights(n, indptr, column, value)
 
 
 @dataclass(frozen=True)
@@ -93,10 +120,6 @@ class CompatGraph:
 def round_half_up(x: float) -> int:
     """round() with ties away from zero, as used for all count parameters."""
     return int(np.floor(x + 0.5))
-
-
-ROW_BLOCK = 256  # rows per block of the threshold's top-K and of the SOG product
-MIRROR_ROWS = 64  # rows per block when mirroring the SOG product in place
 
 
 def dynamic_threshold(gamma: np.ndarray, k1_frac: float) -> float:

@@ -24,9 +24,13 @@ retained sigmoid magnitudes only.
 
 Memory: w_h0 comes sparse (compat.SparseWeights), and both passes build
 the attention's log bias and W_H^0 from it one row block at a time, so
-neither is an N x N array. The inference pass, `forward(..., inference=True)`,
-which `pipeline.register` runs, holds one N x N array, its input H^0, whose
-buffer holds H^1..H^4 in turn. No score array is built either. The
+neither is an N x N array. Every H^t is an N x N boolean array, one byte
+per membership: the conv's products H^T X and H (We Y), and their VJPs,
+convert ROW_BLOCK columns or rows of it at a time to float64 in one reused
+buffer (see _aggregate), and top-K writes H^{t+1} over the support
+it reads. The inference pass, `forward(..., inference=True)`, which
+`pipeline.register` runs, holds one N x N array, its boolean input H^0,
+whose buffer holds H^1..H^4 in turn. No score array is built either. The
 attention and the update compute their scores one row block at a time into
 one reused buffer, and each finished block goes into its rows of the
 attention's message, or of H^{t+1} and the column sums of W_H^{t+1}, before
@@ -49,7 +53,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import autodiff as av
-from .compat import SparseWeights, round_half_up
+from .compat import ROW_BLOCK, SparseWeights, round_half_up
 from .errors import NonFinite
 from .geom import CorrSet
 
@@ -178,7 +182,7 @@ class ForwardTrace:
 
     xs: List[np.ndarray]        # X^0 .. X^5, each (N, C)
     ys: List[np.ndarray]        # Y^0 .. Y^4
-    hs: List[np.ndarray]        # H^0 .. H^4, binary; H^0 is hg0 itself
+    hs: List[np.ndarray]        # H^0 .. H^4, (N, N) bool; H^0 is hg0 itself
     whs: List[np.ndarray]       # W_H^1 .. W_H^4 (W_H^0 is never built)
     s_hat: np.ndarray           # (N,) confidence in (0, 1)
     w_nonlocal: np.ndarray      # always (0, 0): no pass keeps w_h0 (perfbench sums nbytes)
@@ -212,9 +216,11 @@ def _safe_inv(v: np.ndarray) -> np.ndarray:
 
 
 def _log_bias(w_h0: SparseWeights) -> SparseWeights:
-    """The attention's bias log(w_h0 + eps), sparse as w_h0 is: every
-    unlisted entry is log(0 + eps)."""
-    return SparseWeights(w_h0.n, w_h0.index, np.log(w_h0.value + NONLOCAL_EPS),
+    """The attention's bias log(w_h0 + eps), sparse as w_h0 is and sharing
+    its row pointers and columns: every unlisted entry is log(0 + eps)."""
+    value = w_h0.value + NONLOCAL_EPS
+    np.log(value, out=value)
+    return SparseWeights(w_h0.n, w_h0.indptr, w_h0.column, value,
                          fill=float(np.log(0.0 + NONLOCAL_EPS)))
 
 
@@ -247,8 +253,8 @@ def k2_schedule(n: int) -> List[int]:
 
 
 def _topk_retention(scores: np.ndarray, support: np.ndarray, k2: int) -> np.ndarray:
-    """Per-row mask keeping the k2 highest-score entries within `support`,
-    written over `support` and returned.
+    """Per-row mask keeping the k2 highest-score entries within the boolean
+    `support`, written over `support` and returned.
 
     Rows with at most k2 supported entries keep them all. Ties break toward
     the lower column index: a longer row keeps every supported entry above
@@ -256,13 +262,11 @@ def _topk_retention(scores: np.ndarray, support: np.ndarray, k2: int) -> np.ndar
     the entries equal to that score, in column order. Supported scores are
     finite; the others are never read. The rule is per row, so it runs in the
     row blocks of autodiff.scaled_scores and its temporaries are block-sized;
-    each block's support is read before the block is written.
+    only the rows it prunes are written, each after its support is read.
     """
     step = max(1, av.SCORE_BLOCK // support.shape[1])
     for lo in range(0, len(support), step):
-        supp = support[lo:lo + step] > 0
-        out = support[lo:lo + step]
-        out[...] = supp
+        supp = support[lo:lo + step]
         rows = np.flatnonzero(np.count_nonzero(supp, axis=1) > k2)
         if rows.size:
             s = np.where(supp[rows], scores[lo:lo + step][rows], -np.inf)
@@ -270,8 +274,8 @@ def _topk_retention(scores: np.ndarray, support: np.ndarray, k2: int) -> np.ndar
             above = s > kth
             tie = s == kth
             room = k2 - np.count_nonzero(above, axis=1)
-            out[rows] = above | (tie & (np.cumsum(tie, axis=1, dtype=np.int32)
-                                        <= room[:, None]))
+            supp[rows] = above | (tie & (np.cumsum(tie, axis=1, dtype=np.int32)
+                                         <= room[:, None]))
     return support
 
 
@@ -286,8 +290,9 @@ def _update(x: av.Var, y: av.Var, h: np.ndarray, params: HgnnParams, t: int,
     """Structure update t: H^{t+1}, written over h, W_H^{t+1} from the
     sigmoid scores, and its column sums, the hyperedge weights of layer t+1.
 
-    W_H^{t+1} is the scores times the 0/1 retention mask, written into the
-    score array, with or without a tape. Top-K reads only scores on the
+    W_H^{t+1} is the scores times the boolean retention mask (x * True = x,
+    and x * False the same signed zero as x * 0.0), written into the score
+    array, with or without a tape. Top-K reads only scores on the
     support of H^t, and the product zeroes every other entry, so the scores
     need no off-support mask: sigmoid(z) * 0 and sigmoid(z - 1e30) * 0 are
     the same +0.0 for finite z (NaN for NaN z). The sigmoid VJP
@@ -334,7 +339,7 @@ def _initial_edge_weights(w_h0: SparseWeights, h0: np.ndarray) -> np.ndarray:
     adding the sums so far, as numpy sums a whole array down axis 0, so they
     are the sums of a W_H^0 array, bit for bit."""
     n = w_h0.n
-    self_member = h0.diagonal() != 0
+    self_member = h0.diagonal()
     rows = max(1, av.SCORE_BLOCK // n)
     buf = np.empty((min(rows, n), n))
     sums = None
@@ -350,15 +355,54 @@ def _initial_edge_weights(w_h0: SparseWeights, h0: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _incidence_product(h: np.ndarray, a: np.ndarray, transpose: bool,
+                       degrees: Optional[np.ndarray] = None) -> np.ndarray:
+    """h^T @ a (transpose) or h @ a for the boolean incidence h, as float64
+    gemms: ROW_BLOCK columns (transpose) or rows of h at a time are copied
+    into one reused float64 buffer and multiplied by a. Each slab spans the
+    whole inner dimension; with numpy's bundled OpenBLAS, slabs whose width
+    is a multiple of 32 give the whole-array gemm's bits at every size
+    tests/test_hgnn.py tries. With `degrees`, an (N,)
+    array, the slabs' column (transpose) or row sums, the hyperedge or
+    vertex degrees, are written into it: exact integer sums, by gemv."""
+    n = len(h)
+    out = np.empty((n, a.shape[1]))
+    buf = np.empty(n * min(ROW_BLOCK, n))
+    ones = np.ones(n)
+    for lo in range(0, n, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, n)
+        if transpose:  # an (N, b) copy: several times faster than a (b, N) one
+            slab = buf[:n * (hi - lo)].reshape(n, hi - lo)
+            np.copyto(slab, h[:, lo:hi])
+            slab = slab.T
+        else:
+            slab = buf[:n * (hi - lo)].reshape(hi - lo, n)
+            np.copyto(slab, h[lo:hi])
+        np.matmul(slab, a, out=out[lo:hi])
+        if degrees is not None:
+            np.matmul(slab, ones, out=degrees[lo:hi])
+    return out
+
+
+def _aggregate(h: np.ndarray, a: av.Var, transpose: bool) -> av.Var:
+    """De^-1 h^T a (transpose) or Dv^-1 h a, 1/0 -> 0 for an empty hyperedge
+    or vertex. The product's VJP is the other product, which keeps h as
+    booleans."""
+    degrees = np.empty(len(h))
+    product = av.linear(a, lambda v: _incidence_product(h, v, transpose, degrees),
+                        lambda g: _incidence_product(h, g, not transpose))
+    return av.mul(product, _safe_inv(degrees)[:, None])
+
+
 def forward(corrs: CorrSet, hg0: np.ndarray, w_h0: SparseWeights,
             params: HgnnParams, inference: bool = False) -> ForwardTrace:
     """Run the network on one correspondence set.
 
-    hg0 is the incidence H^0 of the initial hypergraph (init_hypergraph of
-    w_h0); w_h0 holds the initial weights (a CompatGraph's, or
-    compat.sparse_weights of an array), from which the NonLocal attention's
-    log bias is built and the layer-0 hyperedge weights are summed, a row
-    block at a time. Neither pass modifies w_h0. The default pass records
+    hg0 is the boolean incidence H^0 of the initial hypergraph
+    (init_hypergraph of w_h0); w_h0 holds the initial weights (a
+    CompatGraph's, or compat.sparse_weights of an array), from which the
+    NonLocal attention's log bias is built and the layer-0 hyperedge weights
+    are summed, a row block at a time. Neither pass modifies w_h0. The default pass records
     the autodiff tape unless called under autodiff.no_grad(), keeps every
     layer and never modifies its arguments: each update writes H^{t+1} over
     a copy of H^t. An inference pass (inference=True) overwrites hg0 with
@@ -404,14 +448,11 @@ def forward(corrs: CorrSet, hg0: np.ndarray, w_h0: SparseWeights,
     _check_finite("W_H^0", we.value)
 
     for t in range(N_LAYERS):
-        de_inv = _safe_inv(h.sum(axis=0))
-        yhat = av.mul(av.matmul(av.wrap(h.T), x), de_inv[:, None])
+        yhat = _aggregate(h, x, True)
         y = av.l2norm_rows(_mlp(av.concat_cols(y, yhat), params, f"mlp1.{t}"))
         keep(y_vars, y, f"Y^{t}")
 
-        dv_inv = _safe_inv(h.sum(axis=1))
-        xhat = av.mul(av.matmul(av.wrap(h), av.mul(av.reshape(we, (n, 1)), y)),
-                      dv_inv[:, None])
+        xhat = _aggregate(h, av.mul(av.reshape(we, (n, 1)), y), False)
         xres = av.relu(av.add(x, _mlp(xhat, params, f"mlp2.{t}")))
         x = av.l2norm_rows(_nonlocal(xres, log_bias, params, t, inference))
         keep(x_vars, x, f"X^{t + 1}")

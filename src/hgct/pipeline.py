@@ -76,9 +76,9 @@ def _fit_and_score(corrs: CorrSet, subsets: np.ndarray, theta_inlier: float):
 
 
 def gf_adjacency(h: np.ndarray) -> np.ndarray:
-    """Mutual-consistency adjacency of the incidence h, as booleans:
+    """Mutual-consistency adjacency of the boolean incidence h, as booleans:
     A(i,j) = 1 iff H(i,j) = H(j,i) = 1."""
-    return (h > 0) & (h.T > 0)
+    return h & h.T
 
 
 def gf_score(adj: np.ndarray) -> np.ndarray:
@@ -169,7 +169,7 @@ def refine_hypotheses(corrs: CorrSet, h: np.ndarray,
                       initial: Sequence[Hypothesis], cfg: PipelineConfig,
                       diagnostics: Dict) -> List[Hypothesis]:
     """Slide minimal sets along the residual-sorted members of each seed's
-    hyperedge, a column of the incidence h.
+    hyperedge, a column of the boolean incidence h.
 
     Window k covers sorted offsets [WINDOW_STEP*k, WINDOW_STEP*k + minimal_size)
     while the window fits and k <= MAX_WINDOWS. The windows of all hypotheses
@@ -182,7 +182,7 @@ def refine_hypotheses(corrs: CorrSet, h: np.ndarray,
     windows = [np.empty((0, cfg.minimal_size), dtype=np.intp)]
     owners = [np.empty(0, dtype=np.intp)]
     for hyp in initial:
-        members = np.flatnonzero(h[:, hyp.seed_index] > 0)
+        members = np.flatnonzero(h[:, hyp.seed_index])
         if members.size < cfg.minimal_size:
             continue
         r = residuals(hyp.transform, corrs.src[members], corrs.tgt[members])

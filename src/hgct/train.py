@@ -106,16 +106,23 @@ def gen_scene(cfg: SynthConfig) -> CorrSet:
 # losses (tape Vars in, scalar Vars out)
 # ---------------------------------------------------------------------------
 
+def _masked(a: av.Var, keep: np.ndarray) -> av.Var:
+    """a * keep for a boolean constant keep, which the VJP keeps as
+    booleans: x * True = x, and x * False is the signed zero of x * 0.0."""
+    return av.linear(a, lambda v: v * keep, lambda g: g * keep)
+
+
 def _bce_mean(p: av.Var, target: np.ndarray) -> av.Var:
+    """Mean binary cross-entropy of p against the boolean target."""
     p = av.clip(p, PROB_EPS, 1.0 - PROB_EPS)
-    pos = av.mul(av.log(p), target)
-    neg = av.mul(av.log(av.sub(1.0, p)), 1.0 - target)
+    pos = _masked(av.log(p), target)
+    neg = _masked(av.log(av.sub(1.0, p)), ~target)
     return av.mul(av.vmean(av.add(pos, neg)), -1.0)
 
 
 def loss_class(s_hat: av.Var, labels) -> av.Var:
     """Mean binary cross-entropy of confidences against inlier labels."""
-    return _bce_mean(s_hat, np.asarray(labels, dtype=np.float64))
+    return _bce_mean(s_hat, np.asarray(labels, dtype=bool))
 
 
 def loss_match(x: av.Var, labels, sigma_f: av.Var) -> av.Var:
@@ -139,7 +146,7 @@ def loss_match(x: av.Var, labels, sigma_f: av.Var) -> av.Var:
 
 def loss_graph(w_h_final: av.Var, h_star) -> av.Var:
     """Per-row mean BCE of the final hyperedge weights against the inlier incidence."""
-    return _bce_mean(w_h_final, np.asarray(h_star, dtype=np.float64))
+    return _bce_mean(w_h_final, np.asarray(h_star, dtype=bool))
 
 
 def joint_loss(trace: ForwardTrace, labels, params: HgnnParams):
@@ -189,7 +196,7 @@ class Adam:
 @dataclass
 class PreparedScene:
     corrs: CorrSet
-    hg0: np.ndarray     # the incidence H^0
+    hg0: np.ndarray     # the incidence H^0, (N, N) bool
     w_h0: SparseWeights
     labels: np.ndarray
 

@@ -7,8 +7,9 @@ with the implementation under test. The exceptions:
 the package; `nonlocal_apply`, a test entry point into the network's
 attention block; `single_fit`, one (K, 3) fit through the package's
 stacked solver; the `*_reference` and `*_chain` helpers, which keep the
-allocating numpy expressions and unfused tape ops that the package's in-place
-kernels must equal bit for bit; `dense` and `dense_graph`, the arrays behind
+allocating numpy expressions, float64 incidence products and unfused tape
+ops that the package's in-place, boolean and blocked kernels must equal bit
+for bit; `dense` and `dense_graph`, the arrays behind
 the package's sparse initial weights and its graph's support (the latter
 rescored through the package's `gamma_matrix`); the initial hyperedge
 weights W_H^0, which the package never builds, and the test-only views of a
@@ -31,6 +32,7 @@ from hgct import kernels
 from hgct.compat import CompatGraph, SparseWeights, sparse_weights
 from hgct.geom import CorrSet, RigidTransform, kabsch_svd
 from hgct.hgnn import _log_bias, _nonlocal
+from hgct.train import PROB_EPS
 
 
 def rigid_distance_loop(si, ti, sj, tj):
@@ -318,6 +320,30 @@ def scaled_scores_chain(q, k, scale, bias, activation):
     return softmax_rows(z) if activation == "softmax" else av.sigmoid(z)
 
 
+def incidence_product_reference(h, a, transpose):
+    """h^T @ a (transpose) or h @ a as one float64 gemm over the whole
+    incidence h cast to floats."""
+    hf = np.asarray(h, dtype=np.float64)
+    return hf.T @ a if transpose else hf @ a
+
+
+def incidence_product_chain(h, a, transpose):
+    """The tape op that the conv's incidence product replaces: av.matmul by
+    the incidence wrapped as a float64 constant."""
+    hf = np.asarray(h, dtype=np.float64)
+    return av.matmul(av.wrap(hf.T if transpose else hf), a)
+
+
+def bce_mean_chain(p, target):
+    """The graph and class losses' mean BCE with the 0/1 target as float64
+    constants of av.mul, as the loss was before its target became boolean."""
+    t = np.asarray(target, dtype=np.float64)
+    p = av.clip(p, PROB_EPS, 1.0 - PROB_EPS)
+    pos = av.mul(av.log(p), t)
+    neg = av.mul(av.log(av.sub(1.0, p)), 1.0 - t)
+    return av.mul(av.vmean(av.add(pos, neg)), -1.0)
+
+
 def sog_product_reference(w_gamma):
     """w_gamma * (w_gamma @ w_gamma), made exactly symmetric by mirroring the
     strict upper triangle of a general matrix product."""
@@ -347,7 +373,8 @@ def dense(w):
     if not isinstance(w, SparseWeights):
         return np.asarray(w, dtype=np.float64)
     out = np.full((w.n, w.n), w.fill)
-    out.reshape(-1)[w.index] = w.value
+    rows = np.repeat(np.arange(w.n), np.diff(w.indptr))
+    out[rows, w.column] = w.value
     return out
 
 

@@ -409,7 +409,7 @@ def test_c8_invariant_suites():
         sc = CorrSet(sc.src[:n], sc.tgt[:n], gt=sc.gt, labels=sc.labels[:n])
         score = evaluate_hypothesis(sc.gt, sc, 0.1)
         assert 0.0 <= score <= n
-        h = (rng.uniform(size=(n, n)) < 0.3).astype(float)
+        h = rng.uniform(size=(n, n)) < 0.3
         s_hat = rng.uniform(size=n)
         pc = PipelineConfig()
         seeds_a = gf_nms(h, s_hat, sc, pc)

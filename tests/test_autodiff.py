@@ -166,8 +166,10 @@ class TestScaledScores:
 
     @classmethod
     def _sparse(cls, bias):
-        index = np.flatnonzero(bias != cls.FILL)
-        return SparseWeights(len(bias), index, bias.reshape(-1)[index], fill=cls.FILL)
+        listed = bias != cls.FILL
+        pattern = sparse_weights(listed)
+        return SparseWeights(len(bias), pattern.indptr, pattern.column, bias[listed],
+                             fill=cls.FILL)
 
     @staticmethod
     def _case(rng, n=30, m=30, c=5):
@@ -192,14 +194,14 @@ class TestScaledScores:
     def test_forward_bit_equal(self, rng, block, activation, track):
         q, k, bias = self._case(rng)
         sparse = self._sparse(bias)
-        inputs = [a.copy() for a in (q, k, bias, sparse.index, sparse.value)]
+        inputs = [a.copy() for a in (q, k, bias, sparse.indptr, sparse.column, sparse.value)]
         wrap = av.param if track else av.wrap
         out = av.scaled_scores(wrap(q), wrap(k), 0.37, sparse, activation)
         ref = oracles.scaled_scores_reference(q, k, 0.37, bias, activation)
         assert np.array_equal(_bits(out.value), _bits(ref))
         chain = oracles.scaled_scores_chain(wrap(q), wrap(k), 0.37, bias, activation)
         assert np.array_equal(_bits(out.value), _bits(chain.value))
-        for a, b in zip(inputs, (q, k, bias, sparse.index, sparse.value)):
+        for a, b in zip(inputs, (q, k, bias, sparse.indptr, sparse.column, sparse.value)):
             assert np.array_equal(a, b)  # inputs left untouched
 
     @pytest.mark.parametrize("activation", ACTS)

@@ -89,11 +89,11 @@ class TestTopkRetention:
         scores = rng.uniform(size=(n, n))
         if decimals is not None:
             scores = np.round(scores, decimals)  # forces ties
-        support = (rng.uniform(size=(n, n)) < density).astype(np.float64)
-        support[rng.integers(n)] = 0.0  # at least one empty row
+        support = rng.uniform(size=(n, n)) < density
+        support[rng.integers(n)] = False  # at least one empty row
         want = oracles.topk_retention_loop(scores, support, k2)
         got = _topk_retention(scores, support, k2)
-        assert got is support and got.dtype == np.float64
+        assert got is support and got.dtype == bool
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("rows", [2, 3])
@@ -108,8 +108,8 @@ class TestTopkRetention:
         row[[1, 4, 6, 9]] = row.max()
         scores = np.tile(row, (n, 1))
         scores[::3] = 0.5
-        support = (rng.uniform(size=(n, n)) < 0.8).astype(np.float64)
-        support[5] = 0.0
+        support = rng.uniform(size=(n, n)) < 0.8
+        support[5] = False
         want = oracles.topk_retention_loop(scores, support, k2)
         assert _topk_retention(scores, support, k2) is support
         assert np.array_equal(support, want)
@@ -200,6 +200,65 @@ class TestUpdate:
         assert np.array_equal(we_kept.value, w_kept.value.sum(axis=0))
         # the order matters: summed bottom-up, some column differs
         assert not np.array_equal(we_kept.value, w_kept.value[::-1].copy().sum(axis=0))
+
+
+class TestIncidenceProduct:
+    """The conv's degree-scaled products De^-1 H^T X and Dv^-1 H Z, and
+    their VJPs, from the boolean incidence against one float64 gemm over
+    the whole incidence."""
+
+    @staticmethod
+    def _case(n, seed=0):
+        rng = np.random.default_rng(seed)
+        h = rng.uniform(size=(n, n)) < 0.14
+        h[rng.integers(n)] = False      # an empty row
+        h[:, rng.integers(n)] = False   # an empty column
+        return h, rng.normal(size=(n, 32)), rng.normal(size=(n, 32))
+
+    @staticmethod
+    def _products(h, a, g):
+        """(value, reference value, VJP, reference VJP) of both degree-scaled
+        products by _aggregate, and by the float64 reference gemm, its tape
+        op and degrees summed from the float incidence."""
+        out = []
+        for transpose in (True, False):
+            x = av.param(a)
+            got = hgnn._aggregate(h, x, transpose)
+            (vjp,) = av.grad(av.vsum(av.mul(got, g)), [x])
+            xr = av.param(a)
+            degrees = h.astype(np.float64).sum(axis=0 if transpose else 1)
+            ref = av.mul(oracles.incidence_product_chain(h, xr, transpose),
+                         hgnn._safe_inv(degrees)[:, None])
+            (vjp_ref,) = av.grad(av.vsum(av.mul(ref, g)), [xr])
+            product = oracles.incidence_product_reference(h, a, transpose)
+            assert np.array_equal(ref.value, product * hgnn._safe_inv(degrees)[:, None])
+            out.append((got.value, ref.value, vjp, vjp_ref))
+        return out
+
+    @pytest.mark.parametrize("n", [200, 2000])
+    def test_bit_equal_to_dense_gemm(self, n):
+        # one slab at N=200, eight at N=2000: slabs of ROW_BLOCK = 256, a
+        # multiple of 32, give the whole gemm's bits
+        h, a, g = self._case(n)
+        for got, want, vjp, vjp_want in self._products(h, a, g):
+            assert got.tobytes() == want.tobytes()
+            assert vjp.tobytes() == vjp_want.tobytes()
+
+    @pytest.mark.parametrize("n", [333, 2001])
+    def test_partial_last_slab_within_tolerance(self, n):
+        h, a, g = self._case(n, seed=1)
+        for got, want, vjp, vjp_want in self._products(h, a, g):
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+            assert np.max(np.abs(vjp - vjp_want)) <= 1e-10 * np.max(np.abs(vjp_want))
+
+    @pytest.mark.parametrize("inference", [False, True])
+    def test_incidences_are_boolean(self, inference):
+        ps, params = _prepared(n=40, seed=1, ratio=0.3)
+        assert ps.hg0.dtype == bool
+        with av.no_grad():
+            tr = forward(ps.corrs, ps.hg0.copy(), ps.w_h0, params, inference=inference)
+        assert len(tr.hs) == (1 if inference else 5)
+        assert all(h.dtype == bool and h.shape == (40, 40) for h in tr.hs)
 
 
 class TestSparseInitialWeights:
@@ -428,15 +487,15 @@ class TestLeanForward:
 
     def test_handed_over_inputs_die_after_their_last_read(self, monkeypatch):
         # every attention reads one sparse log bias, built once from w_h0,
-        # which is left as it was; H^0's buffer holds H^{t+1} after update t
-        # and is H^4 in the trace; nothing else of the inputs survives the
-        # trace
+        # which is left as it was and shares its row pointers and columns;
+        # H^0's buffer holds H^{t+1} after update t and is H^4 in the trace;
+        # nothing else of the inputs survives the trace
         ps, params = _prepared(n=12, seed=1, channels=8)
         with av.no_grad():
             plain = forward(ps.corrs, ps.hg0, ps.w_h0, params)
         h0 = ps.hg0.copy()
         w0 = sparse_weights(oracles.dense(ps.w_h0))
-        index, value = w0.index.copy(), w0.value.copy()
+        indptr, column, value = w0.indptr.copy(), w0.column.copy(), w0.value.copy()
         refs = {"H^0": weakref.ref(h0), "w_h0": weakref.ref(w0)}
         biases, supports = [], []
 
@@ -455,7 +514,9 @@ class TestLeanForward:
         monkeypatch.setattr(hgnn, "_nonlocal", spy_nonlocal)
         with av.no_grad():
             got = forward(ps.corrs, h0, w0, params, inference=True)
-        assert np.array_equal(w0.index, index) and np.array_equal(w0.value, value)
+        assert np.array_equal(w0.indptr, indptr) and np.array_equal(w0.column, column)
+        assert np.array_equal(w0.value, value)
+        assert biases[0].indptr is w0.indptr and biases[0].column is w0.column
         del h0, w0
         assert supports == [True] * 8 and len(biases) == 5
         assert all(b is biases[0] for b in biases)

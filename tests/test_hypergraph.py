@@ -11,8 +11,8 @@ from oracles import (dump, excluded_edge_count, hyperedge_degrees,
 
 
 def _random_hypergraph(rng, n=10, density=0.4):
-    """(incidence, weights) of a random hypergraph."""
-    h = (rng.uniform(size=(n, n)) < density).astype(np.float64)
+    """(boolean incidence, weights) of a random hypergraph."""
+    h = rng.uniform(size=(n, n)) < density
     return h, h * rng.uniform(size=(n, n))
 
 
@@ -21,7 +21,7 @@ class TestInit:
         w = np.ones((3, 3)) - np.eye(3)
         h = init_hypergraph(sparse_weights(w))
         # every hyperedge contains all three vertices (self-membership added)
-        assert h.dtype == np.float64 and np.array_equal(h, np.ones((3, 3)))
+        assert h.dtype == bool and np.array_equal(h, np.ones((3, 3)))
         assert np.array_equal(hyperedge_degrees(h), [3, 3, 3])
         assert np.allclose(np.diag(initial_weights(w)), 1.0)
 
@@ -74,7 +74,7 @@ class TestInit:
                     w[0, 1] = np.nan
                 want = oracles.init_hypergraph_reference(w)
                 got = init_hypergraph(sparse_weights(w))
-                assert got.dtype == np.float64 and np.array_equal(got, want)
+                assert got.dtype == bool and np.array_equal(got, want)
 
 
 class TestDegrees:
@@ -100,7 +100,8 @@ class TestDegrees:
 
 class TestGtHypergraph:
     def test_all_inliers(self):
-        assert np.array_equal(gt_hypergraph([True] * 4), np.ones((4, 4)))
+        h = gt_hypergraph([True] * 4)
+        assert h.dtype == bool and np.array_equal(h, np.ones((4, 4)))
 
     def test_no_inliers(self):
         assert np.array_equal(gt_hypergraph([False] * 4), np.zeros((4, 4)))
@@ -116,16 +117,16 @@ class TestGtHypergraph:
 class TestPrecision:
     def test_pure_inlier_edges(self):
         labels = [True, True, False]
-        h = np.zeros((3, 3))
-        h[0, 0] = h[1, 0] = h[1, 1] = h[0, 1] = 1.0
+        h = np.zeros((3, 3), dtype=bool)
+        h[0, 0] = h[1, 0] = h[1, 1] = h[0, 1] = True
         assert hyperedge_precision(h, labels) == 1.0
         assert excluded_edge_count(h) == 1
 
     def test_half_inlier_edges(self):
         labels = [True, False, True, False]
-        h = np.zeros((4, 4))
-        h[0, 0] = h[1, 0] = 1.0
-        h[2, 1] = h[3, 1] = 1.0
+        h = np.zeros((4, 4), dtype=bool)
+        h[0, 0] = h[1, 0] = True
+        h[2, 1] = h[3, 1] = True
         assert hyperedge_precision(h, labels) == 0.5
 
     def test_matches_set_oracle(self, rng):
@@ -139,7 +140,7 @@ class TestPrecision:
 
     def test_no_edges_raises(self):
         with pytest.raises(NoEdges):
-            hyperedge_precision(np.zeros((3, 3)), [True, True, True])
+            hyperedge_precision(np.zeros((3, 3), dtype=bool), [True, True, True])
 
     def test_gt_precision_is_one(self):
         labels = np.array([True, False, True, True, False])

@@ -25,24 +25,24 @@ def _perfect_scene(n=60, seed=0):
 
 class TestGfAdjacency:
     def test_symmetric_h_unchanged(self, rng):
-        h = (rng.uniform(size=(6, 6)) < 0.5).astype(float)
-        h = np.triu(h) + np.triu(h, 1).T
+        h = rng.uniform(size=(6, 6)) < 0.5
+        h = np.triu(h) | np.triu(h, 1).T
         assert np.array_equal(gf_adjacency(h), h)
 
     def test_one_directional_edge_dropped(self):
-        h = np.zeros((3, 3))
-        h[1, 2] = 1.0
+        h = np.zeros((3, 3), dtype=bool)
+        h[1, 2] = True
         a = gf_adjacency(h)
-        assert a[1, 2] == 0.0 and a[2, 1] == 0.0
+        assert not a[1, 2] and not a[2, 1]
 
     def test_matches_elementwise_and(self, rng):
-        h = (rng.uniform(size=(8, 8)) < 0.4).astype(float)
+        h = rng.uniform(size=(8, 8)) < 0.4
         a = gf_adjacency(h)
-        expected = ((h > 0) & (h.T > 0)).astype(float)
-        assert np.array_equal(a, expected)
+        expected = np.array([[h[i, j] and h[j, i] for j in range(8)] for i in range(8)])
+        assert a.dtype == bool and np.array_equal(a, expected)
 
     def test_idempotent(self, rng):
-        h = (rng.uniform(size=(7, 7)) < 0.5).astype(float)
+        h = rng.uniform(size=(7, 7)) < 0.5
         a = gf_adjacency(h)
         assert np.array_equal(gf_adjacency(a), a)
 
@@ -109,7 +109,7 @@ class TestGfNms:
         pts = np.arange(n * 3, dtype=float).reshape(n, 3)  # well separated
         s = np.full(n, 0.5)
         cfg = PipelineConfig(nms_radius=0.1)
-        seeds = gf_nms(np.zeros((n, n)), s, CorrSet(pts, pts), cfg)
+        seeds = gf_nms(np.zeros((n, n), dtype=bool), s, CorrSet(pts, pts), cfg)
         n_s = max(6, round(0.2 * n))
         assert seeds == list(range(n_s))
 
@@ -117,7 +117,7 @@ class TestGfNms:
         for n in (10, 37, 80):
             pts = rng.uniform(-1, 1, (n, 3))
             s = rng.uniform(size=n)
-            h = (rng.uniform(size=(n, n)) < 0.3).astype(float)
+            h = rng.uniform(size=(n, n)) < 0.3
             seeds = gf_nms(h, s, CorrSet(pts, pts), PipelineConfig())
             n_s = min(n, max(6, int(np.floor(0.2 * n + 0.5))))
             assert len(seeds) == n_s
@@ -126,7 +126,7 @@ class TestGfNms:
     def test_deterministic(self, rng):
         pts = rng.uniform(-1, 1, (30, 3))
         s = rng.uniform(size=30)
-        h = (rng.uniform(size=(30, 30)) < 0.3).astype(float)
+        h = rng.uniform(size=(30, 30)) < 0.3
         cs = CorrSet(pts, pts)
         a = gf_nms(h, s, cs, PipelineConfig())
         b = gf_nms(h, s, cs, PipelineConfig())
@@ -277,7 +277,7 @@ class TestRefine:
 
     def test_returns_at_least_initial(self, rng):
         sc = gen_scene(SynthConfig(n_corrs=50, inlier_ratio=0.3, seed=11))
-        h = (rng.uniform(size=(50, 50)) < 0.3).astype(float)
+        h = rng.uniform(size=(50, 50)) < 0.3
         initial = self._initial_for(sc, 5)
         out = refine_hypotheses(sc, h, initial, PipelineConfig(), {})
         assert len(out) >= len(initial)
@@ -290,8 +290,8 @@ class TestRefine:
         src, tgt = sc.src.copy(), sc.tgt.copy()
         src[50:], tgt[50:] = src[50], tgt[50]
         sc = CorrSet(src, tgt, gt=sc.gt)
-        h = (rng.uniform(size=(80, 80)) < 0.7).astype(float)
-        h[:, 3] = 1.0
+        h = rng.uniform(size=(80, 80)) < 0.7
+        h[:, 3] = True
         initial = [Hypothesis(sc.gt, 0.0, HypothesisOrigin.INITIAL, seed)
                    for seed in (3, 11, 50)]
         cfg = PipelineConfig()
@@ -485,11 +485,10 @@ class TestRegister:
                      CompatConfig(sigma_d=0.001), PipelineConfig())
 
     @staticmethod
-    def _peak_square_arrays(n):
-        """tracemalloc peak of one warm register on a 30 %-inlier scene, in
-        N x N float64 arrays."""
+    def _peak_square_arrays(n, inlier_ratio=0.3):
+        """tracemalloc peak of one warm register, in N x N float64 arrays."""
         import tracemalloc
-        sc = gen_scene(SynthConfig(n_corrs=n, inlier_ratio=0.3, seed=1))
+        sc = gen_scene(SynthConfig(n_corrs=n, inlier_ratio=inlier_ratio, seed=1))
         params = init_params(channels=32, seed=0)
         cc, pc = CompatConfig(), PipelineConfig()
         register(sc, params, cc, pc)  # warm-up outside the measurement
@@ -504,17 +503,24 @@ class TestRegister:
     def test_peak_memory_is_bounded(self):
         # register frees every N x N array after its last read, builds the
         # graph in place, keeps w_h0 sparse, reuses H^0's buffer and streams
-        # the network's score arrays and log bias in row blocks. H^t is the
-        # one N x N array past the graph build; at N=600 the sparse weights
-        # (13 % of N x N) and block-sized scratch take most of the rest
-        # (measured 2.15; 2.76 when the log bias was dense)
-        assert self._peak_square_arrays(600) <= 2.35
+        # the network's score arrays and log bias in row blocks. At N=600
+        # the peak is the graph build's: the score matrix and a block of 256
+        # rows, 43 % of N x N (measured 1.55; 2.15 with a float64 H^t and
+        # 16 bytes per w_h0 entry, 2.76 when the log bias was dense)
+        assert self._peak_square_arrays(600) <= 1.65
 
     def test_peak_memory_at_n2000(self):
         # at N=2000 the peak is the graph build's: the score matrix, its
-        # support and the sparse w_h0 (measured 1.59; 2.18 when the log bias
-        # was dense and the SOG product a second array)
-        assert self._peak_square_arrays(2000) <= 1.7
+        # boolean support and the sparse w_h0, 12 bytes per entry (measured
+        # 1.38; 1.59 with a float64 H^t and 16 bytes per w_h0 entry, 2.18
+        # when the log bias was dense and the SOG product a second array)
+        assert self._peak_square_arrays(2000) <= 1.45
+
+    def test_peak_memory_at_n2000_dense_graph(self):
+        # at 70 % inliers w_h0 holds 49 % of N x N: the graph build's score
+        # matrix, support and w_h0 at 1.5 N^2 per unit of density (measured
+        # 2.01; 2.99 with a float64 H^t and 16 bytes per w_h0 entry)
+        assert self._peak_square_arrays(2000, inlier_ratio=0.7) <= 2.1
 
     @pytest.mark.parametrize("seed", [1, 4, 6])
     def test_labelled_scene_with_empty_initial_hypergraph(self, seed):
