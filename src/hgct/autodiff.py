@@ -12,11 +12,14 @@ untracked Vars) terminate gradient flow, which is how degree scalings
 enter the graph as non-differentiable data; no VJP of a constant parent is
 kept. A constant operand becomes a float64 Var, so a boolean one, such as
 the incidence or a loss target, enters through `linear` instead, whose
-VJP keeps it in its own form.
+VJP keeps it in its own form. The score ops, `scaled_scores` and
+`attention`, keep their inputs instead of their (N, M) score array and
+compute it again in the VJP with the same operations, so the tape holds
+no score array and the gradients are the same bits.
 """
 
 import contextlib
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -37,14 +40,17 @@ def no_grad():
 
 class _Node:
     """A tracked value's tape entry: its tracked parents' entries, and for
-    each parent a VJP, g -> that parent's share of the gradient. A leaf has
-    none of either. A VJP captures only the arrays and shapes it reads, so
-    any other array of the forward pass is freed once its Var is."""
+    each parent a VJP, g -> that parent's share of the gradient, or one
+    function g -> every parent's share in parent order, for an op whose
+    shares come from one recomputation (see attention). A leaf has none of
+    either. A VJP captures only the arrays and shapes it reads, so any other
+    array of the forward pass is freed once its Var is."""
 
     __slots__ = ("parents", "vjps")
 
     def __init__(self, parents: Tuple["_Node", ...] = (),
-                 vjps: Tuple[Callable[[np.ndarray], np.ndarray], ...] = ()):
+                 vjps: Union[Tuple[Callable[[np.ndarray], np.ndarray], ...],
+                             Callable[[np.ndarray], Sequence[np.ndarray]]] = ()):
         self.parents = parents
         self.vjps = vjps
 
@@ -261,8 +267,16 @@ _ACTIVATIONS = {"softmax": (_softmax_rows_inplace, _softmax_rows_vjp),
                 "sigmoid": (_sigmoid_inplace, _sigmoid_vjp)}
 
 
+def _logits_entry(q: Var, k: Var) -> Optional[_Node]:
+    """The tape entry of the logits q k^T, which get no Var: their gradient
+    is all that the VJPs of q and k read."""
+    qv, kv = q.value, k.value
+    return _tape((q, lambda gl: gl @ kv), (k, lambda gl: (qv.T @ gl).T))
+
+
 def scaled_scores(q, k, scale: float, bias, activation: str,
-                  consume: Optional[Callable[[int, np.ndarray], None]] = None
+                  consume: Optional[Callable[[int, np.ndarray], None]] = None,
+                  keep: Optional[Callable[[np.ndarray], np.ndarray]] = None
                   ) -> Optional[Var]:
     """activation(q k^T * scale + bias), with activation "softmax" (per row)
     or "sigmoid", one block of about SCORE_BLOCK entries of rows at a time so
@@ -274,8 +288,12 @@ def scaled_scores(q, k, scale: float, bias, activation: str,
     Without `consume` the result is one (N, M) array: the full q k^T, with
     each block finished in place. It is bit-identical to matmul -> mul ->
     add -> row softmax / sigmoid (matmul -> mul -> sigmoid without a bias):
-    the same operations in the same order. The VJP uses the chain's
-    expressions too, so gradients are bit-identical as well.
+    the same operations in the same order. With `keep`, a function of that
+    array returning an (N, M) boolean mask, the result is the array times
+    the mask, in place. The tape keeps q, k, the bias and the mask, not the
+    result: the VJP computes the result again with the same operations and
+    applies the chain's expressions to it, so gradients are bit-identical
+    as well (with `keep`, the activation's VJP reads the masked result).
 
     With `consume`, nothing is kept and nothing is returned: each block is
     computed as q[rows] @ k^T into one reused (rows, M) buffer, finished, and
@@ -303,18 +321,55 @@ def scaled_scores(q, k, scale: float, bias, activation: str,
             consume(lo, block)
     if consume is not None:
         return None
-    # the logits get a tape entry but no Var: their gradient is all that
-    # the VJPs of q and k read, and the activation's VJP reads only s
-    qv, kv = q.value, k.value
-    logits = _tape((q, lambda gl: gl @ kv), (k, lambda gl: (qv.T @ gl).T))
+    mask = None if keep is None else keep(s)
+    if mask is not None:
+        s *= mask
     out = Var(s)
+    logits = _logits_entry(q, k)
     if logits is not None:
+        qv, kv = q.value, k.value
+
         def vjp(g):
-            gl = act_vjp(g, s)
+            again = scaled_scores(qv, kv, scale, bias, activation).value
+            if mask is not None:
+                again *= mask
+            gl = act_vjp(g, again)
             gl *= scale
             return gl
 
         out.track, out._node = True, _Node((logits,), (vjp,))
+    return out
+
+
+def attention(q, k, v, scale: float, bias) -> Var:
+    """scaled_scores(q, k, scale, bias, "softmax") @ v. The value and the
+    gradients are those of matmul(scaled_scores(...), v) bit for bit, but
+    the tape keeps q, k, v and the bias, not the (N, M) score array: the
+    VJP computes the scores again, once, and takes the gradients of q, k
+    and v from them."""
+    q, k, v = wrap(q), wrap(k), wrap(v)
+    qv, kv, vv = q.value, k.value, v.value
+
+    def scores() -> np.ndarray:
+        return scaled_scores(qv, kv, scale, bias, "softmax").value
+
+    out = Var(scores() @ vv)
+    logits = _logits_entry(q, k)
+    to_logits, to_v = logits is not None, _GRAD_ENABLED and v.track
+    if to_logits or to_v:
+        def vjp(g):
+            s = scores()
+            shares = []
+            if to_logits:
+                gl = _softmax_rows_vjp(g @ vv.T, s)
+                gl *= scale
+                shares.append(gl)
+            if to_v:
+                shares.append(s.T @ g)
+            return shares
+
+        parents = (logits,) * to_logits + (v._node,) * to_v
+        out.track, out._node = True, _Node(parents, vjp)
     return out
 
 
@@ -353,13 +408,15 @@ def grad(output: Var, wrt: Sequence[Var]) -> List[np.ndarray]:
             if g is None:
                 continue
             g = np.asarray(g)
-            for parent, vjp in zip(node.parents, node.vjps):
-                pg = vjp(g)
+            shares = (node.vjps(g) if callable(node.vjps)
+                      else (vjp(g) for vjp in node.vjps))
+            for parent, pg in zip(node.parents, shares):
                 key = id(parent)
                 if key in grads:
                     grads[key] = grads[key] + pg
                 else:
                     grads[key] = pg
     # an untracked Var's _node is None, which is no key
-    return [np.asarray(grads.get(id(w._node), np.zeros_like(w.value)), dtype=np.float64)
-            for w in wrt]
+    found = [grads.get(id(w._node)) for w in wrt]
+    return [np.zeros_like(w.value) if g is None else np.asarray(g, dtype=np.float64)
+            for w, g in zip(wrt, found)]

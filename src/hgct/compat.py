@@ -71,9 +71,8 @@ class SparseWeights:
         """The flat positions of the listed entries of rows lo .. hi in
         those rows, (row - lo) * n + column, in order: entries
         indptr[lo] .. indptr[hi]."""
-        counts = np.diff(self.indptr[lo:hi + 1])
-        starts = np.repeat(np.arange(0, (hi - lo) * self.n, self.n), counts)
-        return starts + self.column[self.indptr[lo]:self.indptr[hi]]
+        return (_row_starts(self.indptr, lo, hi, self.n)
+                + self.column[self.indptr[lo]:self.indptr[hi]])
 
     def add_rows(self, lo: int, block: np.ndarray) -> None:
         """Add rows lo .. lo + len(block) of the array into the C-contiguous
@@ -102,12 +101,23 @@ def sparse_weights(w: np.ndarray) -> SparseWeights:
     column = np.empty(indptr[-1], dtype=np.int32)
     value = np.empty(indptr[-1])
     for lo in range(0, n, ROW_BLOCK):
-        block = w[lo:lo + ROW_BLOCK]
+        hi = min(lo + ROW_BLOCK, n)
+        block = w[lo:hi]
         listed = np.flatnonzero(block != 0)
-        a, b = indptr[lo], indptr[min(lo + ROW_BLOCK, n)]
+        a, b = indptr[lo], indptr[hi]
         np.take(block.reshape(-1), listed, out=value[a:b])
-        column[a:b] = np.remainder(listed, n, out=listed)
+        # a flat position less its row's start is its column (a remainder
+        # by n takes several times longer)
+        np.subtract(listed, _row_starts(indptr, lo, hi, n), out=column[a:b],
+                    casting="unsafe")
     return SparseWeights(n, indptr, column, value)
+
+
+def _row_starts(indptr: np.ndarray, lo: int, hi: int, n: int) -> np.ndarray:
+    """(row - lo) * n for each listed entry of rows lo .. hi of an (n, n)
+    array with row pointers indptr: its row's start in those rows read
+    flat."""
+    return np.repeat(np.arange(0, (hi - lo) * n, n), np.diff(indptr[lo:hi + 1]))
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,11 @@ attention and the update compute their scores one row block at a time into
 one reused buffer, and each finished block goes into its rows of the
 attention's message, or of H^{t+1} and the column sums of W_H^{t+1}, before
 the next block is computed. Its trace keeps only X^5, Y^4, H^4 and s_hat.
-The default pass builds each score array whole, as the tape needs, and the
-update writes W_H^{t+1} into it.
+The default pass builds each score array whole and keeps every layer, but
+its tape keeps no score array: the attention (autodiff.attention)
+multiplies its scores by v and drops them, the update writes W_H^{t+1}
+into its score array and keeps H^{t+1} on the tape, and each VJP
+computes its score array again.
 
 Checkpoint format: ASCII magic line b"HGCT-CKPT v1\n", then three
 little-endian uint32 (channels, layer count, total parameter count), then all
@@ -242,7 +245,7 @@ def _nonlocal(x: av.Var, log_bias: SparseWeights, params: HgnnParams, layer: int
         av.scaled_scores(q, k, scale, log_bias, "softmax", attend)
         mixed = av.wrap(mixed)
     else:
-        mixed = av.matmul(av.scaled_scores(q, k, scale, log_bias, "softmax"), v)
+        mixed = av.attention(q, k, v, scale, log_bias)
     return av.add(x, _affine(mixed, params, f"nl.{layer}.out"))
 
 
@@ -292,14 +295,16 @@ def _update(x: av.Var, y: av.Var, h: np.ndarray, params: HgnnParams, t: int,
 
     W_H^{t+1} is the scores times the boolean retention mask (x * True = x,
     and x * False the same signed zero as x * 0.0), written into the score
-    array, with or without a tape. Top-K reads only scores on the
-    support of H^t, and the product zeroes every other entry, so the scores
-    need no off-support mask: sigmoid(z) * 0 and sigmoid(z - 1e30) * 0 are
-    the same +0.0 for finite z (NaN for NaN z). The sigmoid VJP
-    g * s * (1 - s) reads only its output, so the gradients equal those of
-    av.mul(scores, retention) bit for bit: where the mask is 1 nothing
-    changes, and where it is 0, (g * 0) * s * (1 - s) and g * 0 * (1 - 0)
-    are the same signed zero (NaN when g is not finite).
+    array, with or without a tape. The tape keeps q, k and the mask, which
+    is H^{t+1} itself, not W_H^{t+1}: the VJP computes the scores and the
+    product again with the same operations, so the same bits. Top-K reads
+    only scores on the support of H^t, and the product zeroes every other
+    entry, so the scores need no off-support mask: sigmoid(z) * 0 and
+    sigmoid(z - 1e30) * 0 are the same +0.0 for finite z (NaN for NaN z).
+    The sigmoid VJP g * s * (1 - s) reads only its output, so the gradients
+    equal those of av.mul(scores, retention) bit for bit: where the mask is
+    1 nothing changes, and where it is 0, (g * 0) * s * (1 - s) and
+    g * 0 * (1 - 0) are the same signed zero (NaN when g is not finite).
 
     Every step is per row. With `stream`, each row block of scores becomes
     its rows of W_H^{t+1} and H^{t+1}, is checked and added to the column
@@ -311,19 +316,17 @@ def _update(x: av.Var, y: av.Var, h: np.ndarray, params: HgnnParams, t: int,
     k = _affine(y, params, f"upd.{t}.k")
     scale = 1.0 / np.sqrt(params.channels)
 
-    def retain(lo: int, block: np.ndarray) -> None:
-        block *= _topk_retention(block, h[lo:lo + len(block)], k2)
-        _check_finite(f"W_H^{t + 1}", block)
-
     if not stream:
-        wh = av.scaled_scores(q, k, scale, None, "sigmoid")
-        retain(0, wh.value)
+        wh = av.scaled_scores(q, k, scale, None, "sigmoid",
+                              keep=lambda s: _topk_retention(s, h, k2))
+        _check_finite(f"W_H^{t + 1}", wh.value)
         return h, wh, av.vsum(wh, axis=0)
     sums = None
 
     def retain_and_sum(lo: int, block: np.ndarray) -> None:
         nonlocal sums
-        retain(lo, block)
+        block *= _topk_retention(block, h[lo:lo + len(block)], k2)
+        _check_finite(f"W_H^{t + 1}", block)
         if sums is not None:
             block[0] += sums
         sums = block.sum(axis=0)

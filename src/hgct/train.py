@@ -220,16 +220,24 @@ def prepare_scene(corrs: CorrSet, sigma_d: float, theta_inlier: float,
     return PreparedScene(corrs=corrs, hg0=hg0, w_h0=g.w_h0, labels=labels)
 
 
+def _scene_step(ps: PreparedScene, params: HgnnParams, wrt: List[av.Var]):
+    """(parameter gradients, loss components) of one scene. The trace goes
+    once the loss has read it, and the tape when this returns, so a scene's
+    gradients run without its trace and the next scene's forward pass
+    without either."""
+    trace = forward(ps.corrs, ps.hg0, ps.w_h0, params)
+    total, comps = joint_loss(trace, ps.labels, params)
+    del trace
+    return av.grad(total, wrt), comps
+
+
 def _scene_grads(prepared: List[PreparedScene], idxs, params: HgnnParams) -> list:
     """(parameter gradients, loss components) of each listed scene, in order."""
     wrt = [params.var(n) for n in params.names]
     out = []
     for idx in idxs:
-        ps = prepared[idx]
         try:
-            trace = forward(ps.corrs, ps.hg0, ps.w_h0, params)
-            total, comps = joint_loss(trace, ps.labels, params)
-            out.append((av.grad(total, wrt), comps))
+            out.append(_scene_step(prepared[idx], params, wrt))
         except NonFinite as err:
             raise NonFinite(f"scene {idx}: {err}") from err
     return out

@@ -320,6 +320,12 @@ def scaled_scores_chain(q, k, scale, bias, activation):
     return softmax_rows(z) if activation == "softmax" else av.sigmoid(z)
 
 
+def attention_chain(q, k, v, scale, bias):
+    """The tape ops that av.attention fuses: the score array as one Var,
+    then av.matmul by v, whose VJP reads it."""
+    return av.matmul(av.scaled_scores(q, k, scale, bias, "softmax"), v)
+
+
 def incidence_product_reference(h, a, transpose):
     """h^T @ a (transpose) or h @ a as one float64 gemm over the whole
     incidence h cast to floats."""

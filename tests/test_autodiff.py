@@ -261,6 +261,66 @@ class TestScaledScores:
         assert not np.any(np.signbit(np.exp(x)))
 
 
+class TestAttention:
+    """The fused attention against the unfused tape chain, bit for bit: the
+    score array as a Var, then a matmul by v. The sizes span one row block
+    of scores (N = 200) and several (333, 600)."""
+
+    @staticmethod
+    def _case(rng, n, c=8):
+        q, k, v = (rng.normal(size=(n, c)) * 3.0 for _ in range(3))
+        w = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < 0.2)
+        w[1] = 0.0                               # a row of the fill only
+        pattern = sparse_weights(w)
+        bias = SparseWeights(n, pattern.indptr, pattern.column, np.log(pattern.value),
+                             fill=-27.6)
+        return q, k, v, bias
+
+    @pytest.mark.parametrize("n", [200, 333, 600])
+    @pytest.mark.parametrize("tracked", ["qkv", "qk", "v", "none"])
+    def test_bit_equal_to_chain(self, rng, n, tracked):
+        q, k, v, bias = self._case(rng, n)
+        g = rng.normal(size=q.shape)
+        fused = [av.param(a) if name in tracked else av.wrap(a)
+                 for name, a in zip("qkv", (q, k, v))]
+        chain = [av.param(a) if name in tracked else av.wrap(a)
+                 for name, a in zip("qkv", (q, k, v))]
+        out = av.attention(*fused, 0.35, bias)
+        ref = oracles.attention_chain(*chain, 0.35, bias)
+        assert np.array_equal(_bits(out.value), _bits(ref.value))
+        assert out.track == (tracked != "none")
+        if out.track:
+            got = av.grad(av.vsum(av.mul(out, g)), fused)
+            want = av.grad(av.vsum(av.mul(ref, g)), chain)
+            for a, b in zip(got, want):
+                assert np.array_equal(_bits(a), _bits(b))
+            assert [np.any(a != 0) for a in got] == [name in tracked for name in "qkv"]
+
+    def test_tape_keeps_the_inputs_not_the_scores(self, rng, monkeypatch):
+        q, k, v, bias = self._case(rng, 40)
+        made = []
+        fused_scores = av.scaled_scores
+
+        def recorded(*args, **kwargs):
+            out = fused_scores(*args, **kwargs)
+            made.append(weakref.ref(out.value))
+            return out
+
+        monkeypatch.setattr(av, "scaled_scores", recorded)
+        leaves = [av.param(a) for a in (q, k, v)]
+        loss = av.vsum(av.attention(*leaves, 0.35, bias))
+        assert len(made) == 1 and made[0]() is None
+        av.grad(loss, leaves)
+        assert len(made) == 2 and made[1]() is None
+
+    def test_finite_differences(self, rng):
+        bias = sparse_weights(rng.normal(size=(5, 5)) * (rng.uniform(size=(5, 5)) < 0.6))
+        weights = rng.normal(size=(5, 3))
+        fd_check(lambda q, k, v: av.vsum(av.mul(av.attention(q, k, v, 0.7, bias),
+                                                weights)),
+                 [rng.normal(size=(5, 3)) for _ in range(3)])
+
+
 class TestEngine:
     def test_constant_graph_not_tracked(self):
         a = av.wrap(np.ones(3))
@@ -388,11 +448,19 @@ class TestTapeLifetimes:
         (dc,) = av.grad(av.vsum(av.mul(chain, g)), [xc])
         assert np.array_equal(_bits(dx), _bits(dc))
 
-    def test_constant_key_frees_the_query(self, rng):
-        # with k constant only q's VJP is kept, and it reads k, not q
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_scores_keep_their_inputs_not_the_result(self, rng, masked):
+        # the VJP computes the scores again, so it reads q and k (a constant
+        # k as well) and the mask, not the result; only q's VJP is kept
         x = av.param(rng.normal(size=(6, 4)))
         q = av.add(x, 1.0)
-        out = av.scaled_scores(q, rng.normal(size=(7, 4)), 0.5, None, "sigmoid")
-        ref = weakref.ref(q.value)
-        del q
-        assert ref() is None and len(out._node.parents) == 1
+        k = rng.normal(size=(7, 4))
+        keep = (lambda s: s > 0.5) if masked else None
+        out = av.scaled_scores(q, k, 0.5, None, "sigmoid", keep=keep)
+        refs = [weakref.ref(a) for a in (q.value, k, out.value)]
+        del q, k
+        assert len(out._node.parents) == 1 and len(out._node.parents[0].parents) == 1
+        out = out._node
+        assert [ref() is not None for ref in refs] == [True, True, False]
+        del out
+        assert all(ref() is None for ref in refs)

@@ -177,6 +177,34 @@ class TestUpdate:
             assert np.array_equal(h_lean, h_ref)
             assert np.array_equal(w_lean.value, w_ref.value)
 
+    @pytest.mark.parametrize("n", [12, 200])
+    def test_recomputed_vjp_equals_the_kept_scores_vjp(self, n):
+        # the tape keeps H^{t+1}, not W_H^{t+1}; the VJP computes W_H^{t+1}
+        # again and gives the bits of the sigmoid VJP on the kept array,
+        # g * W * (1 - W), then the logits' and the projections' VJPs,
+        # pruned entries and pruned rows included
+        ps, params = _prepared(n=n, seed=2, ratio=0.6, channels=8)
+        with av.no_grad():
+            tr = forward(ps.corrs, ps.hg0, ps.w_h0, params)
+        k2s = k2_schedule(n)
+        scale = 1.0 / np.sqrt(params.channels)
+        rng = np.random.default_rng(n)
+        for t in range(4):
+            x = av.Var(tr.xs[t + 1], track=True)
+            y = av.Var(tr.ys[t], track=True)
+            h_new, w_new, _ = _update(x, y, tr.hs[t].copy(), params, t, k2s[t])
+            w = w_new.value.copy()
+            pruned = tr.hs[t] & ~h_new
+            assert np.any(pruned.any(axis=1) & h_new.any(axis=1))
+            g = rng.standard_normal(w.shape)
+            dx, dy = av.grad(av.vsum(av.mul(w_new, g)), [x, y])
+            gl = g * w * (1.0 - w)
+            gl *= scale
+            q = x.value @ params.value(f"upd.{t}.q.w") + params.value(f"upd.{t}.q.b")
+            k = y.value @ params.value(f"upd.{t}.k.w") + params.value(f"upd.{t}.k.b")
+            assert np.array_equal(dx, (gl @ k) @ params.value(f"upd.{t}.q.w").T)
+            assert np.array_equal(dy, (q.T @ gl).T @ params.value(f"upd.{t}.k.w").T)
+
     @pytest.mark.parametrize("rows", [1, 4])
     def test_streamed_column_sums_bit_equal(self, monkeypatch, rows):
         # with every k row e_0, score (i, j) is sigmoid(q[i, 0] / sqrt(C)), one
