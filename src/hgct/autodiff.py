@@ -12,10 +12,11 @@ untracked Vars) terminate gradient flow, which is how degree scalings
 enter the graph as non-differentiable data; no VJP of a constant parent is
 kept. A constant operand becomes a float64 Var, so a boolean one, such as
 the incidence or a loss target, enters through `linear` instead, whose
-VJP keeps it in its own form. The score ops, `scaled_scores` and
-`attention`, keep their inputs instead of their (N, M) score array and
-compute it again in the VJP with the same operations, so the tape holds
-no score array and the gradients are the same bits.
+VJP keeps it in its own form. Score arrays are computed one row block at
+a time by `scaled_scores`, which streams and records nothing; the two
+taped ops built on it, `attention` and `retained_sigmoid`, keep their
+inputs instead of their (N, M) score array, and their VJPs compute the
+same blocks again, so the tape holds no score array.
 """
 
 import contextlib
@@ -263,114 +264,146 @@ def _softmax_rows_vjp(g: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 SCORE_BLOCK = 1 << 16  # elements per row block of score arrays (512 KB, cache-sized)
 
-_ACTIVATIONS = {"softmax": (_softmax_rows_inplace, _softmax_rows_vjp),
-                "sigmoid": (_sigmoid_inplace, _sigmoid_vjp)}
+_ACTIVATIONS = {"softmax": _softmax_rows_inplace, "sigmoid": _sigmoid_inplace}
 
 
-def _logits_entry(q: Var, k: Var) -> Optional[_Node]:
-    """The tape entry of the logits q k^T, which get no Var: their gradient
-    is all that the VJPs of q and k read."""
-    qv, kv = q.value, k.value
-    return _tape((q, lambda gl: gl @ kv), (k, lambda gl: (qv.T @ gl).T))
-
-
-def scaled_scores(q, k, scale: float, bias, activation: str,
-                  consume: Optional[Callable[[int, np.ndarray], None]] = None,
-                  keep: Optional[Callable[[np.ndarray], np.ndarray]] = None
-                  ) -> Optional[Var]:
+def scaled_scores(q: np.ndarray, k: np.ndarray, scale: float, bias, activation: str,
+                  consume: Callable[[int, np.ndarray], None]) -> None:
     """activation(q k^T * scale + bias), with activation "softmax" (per row)
-    or "sigmoid", one block of about SCORE_BLOCK entries of rows at a time so
-    each block stays in cache. bias is None for no bias, or an (N, M) array
-    held in a form that adds its own row blocks, such as
+    or "sigmoid", streamed one block of about SCORE_BLOCK entries of rows at
+    a time, so each block stays in cache. bias is None for no bias, or an
+    (N, M) array held in a form that adds its own row blocks, such as
     compat.SparseWeights: bias.add_rows(first_row, block) adds them into the
     block in place.
 
-    Without `consume` the result is one (N, M) array: the full q k^T, with
-    each block finished in place. It is bit-identical to matmul -> mul ->
-    add -> row softmax / sigmoid (matmul -> mul -> sigmoid without a bias):
-    the same operations in the same order. With `keep`, a function of that
-    array returning an (N, M) boolean mask, the result is the array times
-    the mask, in place. The tape keeps q, k, the bias and the mask, not the
-    result: the VJP computes the result again with the same operations and
-    applies the chain's expressions to it, so gradients are bit-identical
-    as well (with `keep`, the activation's VJP reads the masked result).
-
-    With `consume`, nothing is kept and nothing is returned: each block is
-    computed as q[rows] @ k^T into one reused (rows, M) buffer, finished, and
-    handed to consume(first_row, block) before the next block overwrites it.
-    A row-blocked gemm may differ from the full one in the last bits.
+    Each block is computed as q[rows] @ k^T into one reused (rows, M)
+    buffer, finished in place and handed to consume(first_row, block)
+    before the next block overwrites it; nothing is kept or recorded. In
+    one block the scores are those of matmul -> mul -> add -> row softmax /
+    sigmoid bit for bit; a row-blocked gemm may differ in the last bits.
     """
-    q, k = wrap(q), wrap(k)
-    finish, act_vjp = _ACTIVATIONS[activation]
-    n, m = len(q.value), len(k.value)
+    finish = _ACTIVATIONS[activation]
+    n, m = len(q), len(k)
     rows = max(1, SCORE_BLOCK // m)
-    if consume is None:
-        s = q.value @ k.value.T
-    else:
-        buf = np.empty((min(rows, n), m))
+    buf = np.empty((min(rows, n), m))
     for lo in range(0, n, rows):
-        if consume is None:
-            block = s[lo:lo + rows]
-        else:
-            block = np.matmul(q.value[lo:lo + rows], k.value.T, out=buf[:min(rows, n - lo)])
+        block = np.matmul(q[lo:lo + rows], k.T, out=buf[:min(rows, n - lo)])
         block *= scale
         if bias is not None:
             bias.add_rows(lo, block)
         finish(block)
-        if consume is not None:
-            consume(lo, block)
-    if consume is not None:
-        return None
-    mask = None if keep is None else keep(s)
-    if mask is not None:
-        s *= mask
-    out = Var(s)
-    logits = _logits_entry(q, k)
-    if logits is not None:
-        qv, kv = q.value, k.value
+        consume(lo, block)
 
-        def vjp(g):
-            again = scaled_scores(qv, kv, scale, bias, activation).value
-            if mask is not None:
-                again *= mask
-            gl = act_vjp(g, again)
-            gl *= scale
-            return gl
 
-        out.track, out._node = True, _Node((logits,), (vjp,))
+def add_column_sums(sums: Optional[np.ndarray], block: np.ndarray) -> np.ndarray:
+    """The column sums so far (None before the first row block) plus the
+    block's, in row order, as numpy sums a whole array down axis 0: the
+    sums so far are added into the block's first row, then it is summed."""
+    if sums is not None:
+        block[0] += sums
+    return block.sum(axis=0)
+
+
+def _fused(value: np.ndarray, parents: Sequence[Var],
+           vjp: Callable[[np.ndarray], Sequence[np.ndarray]]) -> Var:
+    """A Var of an op whose VJP gives every parent's share from one
+    recomputation, in parent order; its tape entry keeps the tracked ones."""
+    out = Var(value)
+    live = [p.track for p in parents] if _GRAD_ENABLED else []
+    if any(live):
+        out.track = True
+        out._node = _Node(tuple(p._node for p in parents if p.track),
+                          lambda g: [s for s, on in zip(vjp(g), live) if on])
     return out
+
+
+def _logit_grads(qv: np.ndarray, kv: np.ndarray, scale: float, bias, activation: str,
+                 logit_grad: Callable[[int, np.ndarray], np.ndarray]) -> List[np.ndarray]:
+    """[dq, dk] of a taped score op: the forward pass's blocks are computed
+    again, logit_grad(first_row, block) gives each block's gradient before
+    the activation, and each block writes its rows of dq and adds its share
+    of dk. In one block these are matmul's and transpose's VJPs."""
+    dq = np.empty_like(qv)
+    dk_t = None
+
+    def back(lo: int, s: np.ndarray) -> None:
+        nonlocal dk_t
+        gl = logit_grad(lo, s)
+        gl *= scale
+        np.matmul(gl, kv, out=dq[lo:lo + len(gl)])
+        part = qv[lo:lo + len(gl)].T @ gl
+        dk_t = part if dk_t is None else dk_t + part
+
+    scaled_scores(qv, kv, scale, bias, activation, back)
+    return [dq, dk_t.T]
 
 
 def attention(q, k, v, scale: float, bias) -> Var:
-    """scaled_scores(q, k, scale, bias, "softmax") @ v. The value and the
-    gradients are those of matmul(scaled_scores(...), v) bit for bit, but
-    the tape keeps q, k, v and the bias, not the (N, M) score array: the
-    VJP computes the scores again, once, and takes the gradients of q, k
-    and v from them."""
+    """scaled_scores(q, k, scale, bias, "softmax") @ v, each block of scores
+    multiplied into its rows and dropped. The tape keeps q, k, v and the
+    bias; the VJP computes the blocks again and sums dv over them. In one
+    block, value and gradients are those of matmul(scores, v) bit for bit."""
     q, k, v = wrap(q), wrap(k), wrap(v)
     qv, kv, vv = q.value, k.value, v.value
+    out = np.empty((len(qv), vv.shape[1]))
+    scaled_scores(qv, kv, scale, bias, "softmax",
+                  lambda lo, s: np.matmul(s, vv, out=out[lo:lo + len(s)]))
 
-    def scores() -> np.ndarray:
-        return scaled_scores(qv, kv, scale, bias, "softmax").value
+    def vjp(g):
+        dv = None
 
-    out = Var(scores() @ vv)
-    logits = _logits_entry(q, k)
-    to_logits, to_v = logits is not None, _GRAD_ENABLED and v.track
-    if to_logits or to_v:
-        def vjp(g):
-            s = scores()
-            shares = []
-            if to_logits:
-                gl = _softmax_rows_vjp(g @ vv.T, s)
-                gl *= scale
-                shares.append(gl)
-            if to_v:
-                shares.append(s.T @ g)
-            return shares
+        def logit_grad(lo: int, s: np.ndarray) -> np.ndarray:
+            nonlocal dv
+            gs = g[lo:lo + len(s)]
+            dv = s.T @ gs if dv is None else dv + s.T @ gs
+            return _softmax_rows_vjp(gs @ vv.T, s)
 
-        parents = (logits,) * to_logits + (v._node,) * to_v
-        out.track, out._node = True, _Node(parents, vjp)
-    return out
+        return _logit_grads(qv, kv, scale, bias, "softmax", logit_grad) + [dv]
+
+    return _fused(out, (q, k, v), vjp)
+
+
+def retained_sigmoid(q, k, scale: float, mask: np.ndarray,
+                     retain: Callable[[np.ndarray, np.ndarray], None],
+                     whole: bool = True) -> Tuple[Optional[Var], Var]:
+    """W = sigmoid(q k^T * scale) * mask for the boolean (N, M) mask, and
+    its column sums. retain(block, mask_rows) first writes each row block's
+    rows of the mask from its scores, in place; then the block is multiplied
+    by them, written into W and added to the sums (add_column_sums).
+
+    Without `whole`, W is not built and nothing is recorded: None comes in
+    its place. With it, the tape keeps q, k and the mask, and the VJP
+    computes the blocks again and multiplies them by the mask: the sigmoid
+    VJP g * s * (1 - s) reads only its output, so the gradients are those
+    of av.mul(sigmoid(...), mask), bit for bit in one block. The sums' tape
+    entry hands W their gradient broadcast down its rows, as a view."""
+    q, k = wrap(q), wrap(k)
+    qv, kv = q.value, k.value
+    out = np.empty(mask.shape) if whole else None
+    sums = None
+
+    def keep(lo: int, s: np.ndarray) -> None:
+        nonlocal sums
+        rows = mask[lo:lo + len(s)]
+        retain(s, rows)
+        s *= rows
+        if whole:
+            out[lo:lo + len(s)] = s
+        sums = add_column_sums(sums, s)
+
+    scaled_scores(qv, kv, scale, None, "sigmoid", keep)
+    if not whole:
+        return None, Var(sums)
+
+    def vjp(g):
+        def logit_grad(lo: int, s: np.ndarray) -> np.ndarray:
+            s *= mask[lo:lo + len(s)]
+            return _sigmoid_vjp(g[lo:lo + len(s)], s)
+
+        return _logit_grads(qv, kv, scale, None, "sigmoid", logit_grad)
+
+    w, shape = _fused(out, (q, k), vjp), out.shape
+    return w, _result(sums, (w, lambda g: np.broadcast_to(g, shape)))
 
 
 # ---------------------------------------------------------------------------

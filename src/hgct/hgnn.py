@@ -28,18 +28,17 @@ neither is an N x N array. Every H^t is an N x N boolean array, one byte
 per membership: the conv's products H^T X and H (We Y), and their VJPs,
 convert ROW_BLOCK columns or rows of it at a time to float64 in one reused
 buffer (see _aggregate), and top-K writes H^{t+1} over the support
-it reads. The inference pass, `forward(..., inference=True)`, which
-`pipeline.register` runs, holds one N x N array, its boolean input H^0,
-whose buffer holds H^1..H^4 in turn. No score array is built either. The
-attention and the update compute their scores one row block at a time into
-one reused buffer, and each finished block goes into its rows of the
-attention's message, or of H^{t+1} and the column sums of W_H^{t+1}, before
-the next block is computed. Its trace keeps only X^5, Y^4, H^4 and s_hat.
-The default pass builds each score array whole and keeps every layer, but
-its tape keeps no score array: the attention (autodiff.attention)
-multiplies its scores by v and drops them, the update writes W_H^{t+1}
-into its score array and keeps H^{t+1} on the tape, and each VJP
-computes its score array again.
+it reads. No score array is built: the attention (autodiff.attention) and
+the update (autodiff.retained_sigmoid) compute their scores one row block
+at a time into one reused buffer, and each block goes into its rows of the
+attention's message, or of H^{t+1}, W_H^{t+1} and its column sums, before
+the next is computed; their VJPs compute the same blocks again. Both passes
+run these same operations, so they give the same bits. The default pass
+keeps every layer and writes each H^{t+1} over a copy of H^t. The
+inference pass, `forward(..., inference=True)`, which `pipeline.register`
+runs, keeps only X^5, Y^4, H^4 and s_hat, builds no W_H^t, only its column
+sums, and holds one N x N array, its boolean input H^0, whose buffer holds
+H^1..H^4 in turn.
 
 Checkpoint format: ASCII magic line b"HGCT-CKPT v1\n", then three
 little-endian uint32 (channels, layer count, total parameter count), then all
@@ -227,25 +226,13 @@ def _log_bias(w_h0: SparseWeights) -> SparseWeights:
                          fill=float(np.log(0.0 + NONLOCAL_EPS)))
 
 
-def _nonlocal(x: av.Var, log_bias: SparseWeights, params: HgnnParams, layer: int,
-              stream: bool = False) -> av.Var:
-    """x + out(softmax(theta(x) phi(x)^T / sqrt(C) + log_bias) g(x)). With
-    `stream`, each row block of the attention is multiplied into its rows of
-    the message and dropped, and no N x N array is built."""
+def _nonlocal(x: av.Var, log_bias: SparseWeights, params: HgnnParams, layer: int) -> av.Var:
+    """x + out(softmax(theta(x) phi(x)^T / sqrt(C) + log_bias) g(x)), the
+    attention one row block at a time (autodiff.attention)."""
     q = _affine(x, params, f"nl.{layer}.theta")
     k = _affine(x, params, f"nl.{layer}.phi")
     v = _affine(x, params, f"nl.{layer}.g")
-    scale = 1.0 / np.sqrt(params.channels)
-    if stream:
-        mixed = np.empty_like(v.value)
-
-        def attend(lo: int, block: np.ndarray) -> None:
-            np.matmul(block, v.value, out=mixed[lo:lo + len(block)])
-
-        av.scaled_scores(q, k, scale, log_bias, "softmax", attend)
-        mixed = av.wrap(mixed)
-    else:
-        mixed = av.attention(q, k, v, scale, log_bias)
+    mixed = av.attention(q, k, v, 1.0 / np.sqrt(params.channels), log_bias)
     return av.add(x, _affine(mixed, params, f"nl.{layer}.out"))
 
 
@@ -263,22 +250,20 @@ def _topk_retention(scores: np.ndarray, support: np.ndarray, k2: int) -> np.ndar
     the lower column index: a longer row keeps every supported entry above
     its k2-th largest supported score, then fills the remaining slots with
     the entries equal to that score, in column order. Supported scores are
-    finite; the others are never read. The rule is per row, so it runs in the
-    row blocks of autodiff.scaled_scores and its temporaries are block-sized;
-    only the rows it prunes are written, each after its support is read.
+    finite; the others are never read. The rule is per row, so it runs on
+    the row blocks of autodiff.retained_sigmoid and its temporaries are
+    block-sized; only the rows it prunes are written, each after its
+    support is read.
     """
-    step = max(1, av.SCORE_BLOCK // support.shape[1])
-    for lo in range(0, len(support), step):
-        supp = support[lo:lo + step]
-        rows = np.flatnonzero(np.count_nonzero(supp, axis=1) > k2)
-        if rows.size:
-            s = np.where(supp[rows], scores[lo:lo + step][rows], -np.inf)
-            kth = np.partition(s, -k2, axis=1)[:, [-k2]]
-            above = s > kth
-            tie = s == kth
-            room = k2 - np.count_nonzero(above, axis=1)
-            supp[rows] = above | (tie & (np.cumsum(tie, axis=1, dtype=np.int32)
-                                         <= room[:, None]))
+    rows = np.flatnonzero(np.count_nonzero(support, axis=1) > k2)
+    if rows.size:
+        s = np.where(support[rows], scores[rows], -np.inf)
+        kth = np.partition(s, -k2, axis=1)[:, [-k2]]
+        above = s > kth
+        tie = s == kth
+        room = k2 - np.count_nonzero(above, axis=1)
+        support[rows] = above | (tie & (np.cumsum(tie, axis=1, dtype=np.int32)
+                                        <= room[:, None]))
     return support
 
 
@@ -288,59 +273,31 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
 
 
 def _update(x: av.Var, y: av.Var, h: np.ndarray, params: HgnnParams, t: int,
-            k2: int, stream: bool = False
-            ) -> Tuple[np.ndarray, Optional[av.Var], av.Var]:
-    """Structure update t: H^{t+1}, written over h, W_H^{t+1} from the
-    sigmoid scores, and its column sums, the hyperedge weights of layer t+1.
+            k2: int, whole: bool) -> Tuple[Optional[av.Var], av.Var]:
+    """Structure update t: H^{t+1}, written over h, and W_H^{t+1}, the
+    sigmoid scores times H^{t+1} (autodiff.retained_sigmoid), returned with
+    its column sums, the hyperedge weights of layer t+1; without `whole`
+    only the sums are built, and None comes in W_H^{t+1}'s place.
 
-    W_H^{t+1} is the scores times the boolean retention mask (x * True = x,
-    and x * False the same signed zero as x * 0.0), written into the score
-    array, with or without a tape. The tape keeps q, k and the mask, which
-    is H^{t+1} itself, not W_H^{t+1}: the VJP computes the scores and the
-    product again with the same operations, so the same bits. Top-K reads
-    only scores on the support of H^t, and the product zeroes every other
-    entry, so the scores need no off-support mask: sigmoid(z) * 0 and
-    sigmoid(z - 1e30) * 0 are the same +0.0 for finite z (NaN for NaN z).
-    The sigmoid VJP g * s * (1 - s) reads only its output, so the gradients
-    equal those of av.mul(scores, retention) bit for bit: where the mask is
-    1 nothing changes, and where it is 0, (g * 0) * s * (1 - s) and
-    g * 0 * (1 - 0) are the same signed zero (NaN when g is not finite).
-
-    Every step is per row. With `stream`, each row block of scores becomes
-    its rows of W_H^{t+1} and H^{t+1}, is checked and added to the column
-    sums, and is dropped: W_H^{t+1} comes back as None. The sums run in row
-    order, each block's first row adding the sums so far, as numpy sums a
-    whole array down axis 0, so they are the same bits.
+    Top-K reads only scores on the support of H^t, and the product zeroes
+    every other entry, so the scores need no off-support mask:
+    sigmoid(z) * 0 and sigmoid(z - 1e30) * 0 are the same +0.0 for finite z
+    (NaN for NaN z). A NaN entry of W_H^{t+1} makes its column's sum NaN, so
+    the finiteness check reads the sums.
     """
     q = _affine(x, params, f"upd.{t}.q")
     k = _affine(y, params, f"upd.{t}.k")
-    scale = 1.0 / np.sqrt(params.channels)
-
-    if not stream:
-        wh = av.scaled_scores(q, k, scale, None, "sigmoid",
-                              keep=lambda s: _topk_retention(s, h, k2))
-        _check_finite(f"W_H^{t + 1}", wh.value)
-        return h, wh, av.vsum(wh, axis=0)
-    sums = None
-
-    def retain_and_sum(lo: int, block: np.ndarray) -> None:
-        nonlocal sums
-        block *= _topk_retention(block, h[lo:lo + len(block)], k2)
-        _check_finite(f"W_H^{t + 1}", block)
-        if sums is not None:
-            block[0] += sums
-        sums = block.sum(axis=0)
-
-    av.scaled_scores(q, k, scale, None, "sigmoid", retain_and_sum)
-    return h, None, av.wrap(sums)
+    wh, we = av.retained_sigmoid(q, k, 1.0 / np.sqrt(params.channels), h,
+                                 lambda s, rows: _topk_retention(s, rows, k2), whole)
+    _check_finite(f"W_H^{t + 1}", we.value)
+    return wh, we
 
 
 def _initial_edge_weights(w_h0: SparseWeights, h0: np.ndarray) -> np.ndarray:
     """Column sums of W_H^0, which is w_h0 with 1 on the self-memberships
     (the diagonal of H^0). Each row block of W_H^0 is written into one
-    reused buffer and added to the sums in row order, each block's first row
-    adding the sums so far, as numpy sums a whole array down axis 0, so they
-    are the sums of a W_H^0 array, bit for bit."""
+    reused buffer and added to the sums in row order (av.add_column_sums),
+    so they are the sums of a W_H^0 array, bit for bit."""
     n = w_h0.n
     self_member = h0.diagonal()
     rows = max(1, av.SCORE_BLOCK // n)
@@ -352,9 +309,7 @@ def _initial_edge_weights(w_h0: SparseWeights, h0: np.ndarray) -> np.ndarray:
         w_h0.add_rows(lo, block)
         members = np.flatnonzero(self_member[lo:lo + rows])
         block[members, lo + members] = 1.0
-        if sums is not None:
-            block[0] += sums
-        sums = block.sum(axis=0)
+        sums = av.add_column_sums(sums, block)
     return sums
 
 
@@ -405,20 +360,18 @@ def forward(corrs: CorrSet, hg0: np.ndarray, w_h0: SparseWeights,
     (init_hypergraph of w_h0); w_h0 holds the initial weights (a
     CompatGraph's, or compat.sparse_weights of an array), from which the
     NonLocal attention's log bias is built and the layer-0 hyperedge weights
-    are summed, a row block at a time. Neither pass modifies w_h0. The default pass records
-    the autodiff tape unless called under autodiff.no_grad(), keeps every
-    layer and never modifies its arguments: each update writes H^{t+1} over
-    a copy of H^t. An inference pass (inference=True) overwrites hg0 with
-    H^1, then H^2 and on. Its trace holds only the last layer (xs = [X^5],
-    ys = [Y^4], hs = [H^4], which is hg0, the same for x_vars and y_vars;
-    whs and wh_vars are empty), and it streams each score array in row
-    blocks, so no W_H^t is built whole: only its column sums are. A
-    row-blocked gemm may differ from the full one in the last bits, so the
-    two passes agree to rounding. Neither trace keeps w_h0: w_nonlocal is an
-    empty (0, 0) array. A tape's backward pass reads the H^t that it
-    overwrites, so under a tape it raises ValueError before it touches its
-    arguments. Every layer is checked for non-finite values as it is
-    computed, so NonFinite names the first bad one.
+    are summed, a row block at a time. Neither pass modifies w_h0 or keeps
+    it (w_nonlocal is an empty (0, 0) array).
+
+    The default pass records the autodiff tape unless called under
+    autodiff.no_grad(), keeps every layer and writes each H^{t+1} over a
+    copy of H^t. An inference pass (inference=True) computes the same bits,
+    but writes H^{t+1} over hg0, builds no W_H^t and keeps only the last
+    layer: xs = [X^5], ys = [Y^4], hs = [H^4] (hg0 itself), the same for
+    x_vars and y_vars, and empty whs and wh_vars. A tape's backward pass
+    reads the H^t it overwrites, so under a tape it raises ValueError before
+    it touches its arguments. Every layer is checked for non-finite values
+    as it is computed, so NonFinite names the first bad one.
     """
     n = len(corrs)
     if n < 3:
@@ -457,12 +410,13 @@ def forward(corrs: CorrSet, hg0: np.ndarray, w_h0: SparseWeights,
 
         xhat = _aggregate(h, av.mul(av.reshape(we, (n, 1)), y), False)
         xres = av.relu(av.add(x, _mlp(xhat, params, f"mlp2.{t}")))
-        x = av.l2norm_rows(_nonlocal(xres, log_bias, params, t, inference))
+        x = av.l2norm_rows(_nonlocal(xres, log_bias, params, t))
         keep(x_vars, x, f"X^{t + 1}")
 
         if t < N_UPDATES:
-            h, wh, we = _update(x, y, h if inference else h.copy(), params, t, k2s[t],
-                                inference)
+            if not inference:
+                h = h.copy()
+            wh, we = _update(x, y, h, params, t, k2s[t], not inference)
             keep(hs, h)
             keep(wh_vars, wh)  # None in an inference pass, which keeps no layer
 

@@ -74,8 +74,15 @@ def scene_from_text(text: str, origin: str = "<string>") -> CorrSet:
         vals = lines[row].split()
         if len(vals) != 12:
             raise ConfigError(f"{origin}: line {row + 1}: expected 12 gt numbers")
-        vals = [float(v) for v in vals]
-        gt = RigidTransform(np.array(vals[:9]).reshape(3, 3), np.array(vals[9:]))
+        try:
+            vals = np.array([float(v) for v in vals])
+        except ValueError:
+            raise ConfigError(f"{origin}: line {row + 1}: the ground truth has a field "
+                              f"that is not a number") from None
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"{origin}: line {row + 1}: the ground truth has a "
+                             f"non-finite number")
+        gt = RigidTransform(vals[:9].reshape(3, 3), vals[9:])
         row += 1
 
     expected = 6 + int(has_labels) + feat_dim

@@ -321,9 +321,18 @@ def scaled_scores_chain(q, k, scale, bias, activation):
 
 
 def attention_chain(q, k, v, scale, bias):
-    """The tape ops that av.attention fuses: the score array as one Var,
-    then av.matmul by v, whose VJP reads it."""
-    return av.matmul(av.scaled_scores(q, k, scale, bias, "softmax"), v)
+    """The tape ops that av.attention fuses: the dense score chain (bias an
+    (N, M) array, a sparse one made dense, or None), then av.matmul by v,
+    whose VJP reads the score array."""
+    bias = None if bias is None else dense(bias)
+    return av.matmul(scaled_scores_chain(q, k, scale, bias, "softmax"), v)
+
+
+def retained_sigmoid_chain(q, k, scale, mask):
+    """The tape ops that av.retained_sigmoid fuses: the dense sigmoid score
+    chain times the boolean mask (as float64), and its column sums."""
+    w = av.mul(scaled_scores_chain(q, k, scale, None, "sigmoid"), mask)
+    return w, av.vsum(w, axis=0)
 
 
 def incidence_product_reference(h, a, transpose):
@@ -543,7 +552,8 @@ def permuted(cs, perm):
                    None if cs.labels is None else cs.labels[perm])
 
 
-# tape-level ops the network reaches only through av.scaled_scores
+# tape-level ops the network reaches only through av.scaled_scores, whose
+# blocks the taped ops av.attention and av.retained_sigmoid finish
 
 def softmax_rows(a):
     """Row softmax as one tape op: the in-place kernel on a copy of the

@@ -154,12 +154,43 @@ class TestInPlaceOps:
         assert np.array_equal(dg, g * s * (1.0 - s))
 
 
+def _matches(got, want, exact):
+    """got equals want bit for bit when `exact`, else to 1e-10 of want's
+    largest magnitude: a row-blocked gemm may differ from the whole one in
+    the last bits."""
+    if exact:
+        return np.array_equal(_bits(got), _bits(want))
+    return np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def _streamed(q, k, scale, bias, activation):
+    """The blocks scaled_scores hands over, written into one array, and the
+    first row of each."""
+    out = np.full((len(q), len(k)), np.nan)
+    firsts = []
+
+    def consume(lo, block):
+        firsts.append(lo)
+        out[lo:lo + len(block)] = block
+
+    assert av.scaled_scores(q, k, scale, bias, activation, consume) is None
+    return out, firsts
+
+
+def _keep_above(threshold):
+    """A retain function for av.retained_sigmoid: each row keeps the
+    entries of its mask rows whose score exceeds threshold."""
+    return lambda s, rows: np.logical_and(rows, s > threshold, out=rows)
+
+
 class TestScaledScores:
-    """The fused score primitive against the allocating expressions and the
-    unfused tape ops, bit for bit, in both activations. The primitive takes
-    its bias sparse, as the network does: the (N, N) array equals a fill
-    value except at the listed entries, and it is added to each row block in
-    place."""
+    """The streamed score primitive against the allocating expressions, and
+    the taped op built on each of its activations (av.attention on the
+    softmax, av.retained_sigmoid on the sigmoid) against the dense tape
+    chain: bit for bit in one block, to 1e-10 in row blocks. The primitive
+    takes its bias sparse, as the network does: the (N, N) array equals a
+    fill value except at the listed entries, and it is added to each row
+    block in place."""
 
     ACTS = ["softmax", "sigmoid"]
     FILL = -1e30
@@ -184,75 +215,111 @@ class TestScaledScores:
         bias[6, 1::2] = -1e9
         return q, k, bias
 
+    @classmethod
+    def _op_and_chain(cls, activation, q, k, bias, rng):
+        """The taped op built on `activation` and its dense tape chain, as
+        (op Var, chain Var) pairs: the attention by a random v for the softmax
+        (bias sparse for the op, dense for the chain), and for the sigmoid, which
+        takes no bias, W and its column sums under a mask that keeps the scores
+        above 0.5 within a random support."""
+        if activation == "softmax":
+            v = rng.normal(size=(len(k.value), 3))
+            op = av.attention(q, k, v, 0.37, None if bias is None else cls._sparse(bias))
+            return [(op, oracles.attention_chain(q, k, v, 0.37, bias))]
+        support = rng.uniform(size=(len(q.value), len(k.value))) < 0.8
+        mask = support.copy()
+        w, sums = av.retained_sigmoid(q, k, 0.37, mask, _keep_above(0.5))
+        want = np.logical_and(support, oracles.scaled_scores_reference(
+            q.value, k.value, 0.37, None, "sigmoid") > 0.5)
+        assert np.array_equal(mask, want) and np.any(support & ~mask)
+        return list(zip((w, sums), oracles.retained_sigmoid_chain(q, k, 0.37, mask)))
+
     @pytest.fixture(params=[1 << 16, 64], ids=["one-block", "row-blocks"])
     def block(self, request, monkeypatch):
-        # 64 elements is two rows of 30 per block, so blocks end mid-matrix
+        # 64 elements is two rows of 30 per block, so blocks end mid-matrix;
+        # the fixture's value is whether the scores are one block
         monkeypatch.setattr(av, "SCORE_BLOCK", request.param)
+        return request.param == 1 << 16
 
     @pytest.mark.parametrize("activation", ACTS)
-    @pytest.mark.parametrize("track", [False, True])
-    def test_forward_bit_equal(self, rng, block, activation, track):
+    def test_forward_bit_equal(self, rng, block, activation):
         q, k, bias = self._case(rng)
         sparse = self._sparse(bias)
         inputs = [a.copy() for a in (q, k, bias, sparse.indptr, sparse.column, sparse.value)]
-        wrap = av.param if track else av.wrap
-        out = av.scaled_scores(wrap(q), wrap(k), 0.37, sparse, activation)
+        out, firsts = _streamed(q, k, 0.37, sparse, activation)
+        assert firsts == ([0] if block else list(range(0, 30, 2)))
         ref = oracles.scaled_scores_reference(q, k, 0.37, bias, activation)
-        assert np.array_equal(_bits(out.value), _bits(ref))
-        chain = oracles.scaled_scores_chain(wrap(q), wrap(k), 0.37, bias, activation)
-        assert np.array_equal(_bits(out.value), _bits(chain.value))
+        assert _matches(out, ref, block)
+        with av.no_grad():
+            chain = oracles.scaled_scores_chain(av.wrap(q), av.wrap(k), 0.37, bias,
+                                                activation)
+        assert _matches(out, chain.value, block)
         for a, b in zip(inputs, (q, k, bias, sparse.indptr, sparse.column, sparse.value)):
             assert np.array_equal(a, b)  # inputs left untouched
 
     @pytest.mark.parametrize("activation", ACTS)
     @pytest.mark.parametrize("track", [False, True])
     def test_without_bias_bit_equal(self, rng, block, activation, track):
+        # the primitive's blocks; with `track`, the taped op's values and
+        # gradients against the chain's, without a bias
         q, k, _ = self._case(rng, n=24)          # no bias: any shape
         q[0] = 0.0                               # zero scores, of either sign
         q[1] = -q[1] * 1e3                       # saturated sigmoids
-        wrap = av.param if track else av.wrap
-        qa, ka = wrap(q), wrap(k)
-        out = av.scaled_scores(qa, ka, 0.37, None, activation)
-        ref = oracles.scaled_scores_reference(q, k, 0.37, None, activation)
-        assert np.array_equal(_bits(out.value), _bits(ref))
-        if track:
-            g = rng.normal(size=out.value.shape)
-            qc, kc = av.param(q), av.param(k)
-            chain = oracles.scaled_scores_chain(qc, kc, 0.37, None, activation)
-            assert np.array_equal(_bits(out.value), _bits(chain.value))
-            for got, want in zip(av.grad(av.vsum(av.mul(out, g)), [qa, ka]),
-                                 av.grad(av.vsum(av.mul(chain, g)), [qc, kc])):
-                assert np.array_equal(_bits(got), _bits(want))
+        out, _ = _streamed(q, k, 0.37, None, activation)
+        assert _matches(out, oracles.scaled_scores_reference(q, k, 0.37, None, activation),
+                        block)
+        if not track:
+            return
+        qa, ka = av.param(q), av.param(k)
+        for op, chain in self._op_and_chain(activation, qa, ka, None, rng):
+            assert op.track and _matches(op.value, chain.value, block)
+            g = rng.normal(size=op.value.shape)
+            for got, want in zip(av.grad(av.vsum(av.mul(op, g)), [qa, ka]),
+                                 av.grad(av.vsum(av.mul(chain, g)), [qa, ka])):
+                assert _matches(got, want, block)
 
     @pytest.mark.parametrize("activation", ACTS)
     def test_vjp_bit_equal_to_chain(self, rng, block, activation):
+        # both outputs of the sigmoid op at once, as the network reads them
         q, k, bias = self._case(rng)
-        g = rng.normal(size=bias.shape)
         qa, ka = av.param(q), av.param(k)
-        dq, dk = av.grad(av.vsum(av.mul(av.scaled_scores(qa, ka, 0.37, self._sparse(bias),
-                                                         activation), g)), [qa, ka])
-        qb, kb = av.param(q), av.param(k)
-        rq, rk = av.grad(av.vsum(av.mul(
-            oracles.scaled_scores_chain(qb, kb, 0.37, bias, activation), g)), [qb, kb])
-        assert np.array_equal(_bits(dq), _bits(rq))
-        assert np.array_equal(_bits(dk), _bits(rk))
-        # and the chain's expressions written out
-        s = oracles.scaled_scores_reference(q, k, 0.37, bias, activation)
-        if activation == "softmax":
-            gl = s * (g - np.sum(g * s, axis=1, keepdims=True))
-        else:
-            gl = g * s * (1.0 - s)
-        gl = gl * 0.37
-        assert np.array_equal(_bits(dq), _bits(gl @ k))
-        assert np.array_equal(_bits(dk), _bits((q.T @ gl).T))
+        pairs = self._op_and_chain(activation, qa, ka, bias, rng)
+        gs = [rng.normal(size=op.value.shape) for op, _ in pairs]
+
+        def loss(outs):
+            total = av.vsum(av.mul(outs[0], gs[0]))
+            for out, g in zip(outs[1:], gs[1:]):
+                total = av.add(total, av.vsum(av.mul(out, g)))
+            return total
+
+        got = av.grad(loss([op for op, _ in pairs]), [qa, ka])
+        want = av.grad(loss([chain for _, chain in pairs]), [qa, ka])
+        for a, b in zip(got, want):
+            assert _matches(a, b, block)
+        if activation == "sigmoid" and block:
+            # and the chain's expressions written out
+            w = pairs[0][1].value
+            gl = (gs[0] + gs[1]) * w * (1.0 - w) * 0.37
+            assert np.array_equal(_bits(got[0]), _bits(gl @ k))
+            assert np.array_equal(_bits(got[1]), _bits((q.T @ gl).T))
 
     @pytest.mark.parametrize("activation", ACTS)
     def test_finite_differences(self, rng, block, activation):
-        bias = sparse_weights(rng.normal(size=(5, 5)))
         weights = rng.normal(size=(5, 5))
-        fd_check(lambda q, k: av.vsum(av.mul(av.scaled_scores(q, k, 0.7, bias, activation),
-                                             weights)),
-                 [rng.normal(size=(5, 3)), rng.normal(size=(5, 3))])
+        if activation == "softmax":
+            bias = sparse_weights(rng.normal(size=(5, 5)))
+
+            def fn(q, k):
+                return av.vsum(av.mul(av.attention(q, k, weights, 0.7, bias), weights))
+        else:
+            support = rng.uniform(size=(5, 5)) < 0.7
+
+            def fn(q, k):
+                # a fixed support: finite differences cannot cross a change of mask
+                w, sums = av.retained_sigmoid(q, k, 0.7, support.copy(),
+                                              lambda s, rows: None)
+                return av.add(av.vsum(av.mul(w, weights)), av.vsum(av.mul(sums, weights[0])))
+        fd_check(fn, [rng.normal(size=(5, 3)), rng.normal(size=(5, 3))])
 
     def test_exp_is_zero_below_the_underflow_cut(self):
         x = np.concatenate([-np.geomspace(-av.EXP_UNDERFLOW, 1e308, 4001), [-np.inf]])
@@ -261,10 +328,28 @@ class TestScaledScores:
         assert not np.any(np.signbit(np.exp(x)))
 
 
+def _recorded_blocks(monkeypatch):
+    """Weak references to every score buffer av.scaled_scores fills, the
+    reused one each call writes its blocks into."""
+    made = []
+    streamed = av.scaled_scores
+
+    def recorded(q, k, scale, bias, activation, consume):
+        def keep(lo, block):
+            if lo == 0:
+                made.append(weakref.ref(block.base))
+            consume(lo, block)
+
+        streamed(q, k, scale, bias, activation, keep)
+
+    monkeypatch.setattr(av, "scaled_scores", recorded)
+    return made
+
+
 class TestAttention:
-    """The fused attention against the unfused tape chain, bit for bit: the
-    score array as a Var, then a matmul by v. The sizes span one row block
-    of scores (N = 200) and several (333, 600)."""
+    """The attention against the dense tape chain, the score array as a Var
+    and then a matmul by v: bit for bit in one row block of scores
+    (N = 200), to 1e-10 in several (333, 600)."""
 
     @staticmethod
     def _case(rng, n, c=8):
@@ -280,6 +365,8 @@ class TestAttention:
     @pytest.mark.parametrize("tracked", ["qkv", "qk", "v", "none"])
     def test_bit_equal_to_chain(self, rng, n, tracked):
         q, k, v, bias = self._case(rng, n)
+        one_block = av.SCORE_BLOCK // n >= n
+        assert one_block == (n == 200)
         g = rng.normal(size=q.shape)
         fused = [av.param(a) if name in tracked else av.wrap(a)
                  for name, a in zip("qkv", (q, k, v))]
@@ -287,28 +374,24 @@ class TestAttention:
                  for name, a in zip("qkv", (q, k, v))]
         out = av.attention(*fused, 0.35, bias)
         ref = oracles.attention_chain(*chain, 0.35, bias)
-        assert np.array_equal(_bits(out.value), _bits(ref.value))
+        assert _matches(out.value, ref.value, one_block)
         assert out.track == (tracked != "none")
         if out.track:
             got = av.grad(av.vsum(av.mul(out, g)), fused)
             want = av.grad(av.vsum(av.mul(ref, g)), chain)
-            for a, b in zip(got, want):
-                assert np.array_equal(_bits(a), _bits(b))
+            for name, a, b in zip("qkv", got, want):
+                assert _matches(a, b, one_block or name not in tracked)
             assert [np.any(a != 0) for a in got] == [name in tracked for name in "qkv"]
 
     def test_tape_keeps_the_inputs_not_the_scores(self, rng, monkeypatch):
+        # the forward pass and the VJP each fill one score buffer, dropped
+        # when they return; the tape entry's parents are q, k and v
         q, k, v, bias = self._case(rng, 40)
-        made = []
-        fused_scores = av.scaled_scores
-
-        def recorded(*args, **kwargs):
-            out = fused_scores(*args, **kwargs)
-            made.append(weakref.ref(out.value))
-            return out
-
-        monkeypatch.setattr(av, "scaled_scores", recorded)
+        made = _recorded_blocks(monkeypatch)
         leaves = [av.param(a) for a in (q, k, v)]
-        loss = av.vsum(av.attention(*leaves, 0.35, bias))
+        out = av.attention(*leaves, 0.35, bias)
+        assert out._node.parents == tuple(leaf._node for leaf in leaves)
+        loss = av.vsum(out)
         assert len(made) == 1 and made[0]() is None
         av.grad(loss, leaves)
         assert len(made) == 2 and made[1]() is None
@@ -430,37 +513,42 @@ class TestTapeLifetimes:
         assert ref() is None
 
     def test_freed_arrays_leave_the_gradient_bits(self, rng):
-        # the sigmoid's input and the scores' logits are gone when grad runs;
-        # the gradients are still those of the unfused chain's expressions
+        # the sigmoid's input and the attention's scores are gone when grad
+        # runs; the gradients are still those of the dense chain's expressions
         a, b = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
-        k, g = rng.normal(size=(7, 4)), rng.normal(size=(6, 7))
+        k, v, g = rng.normal(size=(7, 4)), rng.normal(size=(7, 3)), rng.normal(size=(6, 3))
         x = av.param(a)
         q = av.sigmoid(av.add(x, b))
-        loss = av.vsum(av.mul(av.scaled_scores(q, k, 0.37, None, "softmax"), g))
+        loss = av.vsum(av.mul(av.attention(q, k, v, 0.37, None), g))
         (dx,) = av.grad(loss, [x])
         s_q = oracles.sigmoid_reference(a + b)
         s = oracles.scaled_scores_reference(s_q, k, 0.37, None, "softmax")
-        gl = s * (g - np.sum(g * s, axis=1, keepdims=True)) * 0.37
+        gs = g @ v.T
+        gl = s * (gs - np.sum(gs * s, axis=1, keepdims=True)) * 0.37
         assert np.array_equal(_bits(dx), _bits(((gl @ k) * s_q) * (1.0 - s_q)))
         xc = av.param(a)
-        chain = oracles.scaled_scores_chain(av.sigmoid(av.add(xc, b)), k, 0.37, None,
-                                            "softmax")
+        chain = oracles.attention_chain(av.sigmoid(av.add(xc, b)), k, v, 0.37, None)
         (dc,) = av.grad(av.vsum(av.mul(chain, g)), [xc])
         assert np.array_equal(_bits(dx), _bits(dc))
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_scores_keep_their_inputs_not_the_result(self, rng, masked):
-        # the VJP computes the scores again, so it reads q and k (a constant
-        # k as well) and the mask, not the result; only q's VJP is kept
+        # the update op's VJP computes the scores again, so it reads q and k
+        # (a constant k as well) and the mask, not W: no (N, M) float array
+        # is on the tape, and only q's VJP is kept. The column sums' entry
+        # reads nothing of W either
         x = av.param(rng.normal(size=(6, 4)))
         q = av.add(x, 1.0)
         k = rng.normal(size=(7, 4))
-        keep = (lambda s: s > 0.5) if masked else None
-        out = av.scaled_scores(q, k, 0.5, None, "sigmoid", keep=keep)
-        refs = [weakref.ref(a) for a in (q.value, k, out.value)]
-        del q, k
+        mask = np.ones((6, 7), dtype=bool)
+        retain = _keep_above(0.5) if masked else (lambda s, rows: None)
+        out, sums = av.retained_sigmoid(q, k, 0.5, mask, retain)
+        assert np.any(mask) and np.any(~mask) == masked
+        refs = [weakref.ref(a) for a in (q.value, k, mask, out.value)]
+        del q, k, mask
+        assert sums._node.parents == (out._node,)
         assert len(out._node.parents) == 1 and len(out._node.parents[0].parents) == 1
-        out = out._node
-        assert [ref() is not None for ref in refs] == [True, True, False]
         del out
+        assert [ref() is not None for ref in refs] == [True, True, True, False]
+        del sums
         assert all(ref() is None for ref in refs)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -115,6 +116,32 @@ class TestErrors:
         lines[2 + 5] = " ".join(row)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"row 5 has a non-finite"):
+            read_scene(path)
+
+    @staticmethod
+    def _with_gt_field(tmp_path, index, word):
+        sc = gen_scene(SynthConfig(n_corrs=10, inlier_ratio=0.3, seed=1))
+        path = tmp_path / "scene.txt"
+        write_scene(sc, path)
+        lines = path.read_text().splitlines()
+        gt = lines[1].split()  # the line after the header
+        gt[index] = word
+        lines[1] = " ".join(gt)
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_unparsable_ground_truth_names_file_and_line(self, tmp_path):
+        path = self._with_gt_field(tmp_path, 4, "x")
+        want = rf"^{re.escape(str(path))}: line 2: the ground truth has a field that is not"
+        with pytest.raises(ConfigError, match=want):
+            read_scene(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_nonfinite_ground_truth_names_file_and_line(self, tmp_path, bad):
+        # a NaN translation would give all-False training labels and a NaN RE
+        path = self._with_gt_field(tmp_path, 11, bad)
+        want = rf"^{re.escape(str(path))}: line 2: the ground truth has a non-finite number"
+        with pytest.raises(ValueError, match=want):
             read_scene(path)
 
 

@@ -250,30 +250,42 @@ class TestTapeMemory:
         assert self._peak([0, 1]) <= 17.5
 
     def test_no_score_array_outlives_the_trace(self, monkeypatch):
-        # every score array, the 5 attentions' and W_H^1..W_H^4, is made by
-        # av.scaled_scores; once the loss is built and the trace dropped,
-        # none is alive, and the backward pass's are dropped as made
+        # every score array is streamed by av.scaled_scores through one
+        # buffer per call: the 5 attentions' and the 4 updates' in the
+        # forward pass, none alive once it returns. W_H^1..W_H^4, which
+        # av.retained_sigmoid builds whole, live in the trace only: once the
+        # loss is built and the trace dropped, none is alive. The backward
+        # pass streams the 9 again and drops each buffer as it returns
         import weakref
         ps = prepare_scene(gen_scene(SynthConfig(n_corrs=60, inlier_ratio=0.3, seed=1)),
                            0.1, 0.1)
         params = init_params(8, 0)
-        made = []
-        scores = av.scaled_scores
+        buffers, weights = [], []
+        streamed, retained = av.scaled_scores, av.retained_sigmoid
 
-        def recorded(*args, **kwargs):
-            out = scores(*args, **kwargs)
-            made.append(weakref.ref(out.value))
-            return out
+        def stream(q, k, scale, bias, activation, consume):
+            def keep(lo, block):
+                if lo == 0:
+                    buffers.append(weakref.ref(block.base))
+                consume(lo, block)
 
-        monkeypatch.setattr(av, "scaled_scores", recorded)
+            streamed(q, k, scale, bias, activation, keep)
+
+        def retain(*args):
+            w, sums = retained(*args)
+            weights.append(weakref.ref(w.value))
+            return w, sums
+
+        monkeypatch.setattr(av, "scaled_scores", stream)
+        monkeypatch.setattr(av, "retained_sigmoid", retain)
         trace = forward(ps.corrs, ps.hg0, ps.w_h0, params)
-        assert len(made) == 9
+        assert len(buffers) == 9 and all(ref() is None for ref in buffers)
         total, _ = joint_loss(trace, ps.labels, params)
-        assert sum(ref() is not None for ref in made) == 4  # the trace's W_H
+        assert len(weights) == 4 and all(ref() is not None for ref in weights)
         del trace
-        assert all(ref() is None for ref in made)
+        assert all(ref() is None for ref in weights)
         av.grad(total, [params.var(n) for n in params.names])
-        assert len(made) == 18 and all(ref() is None for ref in made)
+        assert len(buffers) == 18 and all(ref() is None for ref in buffers)
 
 
 class TestAdam:
