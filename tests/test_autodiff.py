@@ -242,7 +242,10 @@ class TestScaledScores:
         return request.param == 1 << 16
 
     @pytest.mark.parametrize("activation", ACTS)
-    def test_forward_bit_equal(self, rng, block, activation):
+    @pytest.mark.parametrize("track", [False, True])
+    def test_forward_bit_equal(self, rng, block, activation, track):
+        # the primitive's blocks; then the taped op's values against the
+        # chain's, on tracked or constant q, k
         q, k, bias = self._case(rng)
         sparse = self._sparse(bias)
         inputs = [a.copy() for a in (q, k, bias, sparse.indptr, sparse.column, sparse.value)]
@@ -254,6 +257,9 @@ class TestScaledScores:
             chain = oracles.scaled_scores_chain(av.wrap(q), av.wrap(k), 0.37, bias,
                                                 activation)
         assert _matches(out, chain.value, block)
+        wrap = av.param if track else av.wrap
+        for op, chain in self._op_and_chain(activation, wrap(q), wrap(k), bias, rng):
+            assert op.track == track and _matches(op.value, chain.value, block)
         for a, b in zip(inputs, (q, k, bias, sparse.indptr, sparse.column, sparse.value)):
             assert np.array_equal(a, b)  # inputs left untouched
 
